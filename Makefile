@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test coverage bench bench-smoke bench-waveform bench-fleet bench-compare chaos-smoke figT figM figA results report api-index
+.PHONY: test coverage bench bench-smoke bench-e2e-smoke bench-waveform bench-fleet bench-compare chaos-smoke figT figM figA results report api-index
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -19,6 +19,12 @@ bench:
 # against the committed benchmarks/BENCH_waveform.json baseline).
 bench-smoke:
 	$(PYTHON) tools/bench_smoke.py
+
+# End-to-end benchmark, smoke mode (~15 s): every workload once plus a
+# traced pass, which fails if a refactor deletes an attribute the span
+# table wraps.
+bench-e2e-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke --out BENCH_e2e_smoke.json
 
 # Waveform-tier slots/s snapshot only (fast + reference legs), then
 # diff against the committed baseline.
@@ -49,12 +55,10 @@ figM:
 	$(PYTHON) -m repro figM
 	$(PYTHON) tools/bench_smoke.py --relay-only
 
-# Adaptive-bitrate sweep (adaptive vs every fixed modulation/rate)
-# plus the adaptive-off zero-cost overhead gate (mirrors the CI figA
-# job).
+# Adaptive-bitrate sweep (adaptive vs every fixed modulation/rate;
+# mirrors the CI figA job).
 figA:
 	$(PYTHON) -m repro figA
-	$(PYTHON) tools/bench_smoke.py --adaptive-only
 
 # Usage: make bench-compare BEFORE=BENCH_old.json AFTER=BENCH_new.json
 bench-compare:

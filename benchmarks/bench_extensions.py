@@ -13,9 +13,8 @@ import pytest
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.experiments.configs import pattern
 from repro.ext.ambient import DrivingCondition, HybridHarvester
-from repro.ext.fdma import FdmaNetwork
 from repro.ext.mask import MultiLevelBackscatter, viable_tags_for_mask
-from repro.ext.multireader import MultiReaderDeployment
+from repro.multireader import FdmaNetwork, MultiReaderDeployment
 
 
 def test_ext_ambient_harvesting(benchmark, medium):

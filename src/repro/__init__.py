@@ -59,7 +59,7 @@ from repro.phy import (
     pie_encode,
 )
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "AlohaResult",

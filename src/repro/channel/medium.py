@@ -602,10 +602,11 @@ class AcousticMedium:
 
         ``config_for`` maps tag -> :class:`repro.phy.modulation.LinkConfig`
         for the adaptive PHY; tags absent from the map (and every tag
-        when it is None, the legacy path) use ``bit_rate_bps`` /
+        when it is None, the fixed-rate link) use ``bit_rate_bps`` /
         ``packet_bits``.  The RNG draw order is identical either way —
         per-tag success probabilities are the only thing a config
-        changes — which is what keeps adaptive-off runs byte-identical.
+        changes — which is what keeps an FM0-only plan byte-identical
+        to no plan.
         """
         tags = list(transmitters)
         if not tags:

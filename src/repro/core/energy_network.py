@@ -19,20 +19,20 @@ hardware design enables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Dict, Mapping, Optional
 
-from repro.channel.medium import AcousticMedium
+from repro.channel.medium import AcousticMedium, SlotObservation
 from repro.core.network import NetworkConfig, SlottedNetwork
-
-if TYPE_CHECKING:  # avoid importing the fault layer unless it is used
-    from repro.faults.schedule import FaultSchedule
-    from repro.sim.trace import TraceRecorder
 from repro.core.reader_protocol import SlotRecord
 from repro.hardware.mcu import McuMode
 from repro.hardware.strain import SAMPLING_POWER_W
 from repro.hardware.tag_device import TagDevice
 from repro.phy.fm0 import fm0_frame_duration_s
 from repro.phy.packets import UL_FRAME_BITS
+
+if TYPE_CHECKING:  # avoid importing the fault layer unless it is used
+    from repro.faults.schedule import FaultSchedule
+    from repro.sim.trace import TraceRecorder
 
 #: Beacon receive window per slot (s): ~26 raw bits at 250 bps.
 BEACON_RX_S = 0.104
@@ -54,7 +54,14 @@ class TagEnergyLog:
 
 
 class EnergyAwareNetwork(SlottedNetwork):
-    """Slot allocation with live supercapacitor accounting."""
+    """Slot allocation with live supercapacitor accounting.
+
+    Runs the base slot loop unchanged: an unpowered tag sits the slot
+    out exactly like a parked one (no reception, no RNG draws), and the
+    physics settles after the reader's verdict.  An injected brownout
+    on a *powered* tag forces the MCU dark for the window
+    (harvest-only physics) while the capacitor keeps charging.
+    """
 
     def __init__(
         self,
@@ -90,6 +97,8 @@ class EnergyAwareNetwork(SlottedNetwork):
             # All tags start below HTH: everyone is a (physics-driven)
             # late arrival except those pre-charged above threshold.
             self.tags[name].late_arrival = not device.powered
+            if not device.powered:
+                self._parked.add(name)
         self._ul_airtime_s = fm0_frame_duration_s(
             UL_FRAME_BITS, self.config.ul_raw_rate_bps
         )
@@ -125,96 +134,34 @@ class EnergyAwareNetwork(SlottedNetwork):
             powered = device.advance(remaining, McuMode.IDLE)
         log.slots_lit += 1
         if was_powered and not powered:
+            # A brown-out is a cold boot: the cutoff disconnects the MCU
+            # entirely, so the tag returns as a fresh late arrival —
+            # EMPTY-gated and re-competing — the Sec. 5.5 lifecycle.
             log.brownouts += 1
-            self._reboot_mac(name)
+            self.tags[name].cold_boot()
         return powered
 
-    def _reboot_mac(self, name: str) -> None:
-        """A brown-out is a cold boot: the cutoff disconnects the MCU
-        entirely, so all protocol state (slot counter, settled offset)
-        is lost.  The tag returns as a fresh late arrival — EMPTY-gated
-        and re-competing — exactly the Sec. 5.5 lifecycle."""
-        mac = self.tags[name]
-        mac.machine.reset()
-        mac.slot_counter = 0
-        mac.transmitted_last_slot = False
-        mac.ever_settled = False
-        mac.late_arrival = True
+    # -- slot settlement -------------------------------------------------
 
-    # -- slot loop ----------------------------------------------------------------
-
-    def step(self) -> SlotRecord:
-        """One slot with live energy state gating participation.
-
-        Fault hooks mirror :meth:`SlottedNetwork.step` exactly — same
-        hook order, same RNG draw sequence — so a faulted energy run is
-        byte-identical whether stepped here or through the fleet
-        engine's scalar lane.  The physics-dark check (capacitor below
-        HTH) comes first and consumes no draws, exactly as before; an
-        injected brownout on a *powered* tag forces the MCU dark for
-        the window (harvest-only physics) while the capacitor keeps
-        charging.
-        """
-        slot = self.reader.slot_index
+    def _close_slot(self, observation: SlotObservation) -> SlotRecord:
+        """Log the verdict, then charge/drain every device: TX energy
+        for the tags that reached the air, harvest-only for tags an
+        injected brownout holds dark, and the powered set of the next
+        slot follows the capacitors."""
+        record = super()._close_slot(observation)
+        transmitted = observation.transmitters
         ctl = self._faults
-        if ctl is not None:
-            ctl.on_slot_start(slot)
-        beacon = self.reader.make_beacon()
-        transmitters: List[str] = []
-        decisions: Dict[str, bool] = {}
-        fault_dark: set = set()
-        for name, tag in self.tags.items():
-            if not self.devices[name].powered:
-                decisions[name] = False
-                continue
-            lost = self._slot_rng.random() < self._beacon_loss[name]
-            if ctl is not None:
-                if ctl.tag_offline(name):
-                    # Injected brownout: the cutoff opens and the MCU is
-                    # dark even though the capacitor holds charge.  (The
-                    # loss draw above still happens, keeping the shared
-                    # slot stream aligned across fault scenarios.)
-                    tag.transmitted_last_slot = False
-                    decisions[name] = False
-                    fault_dark.add(name)
-                    continue
-                lost = ctl.beacon_lost(name, lost)
-            if lost:
-                if self.config.enable_beacon_loss_timer:
-                    tag.on_beacon_loss()
-                else:
-                    tag.beacons_missed += 1
-                    tag.transmitted_last_slot = False
-                decisions[name] = False
-                continue
-            decision = tag.on_beacon(
-                beacon if ctl is None else ctl.beacon_for(name, beacon)
-            )
-            transmit = decision.transmit and (
-                ctl is None or ctl.transmit_allowed(name)
-            )
-            decisions[name] = transmit
-            if transmit:
-                transmitters.append(name)
-        observation = self._observe(transmitters)
-        if ctl is not None:
-            observation = ctl.transform_observation(observation)
-        record = self.reader.on_slot_observation(observation)
-        self.records.append(record)
-        # Physics after the fact: charge/drain every device.
-        for name in self.tags:
-            if name in fault_dark:
+        parked = self._parked
+        for name, device in self.devices.items():
+            if ctl is not None and name not in parked and ctl.tag_offline(name):
                 # MCU forced off: the harvester still charges the
                 # capacitor, but no RX/TX/IDLE consumption happens.
-                self.devices[name].advance(self.config.slot_duration_s)
+                device.advance(self.config.slot_duration_s)
                 self.energy_log[name].slots_dark += 1
-                continue
-            powered_after = self._advance_device(name, decisions.get(name, False))
-            if not powered_after and decisions.get(name, False):
-                # Browned out mid-slot: the tag will miss the feedback.
-                self.tags[name].transmitted_last_slot = False
-        if ctl is not None:
-            ctl.on_slot_end(slot, record)
+            elif self._advance_device(name, name in transmitted):
+                parked.discard(name)
+            else:
+                parked.add(name)
         return record
 
     # -- reporting -----------------------------------------------------------------

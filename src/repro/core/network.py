@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
-import numpy as np
-
 from repro import telemetry
 from repro.channel.medium import AcousticMedium, SlotObservation
 from repro.core.reader_protocol import ReaderMac, SlotRecord
@@ -55,6 +53,29 @@ class NetworkConfig:
     #: detection (for protocol-only analysis).
     ideal_channel: bool = False
     seed: int = 0
+
+
+def derive_beacon_loss(
+    config: NetworkConfig, medium: AcousticMedium, name: str
+) -> float:
+    """Per-slot beacon-loss probability for one tag: the config
+    override if set, zero on the ideal channel, else the channel's PIE
+    timing model."""
+    if config.beacon_loss_probability is not None:
+        return config.beacon_loss_probability
+    if config.ideal_channel:
+        return 0.0
+    return medium.beacon_loss_probability(name, config.dl_raw_rate_bps)
+
+
+def ideal_observation(transmitters: Sequence[str]) -> SlotObservation:
+    """Ideal-channel arbitration: a lone transmitter always decodes,
+    and any overlap is always detected as a collision."""
+    if len(transmitters) == 1:
+        return SlotObservation(tuple(transmitters), transmitters[0], False)
+    if transmitters:
+        return SlotObservation(tuple(transmitters), None, True)
+    return SlotObservation((), None, False)
 
 
 class SlottedNetwork:
@@ -101,18 +122,21 @@ class SlottedNetwork:
                 respect_empty_flag=self.config.enable_empty_flag,
                 late_arrival=self.activation_slot.get(name, 0) > 0,
             )
-            self._beacon_loss[name] = self._derive_beacon_loss(name)
+            self._beacon_loss[name] = derive_beacon_loss(
+                self.config, self.medium, name
+            )
         self.records: List[SlotRecord] = []
-        # Tags provisioned but currently homed on another reader
-        # (multi-reader overlap zones).  Empty on the normal path: the
-        # per-slot check is a single falsy-set test, and parked tags
-        # consume no RNG draws, so parking is strictly opt-in.
+        # Tags sitting out the slot loop: homed on another reader
+        # (multi-reader overlap zones) or unpowered (energy tier).
+        # Empty on the normal path: the per-slot check is a single
+        # falsy-set test, and these tags consume no RNG draws, so the
+        # seam is strictly opt-in.
         self._parked: set = set()
 
         # Adaptive PHY is strictly opt-in, like faults below: with no
-        # plan and no controller the attributes stay None, _observe
-        # takes one always-false branch, and the run is byte-identical
-        # to a build without this subsystem (pinned by
+        # plan and no controller the attributes stay None and every
+        # tag rides the fixed-rate FM0 link (an FM0-only plan is
+        # byte-identical to none, pinned by
         # tests/phy/test_adaptive_differential.py).
         self.rate_controller = rate_controller
         self._uplink_plan: "Optional[Dict[str, LinkConfig]]" = None
@@ -143,11 +167,12 @@ class SlottedNetwork:
         """The bound fault controller, or None on the normal path."""
         return self._faults
 
-    # -- overlap-zone parking (multi-reader handoff seam) -------------------
+    # -- parking: tags sitting the slot out ----------------------------------
 
     @property
     def parked_tags(self) -> frozenset:
-        """Tags provisioned here but homed on another reader."""
+        """Tags provisioned here but sitting the slot loop out (homed
+        on another reader, or unpowered on the energy tier)."""
         return frozenset(self._parked)
 
     def park_tag(self, name: str) -> None:
@@ -167,13 +192,6 @@ class SlottedNetwork:
 
     # -- beacon loss bookkeeping -------------------------------------------
 
-    def _derive_beacon_loss(self, name: str) -> float:
-        if self.config.beacon_loss_probability is not None:
-            return self.config.beacon_loss_probability
-        if self.config.ideal_channel:
-            return 0.0
-        return self.medium.beacon_loss_probability(name, self.config.dl_raw_rate_bps)
-
     def beacon_loss_probability_for(self, name: str) -> float:
         """Current per-slot beacon-loss probability for one tag."""
         return self._beacon_loss[name]
@@ -182,7 +200,9 @@ class SlottedNetwork:
         """Re-derive the per-tag beacon-loss table from the channel
         (after a fault injector mutated the medium)."""
         for name in self._beacon_loss:
-            self._beacon_loss[name] = self._derive_beacon_loss(name)
+            self._beacon_loss[name] = derive_beacon_loss(
+                self.config, self.medium, name
+            )
 
     # -- adaptive uplink (opt-in) -------------------------------------------
 
@@ -190,13 +210,6 @@ class SlottedNetwork:
     def uplink_plan(self) -> "Optional[Dict[str, LinkConfig]]":
         """Current per-tag link configs (None when the PHY is fixed-rate)."""
         return None if self._uplink_plan is None else dict(self._uplink_plan)
-
-    def _adaptive_active(self) -> bool:
-        if self._uplink_plan is None:
-            return False
-        from repro.phy.rate import adaptive_enabled
-
-        return adaptive_enabled()
 
     def _link_quality(self, name: str) -> float:
         """Clean-channel link quality, cached per channel generation."""
@@ -215,15 +228,14 @@ class SlottedNetwork:
         transmitters: Sequence[str],
         penalties: Optional[Mapping[str, float]],
     ) -> None:
-        """Feed this slot's link qualities to the controller.
+        """Feed this slot's link qualities to the controller (only
+        called when one is installed).
 
         Draws nothing from any RNG stream — quality is a deterministic
         function of the channel and the fault penalties — so rate
         control never perturbs the shared slot stream.
         """
         controller = self.rate_controller
-        if controller is None:
-            return
         from repro.phy.rate import QUALITY_HISTOGRAM_BOUNDS_DB, QUALITY_METRIC
 
         tel = telemetry.active()
@@ -243,36 +255,36 @@ class SlottedNetwork:
 
     def _observe(self, transmitters: Sequence[str]) -> SlotObservation:
         if self.config.ideal_channel:
-            if len(transmitters) == 1:
-                return SlotObservation(tuple(transmitters), transmitters[0], False)
-            if len(transmitters) > 1:
-                return SlotObservation(tuple(transmitters), None, True)
-            return SlotObservation((), None, False)
+            return ideal_observation(transmitters)
         penalties = (
             self._faults.penalties_for(transmitters)
             if self._faults is not None
             else None
         )
-        if self._adaptive_active():
+        if self.rate_controller is not None:
             self._advance_rate_control(transmitters, penalties)
-            return self.medium.observe_slot(
-                transmitters,
-                self._slot_rng,
-                bit_rate_bps=self.config.ul_raw_rate_bps,
-                penalty_db=penalties,
-                config_for=self._uplink_plan,
-            )
         return self.medium.observe_slot(
             transmitters,
             self._slot_rng,
             bit_rate_bps=self.config.ul_raw_rate_bps,
             penalty_db=penalties,
+            config_for=self._uplink_plan,
         )
 
     # -- execution ---------------------------------------------------------------
 
     def step(self) -> SlotRecord:
-        """Advance the network by one slot."""
+        """Advance the network by one slot.
+
+        The one slot exchange of Sec. 5: DL beacon, per-tag decision,
+        reader arbitration, verdict logged for the next beacon.  Tiers
+        and features plug in through seams rather than private copies
+        of this loop: :meth:`_open_slot` before anything else, the
+        ``_parked`` set of tags sitting the slot out, the tag MACs'
+        own hooks, :meth:`_observe` for arbitration, and
+        :meth:`_close_slot` to settle the verdict.
+        """
+        self._open_slot()
         slot = self.reader.slot_index
         ctl = self._faults
         if ctl is not None:
@@ -284,9 +296,9 @@ class SlottedNetwork:
             if slot < self.activation_slot.get(name, 0):
                 continue  # still charging; not yet part of the network
             if parked and name in parked:
-                # Homed on another reader: silent, and crucially drawing
-                # nothing from the slot stream, so an all-unparked run
-                # is byte-identical to a build without this seam.
+                # Sitting out: silent, and crucially drawing nothing
+                # from the slot stream, so an all-unparked run is
+                # byte-identical to a build without this seam.
                 tag.transmitted_last_slot = False
                 continue
             lost = self._slot_rng.random() < self._beacon_loss[name]
@@ -317,13 +329,24 @@ class SlottedNetwork:
         observation = self._observe(transmitters)
         if ctl is not None:
             observation = ctl.transform_observation(observation)
-        record = self.reader.on_slot_observation(observation)
-        self.records.append(record)
+        record = self._close_slot(observation)
         if ctl is not None:
             ctl.on_slot_end(slot, record)
         tel = telemetry.active()
         if tel is not None:
             self._record_telemetry(tel, record)
+        return record
+
+    def _open_slot(self) -> None:
+        """Per-slot hook, run before the fault controller and the
+        beacon loop (no-op here)."""
+
+    def _close_slot(self, observation: SlotObservation) -> SlotRecord:
+        """Hand the arbitrated slot to the reader and log its record;
+        subclasses extend this to rewrite the observation or to settle
+        per-slot state against the record."""
+        record = self.reader.on_slot_observation(observation)
+        self.records.append(record)
         return record
 
     def _record_telemetry(self, tel, record: SlotRecord) -> None:

@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
-from repro.channel.medium import AcousticMedium
-from repro.core.network import NetworkConfig
+from repro.channel.medium import AcousticMedium, SlotObservation
+from repro.core.network import NetworkConfig, derive_beacon_loss, ideal_observation
 from repro.core.reader_protocol import ReaderMac, SlotRecord
 from repro.core.tag_protocol import TagMac
 from repro.phy.envelope import EnvelopeDetector
@@ -96,15 +96,9 @@ class RealtimeNetwork:
             crossing = detector.threshold_crossing_delay_s(amplitude)
             if crossing != float("inf"):
                 rx_delay += crossing
-            if self.config.beacon_loss_probability is not None:
-                loss = self.config.beacon_loss_probability
-            elif self.config.ideal_channel:
-                loss = 0.0
-            else:
-                loss = self.medium.beacon_loss_probability(
-                    name, self.config.dl_raw_rate_bps
-                )
-            self.tags[name] = _TagRuntime(mac, rx_delay, loss)
+            self.tags[name] = _TagRuntime(
+                mac, rx_delay, derive_beacon_loss(self.config, self.medium, name)
+            )
 
         self.slot_duration_s = self.config.slot_duration_s
         self.ul_airtime_s = fm0_frame_duration_s(
@@ -157,15 +151,9 @@ class RealtimeNetwork:
             collided=record.collision_detected,
         )
 
-    def _observe(self, transmitters: List[str]):
-        from repro.channel.medium import SlotObservation
-
+    def _observe(self, transmitters: List[str]) -> SlotObservation:
         if self.config.ideal_channel:
-            if len(transmitters) == 1:
-                return SlotObservation(tuple(transmitters), transmitters[0], False)
-            if len(transmitters) > 1:
-                return SlotObservation(tuple(transmitters), None, True)
-            return SlotObservation((), None, False)
+            return ideal_observation(transmitters)
         return self.medium.observe_slot(
             transmitters, self._rng, bit_rate_bps=self.config.ul_raw_rate_bps
         )

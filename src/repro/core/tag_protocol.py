@@ -46,6 +46,26 @@ class TagRecoveryHook(Protocol):
         ...
 
 
+class TagUplinkHook(Protocol):
+    """Narrow interface a forwarding layer exposes to one tag's MAC.
+
+    Attached only to tags whose frames may leave over a link other than
+    the direct one to the reader.  Both callbacks fire synchronously
+    inside :meth:`TagMac.on_beacon`; a tag with no hook attached runs
+    the identical code path minus two ``is None`` tests.
+    """
+
+    def feedback(self, tag: "TagMac", beacon: DownlinkBeacon) -> DownlinkBeacon:
+        """Called per received beacon, before feedback is applied;
+        returns the beacon whose ACK bit the tag should act on."""
+        ...
+
+    def to_reader(self, tag: "TagMac") -> bool:
+        """Called when the tag transmits; False when the frame went
+        elsewhere, so the reader does not hear it this slot."""
+        ...
+
+
 @dataclass
 class TagDecision:
     """What the tag does in the slot a beacon just opened."""
@@ -88,6 +108,7 @@ class TagMac:
         #: by a rejoin-backoff policy, 0 (inert) on the vanilla path.
         self.rejoin_holdoff = 0
         self._recovery: Optional[TagRecoveryHook] = None
+        self._uplink: Optional[TagUplinkHook] = None
 
     # -- resilience attachment point ------------------------------------
 
@@ -102,6 +123,10 @@ class TagMac:
     @property
     def recovery(self) -> Optional[TagRecoveryHook]:
         return self._recovery
+
+    def attach_uplink(self, hook: Optional[TagUplinkHook]) -> None:
+        """Install (or, with None, remove) a forwarding hook."""
+        self._uplink = hook
 
     @property
     def period(self) -> int:
@@ -137,6 +162,9 @@ class TagMac:
         """
         self.beacons_received += 1
         self.consecutive_beacon_losses = 0
+        uplink = self._uplink
+        if uplink is not None:
+            beacon = uplink.feedback(self, beacon)
 
         if self.transmitted_last_slot:
             prev_state = self.machine.state
@@ -184,10 +212,22 @@ class TagMac:
         if transmit:
             self.transmissions += 1
             self.transmitted_last_slot = True
+            if uplink is not None:
+                transmit = uplink.to_reader(self)
         self.slot_counter += 1
         return TagDecision(
             transmit=transmit, offset=self.machine.offset, state=self.machine.state
         )
+
+    def cold_boot(self) -> None:
+        """Drop all protocol state, as an MCU reboot does: the state
+        machine re-rolls a fresh offset, the slot counter restarts at
+        zero, and the tag rejoins as a late arrival (Sec. 5.5)."""
+        self.machine.reset()
+        self.slot_counter = 0
+        self.transmitted_last_slot = False
+        self.ever_settled = False
+        self.late_arrival = True
 
     def power_cycle(self) -> None:
         """Cold-restart the MAC after a brownout (fault injection).
@@ -198,11 +238,7 @@ class TagMac:
         to the EMPTY flag until its first settle, exactly like a tag
         whose first charge completed mid-run (Sec. 5.5).
         """
-        self.machine.reset()
-        self.slot_counter = 0
-        self.transmitted_last_slot = False
-        self.ever_settled = False
-        self.late_arrival = True
+        self.cold_boot()
         self.power_cycles += 1
         tel = telemetry.active()
         if tel is not None:

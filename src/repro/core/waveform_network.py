@@ -39,7 +39,6 @@ the differential suite (``tests/phy/test_fast_path_differential.py``).
 from __future__ import annotations
 
 import math
-import warnings
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -58,10 +57,6 @@ from repro.phy.modem import BackscatterUplink, receiver_noise_baseband
 from repro.phy.modulation import LinkConfig, get_modulation
 from repro.phy.packets import UplinkPacket
 from repro.phy.reader_dsp import ReaderReceiveChain
-
-#: Process-wide once-latch for the ``invalidate_link_cache``
-#: deprecation warning; tests reset it to re-arm the warning.
-_LINK_CACHE_DEPRECATION_EMITTED = False
 
 #: Lead-in / tail / padding geometry of every slot capture (seconds of
 #: absorptive idle before the frame, after it, and extra samples at the
@@ -123,6 +118,9 @@ class WaveformNetwork(SlottedNetwork):
         self._link_cache: Dict[str, Tuple[float, float]] = {}
         self._link_generation = self.medium.channel_generation
         self._capture_scratch = np.empty(0)
+        self._fixed_config = LinkConfig(
+            "fm0_ook", float(self.config.ul_raw_rate_bps)
+        )
         self.slot_logs: List[WaveformSlotLog] = []
 
     # -- link-budget cache -------------------------------------------------
@@ -135,9 +133,8 @@ class WaveformNetwork(SlottedNetwork):
         The cache tracks the medium's channel generation counter:
         any mutation reported through
         :meth:`~repro.channel.medium.AcousticMedium.invalidate_channel_cache`
-        drops the cached budgets automatically, so a strain sweep that
-        forgets :meth:`invalidate_link_cache` can no longer read stale
-        amplitudes.
+        drops the cached budgets automatically, so a strain sweep can
+        never read stale amplitudes.
         """
         generation = self.medium.channel_generation
         if generation != self._link_generation:
@@ -152,33 +149,6 @@ class WaveformNetwork(SlottedNetwork):
             )
             self._link_cache[name] = cached
         return cached
-
-    def invalidate_link_cache(self) -> None:
-        """Drop cached per-tag link budgets.  Deprecated.
-
-        No longer required when the medium mutation went through
-        :meth:`AcousticMedium.invalidate_channel_cache` — the link
-        cache follows the medium's channel generation counter on its
-        own.  Kept for callers that mutate the structural graph
-        directly without notifying the medium; subsequent slots
-        re-derive amplitudes and delays from the updated graph.
-
-        Emits :class:`DeprecationWarning` once per process (not once
-        per call: strain sweeps invoke this per step, and a warning
-        per step would drown the one that matters).
-        """
-        global _LINK_CACHE_DEPRECATION_EMITTED
-        if not _LINK_CACHE_DEPRECATION_EMITTED:
-            _LINK_CACHE_DEPRECATION_EMITTED = True
-            warnings.warn(
-                "WaveformNetwork.invalidate_link_cache is deprecated: "
-                "report medium mutations through "
-                "AcousticMedium.invalidate_channel_cache and the link "
-                "cache invalidates itself",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._link_cache.clear()
 
     def _payload_for(self, name: str) -> int:
         """Default uplink payload for a tag: a stable hash of its name.
@@ -268,8 +238,7 @@ class WaveformNetwork(SlottedNetwork):
 
     def _plan_transmission(self, name: str):
         """Frame bits, faulted link budget, and carrier phase for one
-        transmitter — the per-tag half of slot synthesis shared by the
-        legacy and adaptive observe paths.
+        transmitter — the per-tag half of slot synthesis.
 
         Draws exactly one phase from the shared stream per call, in
         caller order, so grouping tags by modulation downstream cannot
@@ -294,19 +263,28 @@ class WaveformNetwork(SlottedNetwork):
         phase = float(self._phase_rng.uniform(0, 2 * np.pi))
         return bits, amplitude_v, delay_s, phase
 
-    def _observe_adaptive(self, transmitters: Sequence[str]) -> SlotObservation:
-        """Synthesise the slot under the per-tag modulation plan.
+    def _observe(self, transmitters: Sequence[str]) -> SlotObservation:
+        """Synthesise the slot's capture and run the real receive path.
 
-        Tags on different :class:`~repro.phy.modulation.LinkConfig`\\ s
-        occupy disjoint envelope bands (chirp sweep, tone pair, FM0
-        main lobe), so cross-modulation interference is treated as
-        orthogonal: each config group gets its own synthesis, its own
-        receiver-noise draw, and its own decode + cluster pass, and
-        collision arbitration runs within groups only.  Phases are
-        drawn in transmitter order *before* grouping and groups are
-        processed in sorted config order, keeping the run replayable.
-        The slot observation reports the first decoded transmitter
-        (sorted-group order) and a collision if any group collided.
+        Every transmitter rides the :class:`~repro.phy.modulation.LinkConfig`
+        of the uplink plan, or the fixed-rate FM0 link when the plan is
+        absent or silent about it, so a fixed-rate slot is simply the
+        one-group case.  Tags on different configs occupy disjoint
+        envelope bands (chirp sweep, tone pair, FM0 main lobe), so
+        cross-modulation interference is treated as orthogonal: each
+        config group gets its own synthesis, its own receiver-noise
+        draw, and its own decode + cluster pass, and collision
+        arbitration runs within groups only.  Phases are drawn in
+        transmitter order *before* grouping and groups are processed in
+        sorted config order, keeping the run replayable.  The slot
+        observation reports the first decoded transmitter (sorted-group
+        order) and a collision if any group collided.
+
+        Both synthesis paths (template fast path and reference passband
+        synthesis) draw the per-tag carrier phases and the shared
+        baseband noise from the same stream in the same order, so a run
+        is replayable across ``REPRO_PHY_FAST`` settings — the
+        differential suite pins the decode outcomes byte-identical.
         """
         transmitters = list(transmitters)
         if not transmitters:
@@ -315,24 +293,25 @@ class WaveformNetwork(SlottedNetwork):
             )
             return SlotObservation((), None, False)
 
-        penalties = (
-            self._faults.penalties_for(transmitters)
-            if self._faults is not None
-            else None
-        )
-        self._advance_rate_control(transmitters, penalties)
+        if self.rate_controller is not None:
+            penalties = (
+                self._faults.penalties_for(transmitters)
+                if self._faults is not None
+                else None
+            )
+            self._advance_rate_control(transmitters, penalties)
 
         uplink = self._uplink
         chain = self._chain
         fs = uplink.sample_rate_hz
         fast = phy_cache.fast_path_enabled()
-        default_config = LinkConfig("fm0_ook", float(self.config.ul_raw_rate_bps))
+        plan = self._uplink_plan
+        fixed = self._fixed_config
 
         groups: Dict[LinkConfig, list] = {}
         for name in transmitters:
-            plan = self._plan_transmission(name)
-            config = self._uplink_plan.get(name, default_config)
-            groups.setdefault(config, []).append(plan)
+            config = fixed if plan is None else plan.get(name, fixed)
+            groups.setdefault(config, []).append(self._plan_transmission(name))
 
         decoded_tids: List[int] = []
         n_clusters = 0
@@ -376,6 +355,8 @@ class WaveformNetwork(SlottedNetwork):
                         out=self._capture_scratch,
                     )
                     iq, _ = chain.raw_baseband_config(capture, config)
+                # Receiver noise enters at the decimated baseband — one
+                # draw shared verbatim by both synthesis paths.
                 iq += receiver_noise_baseband(
                     len(iq),
                     self.medium.noise.psd_v2_per_hz,
@@ -384,6 +365,8 @@ class WaveformNetwork(SlottedNetwork):
                     decimation,
                     self._phase_rng,
                 )
+            # One downconversion feeds both the decoder and the cluster
+            # detector.
             with perf.timed("waveform.demodulate"):
                 outcome = chain.decode_config(iq, baseband_rate, config)
                 clusters = detect_collision_iq(iq)
@@ -409,120 +392,14 @@ class WaveformNetwork(SlottedNetwork):
             )
         )
 
+        # A multi-transmitter slot can decode without a cluster-detected
+        # collision (capture + merged constellation) — exactly the case
+        # the paper's anti-capture rule targets; report what the
+        # receiver saw.
         decoded_name: Optional[str] = None
         for tid in decoded_tids:
             name = self._tid_to_name.get(tid)
             if name in transmitters:
                 decoded_name = name
                 break
-        return SlotObservation(tuple(transmitters), decoded_name, collision)
-
-    def _observe(self, transmitters: Sequence[str]) -> SlotObservation:
-        """Synthesise the slot's capture and run the real receive path.
-
-        Both synthesis paths (template fast path and reference passband
-        synthesis) draw the per-tag carrier phases and the shared
-        baseband noise from the same stream in the same order, so a run
-        is replayable across ``REPRO_PHY_FAST`` settings — the
-        differential suite pins the decode outcomes byte-identical.
-        """
-        if self._adaptive_active():
-            return self._observe_adaptive(transmitters)
-        transmitters = list(transmitters)
-        if not transmitters:
-            self.slot_logs.append(
-                WaveformSlotLog(self.reader.slot_index, [], [], 0)
-            )
-            return SlotObservation((), None, False)
-
-        uplink = self._uplink
-        chain = self._chain
-        rate = self.config.ul_raw_rate_bps
-        fs = uplink.sample_rate_hz
-        fast = phy_cache.fast_path_enabled()
-        decimation = chain._decimation_for(rate)
-        cutoff_hz = 2.0 * rate
-        baseband_rate = fs / decimation
-        with perf.timed("waveform.synthesize"):
-            plans = [self._plan_transmission(name) for name in transmitters]
-
-            if fast:
-                iq = self._assemble_baseband_fast(
-                    plans, rate, cutoff_hz, decimation
-                )
-            else:
-                components = [
-                    uplink.tag_component(
-                        bits,
-                        rate,
-                        amplitude_v,
-                        phase_rad=phase,
-                        delay_s=delay_s,
-                        lead_in_s=SLOT_LEAD_IN_S,
-                        tail_s=SLOT_TAIL_S,
-                    )
-                    for bits, amplitude_v, delay_s, phase in plans
-                ]
-                n_capture = (
-                    max(len(c) for c in components) + SLOT_EXTRA_SAMPLES
-                )
-                if len(self._capture_scratch) < n_capture:
-                    self._capture_scratch = np.empty(
-                        max(n_capture, 2 * len(self._capture_scratch))
-                    )
-                capture = uplink.capture_clean(
-                    components,
-                    extra_samples=SLOT_EXTRA_SAMPLES,
-                    out=self._capture_scratch,
-                )
-                iq, _ = chain.raw_baseband(capture, rate)
-            # Receiver noise enters at the decimated baseband — one
-            # draw shared verbatim by both synthesis paths.
-            iq += receiver_noise_baseband(
-                len(iq),
-                self.medium.noise.psd_v2_per_hz,
-                fs,
-                cutoff_hz,
-                decimation,
-                self._phase_rng,
-            )
-
-        # One downconversion feeds both the decoder and the cluster
-        # detector; they consumed identical rate-matched basebands when
-        # each ran the mixer privately.
-        with perf.timed("waveform.demodulate"):
-            outcome = chain.decode_baseband(iq, baseband_rate, rate)
-            clusters = detect_collision_iq(iq)
-        perf.count("waveform.slots")
-        tel = telemetry.active()
-        if tel is not None:
-            tel.inc("waveform.slots")
-            if outcome.packets:
-                tel.inc("waveform.decodes")
-            if clusters.collision:
-                tel.inc("waveform.collisions")
-
-        decoded_tids = [p.tid for p in outcome.packets]
-        self.slot_logs.append(
-            WaveformSlotLog(
-                self.reader.slot_index,
-                transmitters,
-                decoded_tids,
-                clusters.n_clusters,
-            )
-        )
-
-        decoded_name: Optional[str] = None
-        for tid in decoded_tids:
-            name = self._tid_to_name.get(tid)
-            if name in transmitters:
-                decoded_name = name
-                break
-        collision = clusters.collision
-        if len(transmitters) > 1 and decoded_name is not None and not collision:
-            # The chain decoded through a collision the clusters missed:
-            # physically possible (capture + merged constellation), and
-            # exactly the case the paper's anti-capture rule targets; we
-            # report what the receiver saw.
-            pass
         return SlotObservation(tuple(transmitters), decoded_name, collision)

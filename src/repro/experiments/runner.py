@@ -632,7 +632,7 @@ def collect_results(
             "cache_hit_ratios": phy_cache.hit_ratios(
                 process_report.get("counters", {})
             ),
-            # Which kernel backend served the run (numba/cext/numpy),
+            # Which kernel backend served the run (cext/numpy),
             # plus availability diagnostics for the others.
             "kernels": kernels.kernel_info(),
         }

@@ -7,9 +7,7 @@ from repro.ext.ambient import (
     DrivingCondition,
     HybridHarvester,
 )
-# FDMA and the multi-reader geometry graduated to repro.multireader;
-# import the real homes here so `import repro.ext` does not trip the
-# shim modules' DeprecationWarnings.
+# FDMA and the multi-reader geometry graduated to repro.multireader.
 from repro.multireader.fdma import FdmaChannelPlan, FdmaNetwork
 from repro.ext.mask import (
     MaskReceiver,

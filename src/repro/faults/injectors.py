@@ -238,7 +238,7 @@ class ChannelFaultInjector(FaultInjector):
         medium.biw.set_joint_loss_offset_db(offset_db)
         # invalidate_channel_cache bumps the medium's channel
         # generation, which the waveform tier's link cache follows on
-        # its own — no deprecated invalidate_link_cache call needed.
+        # its own.
         medium.invalidate_channel_cache()
         network.refresh_beacon_loss()
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.channel.medium import CLUSTER_DETECTION_PROBABILITY, AcousticMedium
-from repro.core.network import NetworkConfig, SlottedNetwork
+from repro.core.network import NetworkConfig, SlottedNetwork, derive_beacon_loss
 from repro.core.reader_protocol import SlotRecord
 from repro.fleet.reader import BatchReader
 from repro.fleet.rng import OffsetBank, UniformBank
@@ -198,7 +198,7 @@ class FleetEngine:
         )
 
         self._beacon_loss = np.asarray(
-            [self._derive_beacon_loss(n) for n in self._names]
+            [derive_beacon_loss(self.config, self._medium, n) for n in self._names]
         )
         if not self.config.ideal_channel:
             self._p_success = np.asarray(
@@ -229,15 +229,6 @@ class FleetEngine:
             self.tags.late_arrival[:] = ~self.devices.powered
         else:
             self.tags.late_arrival[:] = self._activation[None, :] > 0
-
-    def _derive_beacon_loss(self, name: str) -> float:
-        if self.config.beacon_loss_probability is not None:
-            return self.config.beacon_loss_probability
-        if self.config.ideal_channel:
-            return 0.0
-        return self._medium.beacon_loss_probability(
-            name, self.config.dl_raw_rate_bps
-        )
 
     # -- execution -----------------------------------------------------------
 
@@ -300,10 +291,9 @@ class FleetEngine:
                 t.transmitted_last[browned] = False
                 t.ever_settled[browned] = False
                 t.late_arrival[browned] = True
-        else:
-            tel = telemetry.active()
-            if tel is not None:
-                self._emit_telemetry(tel, n_tx, decoded_tid, collision, acked, empty)
+        tel = telemetry.active()
+        if tel is not None:
+            self._emit_telemetry(tel, n_tx, decoded_tid, collision, acked, empty)
 
     def _tag_kernel(
         self,

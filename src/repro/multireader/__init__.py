@@ -16,7 +16,7 @@ degrades.
   cells over real :class:`~repro.core.network.SlottedNetwork`
   instances, with LinkHealthMonitor-driven handoff.
 * :mod:`~repro.multireader.fdma` — the per-tag FDMA extension the
-  planner generalises (moved from ``repro.ext.fdma``).
+  planner generalises.
 * :mod:`~repro.multireader.faults` — reader-tier fault injection
   (carrier drift, stale planner).
 

@@ -28,6 +28,7 @@ slot log is byte-identical to a plain ``SlottedNetwork`` run.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Tuple
 
 from repro import telemetry
@@ -132,18 +133,7 @@ class MultiReaderNetwork:
             if not cell_tags:
                 continue
             medium = self.deployment.medium_for(reader)
-            cfg = NetworkConfig(
-                slot_duration_s=self.config.slot_duration_s,
-                ul_raw_rate_bps=self.config.ul_raw_rate_bps,
-                dl_raw_rate_bps=self.config.dl_raw_rate_bps,
-                nack_threshold=self.config.nack_threshold,
-                enable_empty_flag=self.config.enable_empty_flag,
-                enable_future_avoidance=self.config.enable_future_avoidance,
-                enable_beacon_loss_timer=self.config.enable_beacon_loss_timer,
-                beacon_loss_probability=self.config.beacon_loss_probability,
-                ideal_channel=self.config.ideal_channel,
-                seed=self.config.seed + 104_729 * idx,
-            )
+            cfg = replace(self.config, seed=self.config.seed + 104_729 * idx)
             cell = SlottedNetwork(cell_tags, medium, cfg, faults=faults)
             for tag in cell_tags:
                 if self.home[tag] != reader:
@@ -360,13 +350,8 @@ class MultiReaderNetwork:
         new_cell.unpark_tag(tag)
         # Re-homing is a cold boot into the new cell: all protocol state
         # is gone and the tag re-competes as a late arrival (Sec. 5.5),
-        # mirroring EnergyAwareNetwork's brown-out reboot.
-        mac = new_cell.tags[tag]
-        mac.machine.reset()
-        mac.slot_counter = 0
-        mac.transmitted_last_slot = False
-        mac.ever_settled = False
-        mac.late_arrival = True
+        # like a brown-out reboot.
+        new_cell.tags[tag].cold_boot()
         for monitor in self._monitors.values():
             if tag in monitor.tags:
                 monitor.tags[tag].consecutive_missed = 0

@@ -52,9 +52,6 @@ from repro.phy.rate import (
     DEFAULT_LADDER,
     RateController,
     RateStep,
-    adaptive,
-    adaptive_enabled,
-    set_adaptive,
 )
 from repro.phy.packets import (
     DownlinkBeacon,
@@ -118,9 +115,6 @@ __all__ = [
     "DEFAULT_LADDER",
     "RateController",
     "RateStep",
-    "adaptive",
-    "adaptive_enabled",
-    "set_adaptive",
     "DownlinkBeacon",
     "PacketError",
     "UplinkPacket",

@@ -5,10 +5,8 @@ a handful of numpy-bound inner loops: the order statistics inside
 :meth:`ReaderReceiveChain.project` / ``schmitt``, the per-bit sampling
 grid, FM0 pair decoding, envelope detection, the receive-filter
 recurrences, and the per-tag template combine.  This module routes each
-of those through one of three interchangeable backends:
+of those through one of two interchangeable backends:
 
-* ``numba`` — ``@njit`` kernels (:mod:`repro.phy._kernels_numba`),
-  preferred when numba is importable (``pip install .[kernels]``).
 * ``cext`` — a small C translation unit compiled once per process
   family with the system compiler and loaded via ctypes
   (:mod:`repro.phy._kernels_c`); the build is content-addressed and
@@ -28,10 +26,10 @@ the selection kernels is unspecified.
 Selection happens once, lazily, at first kernel use.  The gate mirrors
 the ``REPRO_PHY_FAST`` pattern: ``REPRO_PHY_KERNELS=0`` (or ``false`` /
 ``off`` / ``no``) forces the numpy fallback, a backend name
-(``numba`` / ``cext`` / ``numpy``) requests that backend, anything
-else (or unset) auto-selects the best available.  When a compiled
-backend is explicitly requested but unavailable, one warning is
-emitted per process and the next backend in the chain is used.
+(``cext`` / ``numpy``) requests that backend, anything else (or
+unset) auto-selects the best available.  When the compiled backend is
+explicitly requested but unavailable, one warning is emitted per
+process and the numpy fallback is used.
 
 Beyond the primitive kernels, whole receive-chain stages are fused so
 one Python-level call covers one profiled stage: :func:`project`
@@ -70,7 +68,7 @@ from repro import perf
 KERNELS_ENV = "REPRO_PHY_KERNELS"
 
 _FALSE_STRINGS = frozenset({"0", "false", "off", "no"})
-_BACKEND_NAMES = ("numba", "cext", "numpy")
+_BACKEND_NAMES = ("cext", "numpy")
 
 _enabled_override: Optional[bool] = None
 _backend_override: Optional[str] = None
@@ -128,27 +126,13 @@ def use_kernels(enabled: bool) -> Iterator[None]:
         set_kernels(previous)
 
 
-def _requested_backend() -> Optional[str]:
-    """Backend explicitly named by the environment, if any."""
-    raw = os.environ.get(KERNELS_ENV)
-    if raw is None:
-        return None
-    raw = raw.strip().lower()
-    return raw if raw in _BACKEND_NAMES else None
-
-
-def _try_load(name: str) -> Optional[Dict[str, Callable]]:
+def _try_load_cext() -> Optional[Dict[str, Callable]]:
     try:
-        if name == "numba":
-            from repro.phy import _kernels_numba
+        from repro.phy import _kernels_c
 
-            return _kernels_numba.load()
-        if name == "cext":
-            from repro.phy import _kernels_c
-
-            return _kernels_c.load()
+        return _kernels_c.load()
     except Exception as exc:  # ImportError, build failure, ...
-        _load_errors[name] = f"{type(exc).__name__}: {exc}"
+        _load_errors["cext"] = f"{type(exc).__name__}: {exc}"
     return None
 
 
@@ -167,46 +151,16 @@ def _ensure_selected() -> None:
     with _select_lock:
         if _selected:
             return
-        requested = _requested_backend()
         raw = os.environ.get(KERNELS_ENV, "").strip().lower()
-        explicit = requested is not None or (
-            raw not in _FALSE_STRINGS and raw != ""
-        )
-        if requested == "numpy":
-            order: Tuple[str, ...] = ()
-        elif requested is not None:
-            order = (requested,) + tuple(
-                b for b in ("numba", "cext") if b != requested
-            )
-        else:
-            order = ("numba", "cext")
-        table = None
-        name = None
-        for cand in order:
-            table = _try_load(cand)
-            if table is not None:
-                name = cand
-                break
-        if table is None and requested not in (None, "numpy") :
+        table = None if raw == "numpy" else _try_load_cext()
+        if table is None and raw and raw not in _FALSE_STRINGS | {"numpy"}:
             _warn_once(
-                f"REPRO_PHY_KERNELS requested backend "
-                f"{requested!r} but no compiled backend loaded "
-                f"({_load_errors}); using the numpy fallback"
-            )
-        elif table is None and explicit and requested != "numpy":
-            _warn_once(
-                "REPRO_PHY_KERNELS requested compiled kernels but none "
-                f"are available ({_load_errors}); using the numpy "
-                "fallback"
-            )
-        elif table is not None and requested is not None and name != requested:
-            _warn_once(
-                f"REPRO_PHY_KERNELS requested backend {requested!r} "
-                f"but it failed to load "
-                f"({_load_errors.get(requested)}); using {name!r}"
+                f"REPRO_PHY_KERNELS={raw!r} requested compiled kernels but "
+                f"the cext backend failed to load ({_load_errors}); using "
+                "the numpy fallback"
             )
         _compiled = table
-        _compiled_name = name
+        _compiled_name = None if table is None else "cext"
         _selected = True
 
 

@@ -202,10 +202,10 @@ class Modulation:
 class Fm0Ook(Modulation):
     """The stock FM0-over-OOK line code as a registered modulation.
 
-    ``line_encode`` and ``unit_profile`` delegate to the exact code the
-    legacy path runs (``fm0_raw`` and ``raw_bits_to_levels``), so a
-    template built through the registry is bit-identical to one built
-    before the refactor — the adaptive-off differentials pin this.
+    ``line_encode`` and ``unit_profile`` delegate to ``fm0_raw`` and
+    ``raw_bits_to_levels``, so a template built through the registry
+    is bit-identical to the stock FM0 synthesis — the fixed-rate golden
+    traces pin this.
     """
 
     name = "fm0_ook"

@@ -20,28 +20,17 @@ The asymmetry (fast down, slow up) plus the margin gap is the
 hysteresis band; the derandomized property suite pins monotonicity in
 SNR, the no-oscillation bound, and label-permutation determinism.
 
-The whole subsystem sits behind the ``REPRO_PHY_ADAPTIVE`` escape
-hatch (:func:`adaptive_enabled`, mirroring ``REPRO_PHY_FAST``): with
-the gate off — or simply no controller installed — every network runs
-the legacy fixed-rate path byte-identically.
+A network adapts exactly when it is given an ``uplink_plan`` or a
+``rate_controller``; with neither, every tag rides the fixed-rate FM0
+link, and an FM0-only plan is byte-identical to no plan.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.phy.modulation import LinkConfig, get_modulation
-
-#: Environment variable gating the adaptive PHY (set to ``0`` /
-#: ``false`` / ``off`` / ``no`` to force the legacy fixed-rate path
-#: even when a rate controller is installed).
-ADAPTIVE_ENV = "REPRO_PHY_ADAPTIVE"
-
-_FALSE_STRINGS = frozenset({"0", "false", "off", "no"})
-_adaptive_override: Optional[bool] = None
 
 #: Histogram metric the networks publish and the controller consumes.
 QUALITY_METRIC = "phy.link.quality_db"
@@ -52,42 +41,6 @@ QUALITY_METRIC = "phy.link.quality_db"
 QUALITY_HISTOGRAM_BOUNDS_DB: Tuple[float, ...] = tuple(
     float(b) for b in range(-6, 40, 3)
 )
-
-
-def adaptive_enabled() -> bool:
-    """Whether the adaptive PHY gate is open.
-
-    Defaults to on; ``REPRO_PHY_ADAPTIVE=0`` in the environment (or a
-    :func:`set_adaptive` / :func:`adaptive` override) pins every
-    network to the legacy fixed-rate path regardless of any installed
-    controller — byte-identically, per the differential suite
-    (``tests/phy/test_adaptive_differential.py``).  Note the gate only
-    *permits* adaptation: a network with no controller and no uplink
-    plan runs the legacy path either way.
-    """
-    if _adaptive_override is not None:
-        return _adaptive_override
-    raw = os.environ.get(ADAPTIVE_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSE_STRINGS
-
-
-def set_adaptive(enabled: Optional[bool]) -> None:
-    """Override the adaptive gate (``None`` restores the env default)."""
-    global _adaptive_override
-    _adaptive_override = enabled
-
-
-@contextmanager
-def adaptive(enabled: bool) -> Iterator[None]:
-    """Scope an adaptive-gate override (tests and differentials)."""
-    previous = _adaptive_override
-    set_adaptive(enabled)
-    try:
-        yield
-    finally:
-        set_adaptive(previous)
 
 
 @dataclass(frozen=True)
@@ -298,13 +251,9 @@ class RateController:
 
 
 __all__ = [
-    "ADAPTIVE_ENV",
     "QUALITY_METRIC",
     "QUALITY_HISTOGRAM_BOUNDS_DB",
     "DEFAULT_LADDER",
     "RateStep",
     "RateController",
-    "adaptive",
-    "adaptive_enabled",
-    "set_adaptive",
 ]

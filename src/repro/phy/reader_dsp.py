@@ -135,9 +135,9 @@ class ReaderReceiveChain:
         """:meth:`raw_baseband` with the cutoff/decimation geometry of
         an arbitrary :class:`repro.phy.modulation.LinkConfig`.
 
-        The FM0 geometry reproduces :meth:`raw_baseband` exactly, so
-        the legacy call sites could route through here unchanged; they
-        keep the direct method to stay obviously byte-identical.
+        The FM0 geometry reproduces :meth:`raw_baseband` exactly, which
+        is why the waveform network can run fixed-rate slots through
+        here byte-identically.
         """
         from repro.phy.modulation import get_modulation
 

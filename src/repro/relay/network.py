@@ -10,11 +10,18 @@ through *relay-aware ACK semantics*: the first-hop T2T outcome
 overrides the broadcast ACK bit of its next beacon, so its MAC state
 machine settles exactly as if the reader had heard it.
 
-Zero-cost-when-off contract (the gate from PRs 2-4): with no routes
-engaged, ``step()`` performs one falsy-dict test and delegates to the
-base class — no relay RNG stream is ever created, no extra draws occur,
-and slot logs are byte-identical to a plain :class:`SlottedNetwork`.
-The differential tests and the bench_smoke relay gate pin this.
+The network runs the base slot loop unchanged and hooks in through its
+seams: a slot-opening check that retires routes whose grant vanished,
+each engaged source's MAC (a :class:`~repro.core.tag_protocol.TagUplinkHook`
+that applies the T2T ACK override and diverts frames into the chain),
+the forwarding block inside :meth:`_observe`, and decode attribution
+plus delivery credit in :meth:`_close_slot`.
+
+Zero-cost-when-off contract: with no routes engaged, each seam is one
+falsy-dict test — no relay RNG stream is ever created, no extra draws
+occur, and slot logs are byte-identical to a plain
+:class:`SlottedNetwork`.  The differential tests and the bench_smoke
+relay gate pin this.
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from repro import telemetry
 from repro.channel.medium import SlotObservation
 from repro.core.network import SlottedNetwork
 from repro.core.reader_protocol import SlotRecord
+from repro.core.tag_protocol import TagMac
 from repro.phy.packets import DownlinkBeacon
 from repro.relay.budget import RelayTable
 from repro.relay.mac import (
@@ -76,10 +84,8 @@ class RelaySlottedNetwork(SlottedNetwork):
         # Created lazily on first engage so the relay-off path never
         # instantiates the stream (RNG-stream parity with the seed).
         self._relay_rng = None
-        # Shadow the per-slot override with the base implementation
-        # until the first engage: a network that never relays pays no
-        # wrapper frame per slot (the bench_smoke relay-off gate).
-        self.step = super().step
+        # This slot's forwards: terminal relay -> source it carries.
+        self._forwards: Dict[str, str] = {}
 
     # -- route management ---------------------------------------------------
 
@@ -132,8 +138,6 @@ class RelaySlottedNetwork(SlottedNetwork):
         reader.release_assignment(source)
         if self._relay_rng is None:
             self._relay_rng = self._streams.stream("relay")
-        # Expose the relay-aware step override (shadowed since __init__).
-        self.__dict__.pop("step", None)
         route = RelayRoute(
             source=source,
             chain=tuple(chain),
@@ -144,6 +148,7 @@ class RelaySlottedNetwork(SlottedNetwork):
             max_forward_attempts=self.max_forward_attempts,
         )
         self.routes[source] = route
+        self.tags[source].attach_uplink(self)
         tel = telemetry.active()
         if tel is not None:
             tel.inc("relay.engaged", tag=source)
@@ -164,6 +169,7 @@ class RelaySlottedNetwork(SlottedNetwork):
         if route is None:
             return False
         self.reader.release_forwarding(source)
+        self.tags[source].attach_uplink(None)
         self._pending_t2t_ack.pop(source, None)
         tel = telemetry.active()
         if tel is not None:
@@ -178,119 +184,82 @@ class RelaySlottedNetwork(SlottedNetwork):
                 float(slot), kind, "relay", tag=source, detail=detail
             )
 
-    # -- execution ----------------------------------------------------------
+    # -- slot seams ----------------------------------------------------------
 
-    def step(self) -> SlotRecord:
+    def _open_slot(self) -> None:
         routes = self.routes
         if not routes:
-            return super().step()
+            return
         # A reader restart or RESET wiped the grant table: the routes it
         # backed are gone; self-release them (the fallback policy will
         # re-engage once the shadowed links are re-detected).
         grants = self.reader._forward_grants
         for source in [s for s in sorted(routes) if s not in grants]:
             self.release_route(source, "grant_lost")
-        if not routes:
-            return super().step()
-        return self._relay_step()
 
-    def _relay_step(self) -> SlotRecord:
-        """One slot with at least one engaged route.
+    def feedback(self, tag: TagMac, beacon: DownlinkBeacon) -> DownlinkBeacon:
+        """Relay-aware ACK (engaged sources only): the source's last
+        frame went into its chain, so the broadcast ACK bit refers to
+        other traffic; substitute the first-hop T2T outcome.  A verdict
+        the source never hears (lost beacon, dark MCU) is discarded
+        here too — with ``transmitted_last_slot`` cleared it is moot."""
+        t2t_ack = self._pending_t2t_ack.pop(tag.tag_name, None)
+        if t2t_ack is not None and tag.transmitted_last_slot:
+            return DownlinkBeacon(
+                ack=t2t_ack,
+                empty=beacon.empty,
+                reset=beacon.reset,
+                reserved=beacon.reserved,
+            )
+        return beacon
 
-        Mirrors the base ``step()`` draw-for-draw for ordinary tags —
-        the divergence is confined to engaged sources (transmissions
-        diverted into their chain, T2T ACK override) and the forwarding
-        block at granted slots, which draws from the dedicated relay
-        stream so the shared slot stream stays aligned.
-        """
+    def to_reader(self, tag: TagMac) -> bool:
+        """An engaged source transmits: only a periodic direct probe
+        goes to the reader; every other frame is diverted into the
+        chain and its first-hop outcome becomes the source's ACK."""
+        name = tag.tag_name
+        route = self.routes[name]
+        route.tx_count += 1
+        if route.probe_every > 0 and route.tx_count % route.probe_every == 0:
+            # Periodic direct probe: recovery of the direct link must
+            # stay observable.  Its verdict rides the real beacon ACK.
+            return True
         slot = self.reader.slot_index
+        if slot % route.period == route.grant_offset:
+            # The chain is busy forwarding in its granted slot — the
+            # first relay cannot receive a new frame.  The deterministic
+            # NACK walks a source that settled on the grant offset to a
+            # free one, keeping probes distinguishable from forwards.
+            self._pending_t2t_ack[name] = False
+            return False
         ctl = self._faults
-        if ctl is not None:
-            ctl.on_slot_start(slot)
-        beacon = self.reader.make_beacon()
+        ok = False
+        if ctl is None or ctl.transmit_allowed(name):
+            ok = self._hop_into_chain(slot, route)
+        self._pending_t2t_ack[name] = ok
+        return False
+
+    def _observe(self, transmitters: List[str]) -> SlotObservation:
         routes = self.routes
-        transmitters: List[str] = []
-        parked = self._parked
-        for name, tag in self.tags.items():
-            if slot < self.activation_slot.get(name, 0):
-                continue
-            if parked and name in parked:
-                tag.transmitted_last_slot = False
-                continue
-            lost = self._slot_rng.random() < self._beacon_loss[name]
-            if ctl is not None:
-                if ctl.tag_offline(name):
-                    self._pending_t2t_ack.pop(name, None)
-                    tag.transmitted_last_slot = False
+        if routes:
+            # Forwarding in granted slots (cut-through).
+            slot = self.reader.slot_index
+            for source in sorted(routes):
+                route = routes[source]
+                if not route.buffered or slot % route.period != route.grant_offset:
                     continue
-                lost = ctl.beacon_lost(name, lost)
-            if lost:
-                # The verdict never reaches the tag; discard it.
-                self._pending_t2t_ack.pop(name, None)
-                if self.config.enable_beacon_loss_timer:
-                    tag.on_beacon_loss()
-                else:
-                    tag.beacons_missed += 1
-                    tag.transmitted_last_slot = False
-                continue
-            b = beacon if ctl is None else ctl.beacon_for(name, beacon)
-            t2t_ack = self._pending_t2t_ack.pop(name, None)
-            if t2t_ack is not None and tag.transmitted_last_slot:
-                # Relay-aware ACK: the source's last frame went into its
-                # chain, so the broadcast ACK bit refers to other
-                # traffic; substitute the first-hop T2T outcome.
-                b = DownlinkBeacon(
-                    ack=t2t_ack,
-                    empty=b.empty,
-                    reset=b.reset,
-                    reserved=b.reserved,
-                )
-            decision = tag.on_beacon(b)
-            if decision.transmit:
-                route = routes.get(name)
-                if route is None:
-                    if ctl is None or ctl.transmit_allowed(name):
-                        transmitters.append(name)
-                else:
-                    route.tx_count += 1
-                    if (
-                        route.probe_every > 0
-                        and route.tx_count % route.probe_every == 0
-                    ):
-                        # Periodic direct probe: recovery of the direct
-                        # link must stay observable.  Its verdict rides
-                        # the real beacon ACK bit.
-                        if ctl is None or ctl.transmit_allowed(name):
-                            transmitters.append(name)
-                    elif slot % route.period == route.grant_offset:
-                        # The chain is busy forwarding in its granted
-                        # slot — the first relay cannot receive a new
-                        # frame.  The deterministic NACK walks a source
-                        # that settled on the grant offset to a free
-                        # one, keeping probes distinguishable from
-                        # forwards.
-                        self._pending_t2t_ack[name] = False
-                    else:
-                        ok = False
-                        if ctl is None or ctl.transmit_allowed(name):
-                            ok = self._hop_into_chain(slot, route)
-                        self._pending_t2t_ack[name] = ok
+                relay_name = self._advance_chain(slot, route, transmitters)
+                if relay_name is not None:
+                    self._forwards[relay_name] = source
+                    transmitters.append(relay_name)
+        return super()._observe(transmitters)
 
-        # -- forwarding in granted slots (cut-through) ----------------------
-        forwards: Dict[str, str] = {}
-        for source in sorted(routes):
-            route = routes[source]
-            if not route.buffered or slot % route.period != route.grant_offset:
-                continue
-            relay_name = self._advance_chain(slot, route, transmitters)
-            if relay_name is not None:
-                forwards[relay_name] = source
-                transmitters.append(relay_name)
-
-        observation = self._observe(transmitters)
-        if ctl is not None:
-            observation = ctl.transform_observation(observation)
-        if forwards and observation.decoded_tag in forwards:
+    def _close_slot(self, observation: SlotObservation) -> SlotRecord:
+        forwards = self._forwards
+        if not forwards:
+            return super()._close_slot(observation)
+        self._forwards = {}
+        if observation.decoded_tag in forwards:
             # The decoded frame is relayed traffic: the payload (and
             # TID) are the source's, so attribute the decode to it.
             observation = SlotObservation(
@@ -298,22 +267,15 @@ class RelaySlottedNetwork(SlottedNetwork):
                 forwards[observation.decoded_tag],
                 observation.collision_detected,
             )
-        record = self.reader.on_slot_observation(observation)
-        self.records.append(record)
+        record = super()._close_slot(observation)
         for relay_name in sorted(forwards):
-            source = forwards[relay_name]
-            route = routes.get(source)
+            route = self.routes.get(forwards[relay_name])
             if route is None:
                 continue
-            if record.decoded == source and record.acked:
-                self._credit_delivery(slot, route)
+            if record.decoded == route.source and record.acked:
+                self._credit_delivery(record.slot, route)
             else:
-                self._forward_failed(slot, route, relay_name)
-        if ctl is not None:
-            ctl.on_slot_end(slot, record)
-        tel = telemetry.active()
-        if tel is not None:
-            self._record_telemetry(tel, record)
+                self._forward_failed(record.slot, route, relay_name)
         return record
 
     # -- chain mechanics ----------------------------------------------------

@@ -38,7 +38,7 @@ class TestCalibration:
 
     def test_mode_discovery_matches_fdma_plan(self):
         # The secondary modes the sweep finds are the FDMA subcarriers.
-        from repro.ext.fdma import FdmaChannelPlan
+        from repro.multireader import FdmaChannelPlan
 
         sweep = ResonanceCalibrator().sweep(n_points=1601)
         modes = sweep.find_modes()

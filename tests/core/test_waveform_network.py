@@ -151,39 +151,9 @@ class TestLinkBudgetCache:
             lambda self, name: 123.0,
         )
         assert net._link_budget("tag8") == before  # cache still serving
-        net.invalidate_link_cache()
+        medium.invalidate_channel_cache()
         amplitude_v, _ = net._link_budget("tag8")
         assert amplitude_v != before[0]
-
-    def test_invalidate_link_cache_deprecation_warns_once(self, medium, monkeypatch):
-        """The deprecated escape hatch warns exactly once per process —
-        a strain sweep calling it per step must not drown the log."""
-        import warnings as warnings_mod
-
-        from repro.core import waveform_network as wn
-
-        monkeypatch.setattr(wn, "_LINK_CACHE_DEPRECATION_EMITTED", False)
-        net = WaveformNetwork(
-            {"tag8": 2}, medium=medium, config=NetworkConfig(seed=0)
-        )
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            net.invalidate_link_cache()
-            net.invalidate_link_cache()
-            net.invalidate_link_cache()
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "invalidate_channel_cache" in str(deprecations[0].message)
-        # The latch is process-wide: a second network does not re-warn.
-        other = WaveformNetwork(
-            {"tag8": 2}, medium=medium, config=NetworkConfig(seed=1)
-        )
-        with warnings_mod.catch_warnings(record=True) as caught:
-            warnings_mod.simplefilter("always")
-            other.invalidate_link_cache()
-        assert not caught
 
     def test_matches_direct_medium_walk(self, medium):
         from repro.experiments.fig12_uplink import WAVEFORM_AMPLITUDE_CALIBRATION
@@ -206,9 +176,8 @@ class TestLinkBudgetCache:
             {"tag4": 2}, medium=medium, config=NetworkConfig(seed=0)
         )
         before = net._link_budget("tag4")
-        # A strain sweep that reports its mutation to the medium but
-        # forgets net.invalidate_link_cache(): the generation counter
-        # must drop the stale budget on its own.  (tag8 anchors the
+        # A strain sweep that reports its mutation to the medium: the
+        # generation counter must drop the stale budget on its own.  (tag8 anchors the
         # reference round-trip loss, so probe a non-reference tag.)
         medium.biw.set_joint_loss_offset_db(6.0)
         medium.invalidate_channel_cache()
@@ -221,7 +190,7 @@ class TestLinkBudgetCache:
     def test_mid_run_medium_mutation_degrades_decodes(self):
         """Regression: before the generation counter, a mid-run BiW
         mutation kept serving pre-mutation amplitudes until someone
-        remembered to call invalidate_link_cache()."""
+        dropped the link cache by hand."""
         from repro.channel.medium import AcousticMedium
 
         def decoded_after_mutation(offset_db: float) -> int:

@@ -5,7 +5,7 @@ import pytest
 from repro.core.network import NetworkConfig
 from repro.core.slot_schedule import slot_utilization
 from repro.experiments.configs import pattern
-from repro.ext.fdma import FdmaChannelPlan, FdmaNetwork, assign_channels
+from repro.multireader import FdmaChannelPlan, FdmaNetwork, assign_channels
 
 
 class TestChannelPlan:

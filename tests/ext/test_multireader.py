@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.network import NetworkConfig
 from repro.experiments.configs import pattern
-from repro.ext.multireader import (
+from repro.multireader import (
     DEFAULT_SECOND_READER,
     MultiReaderDeployment,
     ReaderPlacement,

@@ -163,11 +163,12 @@ class TestFleetEngineQueries:
         for spec in engine.specs:
             assert engine.settled_fraction(spec.name) == 1.0
 
-    def test_telemetry_counters_match_record_tallies(self):
+    @pytest.mark.parametrize("energy", [False, True])
+    def test_telemetry_counters_match_record_tallies(self, energy):
         from repro import telemetry
 
         with telemetry.collecting() as registry:
-            engine = FleetEngine(PERIODS, specs_for_seeds([0, 1]))
+            engine = FleetEngine(PERIODS, specs_for_seeds([0, 1]), energy=energy)
             for _ in range(80):
                 engine.step_all()
         metrics = registry.snapshot().to_jsonable()["metrics"]

@@ -1,18 +1,16 @@
-"""Adaptive-off differential suite.
+"""Fixed-rate differential suite.
 
-The escape hatch contract: with ``REPRO_PHY_ADAPTIVE=0`` (or the
-:func:`repro.phy.rate.adaptive` context), a network carrying a full
-rate-control stack — installed controller, seeded uplink plan — must
-be **byte-identical** to the stock network: same records, same slot
-logs, same RNG consumption.  This is what lets every pre-adaptive
-baseline, golden trace, and calibration constant in the repo stay
-valid while the adaptive machinery ships alongside.
+A network adapts exactly when it is given an uplink plan or a rate
+controller, and a fixed-rate slot is the one-group case of the
+per-``LinkConfig`` path.  The contract pinned here: a standing plan
+that maps every tag to the stock FM0 link is **byte-identical** to no
+plan at all — same records, same slot logs, same RNG consumption — on
+both the slot-level and the waveform-fidelity tiers.  This is what lets
+every pre-adaptive baseline, golden trace, and calibration constant in
+the repo stay valid while the adaptive machinery ships alongside.
 
-Scenarios and seeds mirror ``test_fast_path_differential``; both the
-slot-level and the waveform-fidelity networks are pinned.
+Scenarios and seeds mirror ``test_fast_path_differential``.
 """
-
-import os
 
 import pytest
 
@@ -20,7 +18,6 @@ from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.core.waveform_network import WaveformNetwork
 from repro.faults import FaultEvent, FaultSchedule
 from repro.phy import cache as phy_cache
-from repro.phy import rate
 from repro.phy.modulation import LinkConfig
 from repro.phy.rate import DEFAULT_LADDER, RateController
 
@@ -48,25 +45,22 @@ def _fault_schedule():
     )
 
 
-def _build(cls, scenario: str, seed: int, adaptive_stack: bool):
-    kwargs = {}
-    if adaptive_stack:
-        # A live controller AND a non-trivial standing plan: adaptive
-        # off must neutralise both, not just an empty default.
-        kwargs = dict(
-            rate_controller=RateController(DEFAULT_LADDER),
-            uplink_plan={"tag5": LinkConfig("cook", 3000.0),
-                         "tag8": LinkConfig("fsk", 125.0)},
-        )
-    config = NetworkConfig(seed=seed)
-    if scenario == "dense":
-        return cls({"tag5": 4, "tag8": 4, "tag9": 8}, config=config, **kwargs)
-    if scenario == "sparse":
-        return cls({"tag3": 8, "tag12": 16}, config=config, **kwargs)
+_PERIODS = {
+    "dense": {"tag5": 4, "tag8": 4, "tag9": 8},
+    "sparse": {"tag3": 8, "tag12": 16},
+    "faulted": {"tag5": 4, "tag8": 4, "tag9": 8},
+}
+
+
+def _build(cls, scenario: str, seed: int, **kwargs):
+    periods = _PERIODS[scenario]
     if scenario == "faulted":
-        return cls({"tag5": 4, "tag8": 4, "tag9": 8}, config=config,
-                   faults=_fault_schedule(), **kwargs)
-    raise AssertionError(scenario)  # pragma: no cover
+        kwargs["faults"] = _fault_schedule()
+    return cls(periods, config=NetworkConfig(seed=seed), **kwargs)
+
+
+def _fm0_plan(scenario: str):
+    return {tag: LinkConfig("fm0_ook", 375.0) for tag in _PERIODS[scenario]}
 
 
 def _signature(net):
@@ -84,73 +78,44 @@ def _signature(net):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_slotted_adaptive_off_is_byte_identical(scenario, seed):
-    baseline = _build(SlottedNetwork, scenario, seed, adaptive_stack=False)
+    """Adaptation off: a plan pinning every tag to the fixed-rate FM0
+    link replays the plan-less run."""
+    baseline = _build(SlottedNetwork, scenario, seed)
     baseline.run(200)
-    with rate.adaptive(False):
-        stacked = _build(SlottedNetwork, scenario, seed, adaptive_stack=True)
-        stacked.run(200)
-    assert _signature(stacked) == _signature(baseline)
-    # The plan must be untouched: adaptive-off froze the controller out.
-    assert stacked.uplink_plan == {"tag5": LinkConfig("cook", 3000.0),
-                                   "tag8": LinkConfig("fsk", 125.0)}
+    planned = _build(SlottedNetwork, scenario, seed,
+                     uplink_plan=_fm0_plan(scenario))
+    planned.run(200)
+    assert _signature(planned) == _signature(baseline)
+    assert planned.uplink_plan == _fm0_plan(scenario)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_waveform_adaptive_off_is_byte_identical(scenario, seed):
-    baseline = _build(WaveformNetwork, scenario, seed, adaptive_stack=False)
-    baseline.run(24)
-    with rate.adaptive(False):
-        stacked = _build(WaveformNetwork, scenario, seed, adaptive_stack=True)
-        stacked.run(24)
-    assert _signature(stacked) == _signature(baseline)
+    """The same on the waveform tier, through both the template fast
+    path and the reference synthesis pipeline."""
+    for fast in (True, False):
+        with phy_cache.fast_path(fast):
+            baseline = _build(WaveformNetwork, scenario, seed)
+            baseline.run(24)
+            planned = _build(WaveformNetwork, scenario, seed,
+                             uplink_plan=_fm0_plan(scenario))
+            planned.run(24)
+        assert _signature(planned) == _signature(baseline), fast
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_slotted_adaptive_on_differs_and_converges(seed):
-    """Sanity inverse: with adaptive ON the plan actually moves (the
-    escape-hatch tests above are not vacuously comparing two legacy
-    runs)."""
-    net = _build(SlottedNetwork, "dense", seed, adaptive_stack=True)
+    """Sanity inverse: with a live controller the plan actually moves
+    (the tests above are not vacuously comparing two legacy runs)."""
+    net = _build(
+        SlottedNetwork, "dense", seed,
+        rate_controller=RateController(DEFAULT_LADDER),
+        uplink_plan={"tag5": LinkConfig("cook", 3000.0),
+                     "tag8": LinkConfig("fsk", 125.0)},
+    )
     net.run(200)
     plan = net.uplink_plan
     assert plan["tag8"] == LinkConfig("cook", 3000.0)
     assert plan["tag5"] == LinkConfig("fm0_ook", 3000.0)
     assert plan["tag9"] == LinkConfig("fm0_ook", 3000.0)
-
-
-def test_gate_default_on():
-    assert rate.adaptive_enabled()
-
-
-def test_gate_context_manager_nests():
-    with rate.adaptive(False):
-        assert not rate.adaptive_enabled()
-        with rate.adaptive(True):
-            assert rate.adaptive_enabled()
-        assert not rate.adaptive_enabled()
-    assert rate.adaptive_enabled()
-
-
-def test_gate_env_escape_hatch(monkeypatch):
-    for value in ("0", "false", "OFF", "No"):
-        monkeypatch.setenv(rate.ADAPTIVE_ENV, value)
-        assert not rate.adaptive_enabled()
-    monkeypatch.setenv(rate.ADAPTIVE_ENV, "1")
-    assert rate.adaptive_enabled()
-    monkeypatch.delenv(rate.ADAPTIVE_ENV)
-    assert rate.adaptive_enabled()
-    # The in-process override outranks the environment.
-    monkeypatch.setenv(rate.ADAPTIVE_ENV, "0")
-    with rate.adaptive(True):
-        assert rate.adaptive_enabled()
-
-
-def test_networks_without_stack_never_consult_gate():
-    """A plain network must not even look at the adaptive gate (the
-    plan short-circuit), so pre-adaptive deployments cannot be
-    perturbed by the environment variable."""
-    net = SlottedNetwork({"tag5": 4}, config=NetworkConfig(seed=1))
-    assert net.uplink_plan is None
-    assert not net._adaptive_active()
-    os.environ.get(rate.ADAPTIVE_ENV)  # document: env is irrelevant here

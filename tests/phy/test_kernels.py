@@ -11,9 +11,9 @@ projection stage), and this battery drives both backends over random
 and adversarial inputs and compares raw bytes.
 
 Also covered: the ``REPRO_PHY_KERNELS`` gate / backend-override API,
-``kernel_info`` diagnostics, the warn-once contract for
-requested-but-unavailable backends, and clean numpy fallback when
-numba is absent.
+``kernel_info`` diagnostics, the warn-once contract for a
+requested-but-unavailable compiled backend, and clean numpy fallback
+when it cannot be built.
 """
 
 import warnings
@@ -277,7 +277,7 @@ class TestDispatchedWrappers:
 
 class TestSelectionApi:
     def test_backend_name_is_known(self):
-        assert kernels.backend() in ("numba", "cext", "numpy")
+        assert kernels.backend() in ("cext", "numpy")
 
     def test_gate_forces_numpy(self):
         # The ambient default may itself be off (e.g. the CI
@@ -300,7 +300,7 @@ class TestSelectionApi:
 
     def test_kernel_info_shape(self):
         info = kernels.kernel_info()
-        assert info["backend"] in ("numba", "cext", "numpy")
+        assert info["backend"] in ("cext", "numpy")
         assert set(info["kernels"]) == set(_NUMPY_IMPL)
         assert isinstance(info["load_errors"], dict)
         assert info["compiled_kernels"] >= 0
@@ -311,19 +311,28 @@ class TestSelectionApi:
         with kernels.use_backend("numpy"):
             assert kernels.backend() == "numpy"
 
-    def test_forcing_unavailable_backend_raises(self):
-        info = kernels.kernel_info()
-        unavailable = [
-            b for b in ("numba", "cext") if b != info["compiled_backend"]
-        ]
-        if not unavailable:  # pragma: no cover - both compiled present
-            pytest.skip("every compiled backend loaded")
-        with pytest.raises(RuntimeError):
-            kernels.set_backend(unavailable[0])
+    def test_forcing_unavailable_backend_raises(self, monkeypatch):
+        kernels.reset_selection()
+        try:
+            _block_cext(monkeypatch)
+            with pytest.raises(RuntimeError):
+                kernels.set_backend("cext")
+        finally:
+            kernels.reset_selection()
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
             kernels.set_backend("fortran")
+
+
+def _block_cext(monkeypatch):
+    """Make the C backend unloadable, as on a host without ``cc``."""
+    from repro.phy import _kernels_c
+
+    def no_compiler():
+        raise OSError("no C compiler")
+
+    monkeypatch.setattr(_kernels_c, "load", no_compiler)
 
 
 class TestGracefulDegradation:
@@ -334,36 +343,26 @@ class TestGracefulDegradation:
         yield
         kernels.reset_selection()
 
-    def test_numba_absent_falls_back_cleanly(self, monkeypatch,
-                                             fresh_selection):
-        # Make `import numba` fail even when the package is installed;
-        # selection must move on without raising or warning (numba was
-        # not *requested*, it just lost the probe).
+    def test_cext_absent_falls_back_cleanly(self, monkeypatch,
+                                            fresh_selection):
+        # No compiler: selection must fall back without raising or
+        # warning (the backend was not *requested*, it lost the probe).
         monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
-        monkeypatch.setitem(__import__("sys").modules, "numba", None)
-        monkeypatch.delitem(
-            __import__("sys").modules, "repro.phy._kernels_numba",
-            raising=False,
-        )
+        _block_cext(monkeypatch)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             name = kernels.backend()
-        assert name in ("cext", "numpy")
+        assert name == "numpy"
         info = kernels.kernel_info()
-        if name == "numpy":
-            assert info["compiled_backend"] is None
+        assert info["compiled_backend"] is None
         # The probe failure is recorded for diagnostics.
-        assert "numba" in info["load_errors"]
+        assert "cext" in info["load_errors"]
 
     def test_requested_unavailable_warns_once(self, monkeypatch,
                                               fresh_selection):
-        monkeypatch.setenv(kernels.KERNELS_ENV, "numba")
-        monkeypatch.setitem(__import__("sys").modules, "numba", None)
-        monkeypatch.delitem(
-            __import__("sys").modules, "repro.phy._kernels_numba",
-            raising=False,
-        )
-        with pytest.warns(RuntimeWarning, match="numba"):
+        monkeypatch.setenv(kernels.KERNELS_ENV, "cext")
+        _block_cext(monkeypatch)
+        with pytest.warns(RuntimeWarning, match="cext"):
             kernels.backend()
         # Once per process: the second use stays silent.
         with warnings.catch_warnings():

@@ -72,3 +72,41 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+@pytest.mark.parametrize(
+    "module, attribute",
+    [
+        ("repro.phy.rate", "adaptive_enabled"),
+        ("repro.phy.rate", "set_adaptive"),
+        ("repro.phy.rate", "adaptive"),
+        ("repro.phy.rate", "ADAPTIVE_ENV"),
+        ("repro.phy", "adaptive_enabled"),
+        ("repro.core.waveform_network", "_LINK_CACHE_DEPRECATION_EMITTED"),
+    ],
+)
+def test_removed_surface_stays_gone(module, attribute):
+    """The adaptive gate and the link-cache deprecation latch were
+    removed in 1.11.0; nothing may quietly reintroduce them."""
+    assert not hasattr(importlib.import_module(module), attribute)
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.ext.fdma", "repro.ext.multireader", "repro.phy._kernels_numba"]
+)
+def test_removed_modules_stay_gone(module):
+    with pytest.raises(ImportError):
+        importlib.import_module(module)
+
+
+def test_network_tiers_share_one_slot_loop():
+    """Every network tier runs the base slot loop and a single observe
+    path (the seams replace private copies)."""
+    from repro.core.energy_network import EnergyAwareNetwork
+    from repro.core.waveform_network import WaveformNetwork
+    from repro.relay import RelaySlottedNetwork
+
+    for cls in (EnergyAwareNetwork, RelaySlottedNetwork, WaveformNetwork):
+        assert "step" not in vars(cls), cls.__name__
+    assert not hasattr(WaveformNetwork, "_observe_adaptive")
+    assert not hasattr(WaveformNetwork, "invalidate_link_cache")

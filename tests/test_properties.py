@@ -219,7 +219,7 @@ class TestFdmaProperties:
         from fractions import Fraction
 
         from repro.core.slot_schedule import slot_utilization
-        from repro.ext.fdma import assign_channels
+        from repro.multireader import assign_channels
 
         mapping = {f"t{i}": p for i, p in enumerate(periods)}
         groups = assign_channels(mapping, n_channels)

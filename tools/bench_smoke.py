@@ -48,17 +48,9 @@ MAX_RATIO_MULTIREADER = 1.05
 # Relay overhead gate: a RelaySlottedNetwork with relaying disabled
 # must stay within this ratio of a plain SlottedNetwork over the same
 # seed and topology — the zero-cost-off contract for the relay layer
-# (step() delegates straight to the base class when no routes exist;
-# measured ~1.0x, the gate leaves headroom for noisy shared runners).
+# (the route-less network runs the base step, each relay seam a single
+# falsy test; the gate leaves headroom for noisy shared runners).
 MAX_RATIO_RELAY = 1.05
-
-# Adaptive-PHY overhead gate: a SlottedNetwork with a RateController
-# installed but the REPRO_PHY_ADAPTIVE gate closed must stay within
-# this ratio of a plain SlottedNetwork over the same seed and topology
-# — the zero-cost-off contract for the adaptive PHY (the per-slot work
-# reduces to one adaptive_enabled() lookup; the differential suite
-# holds the slot logs byte-identical, this gate holds the wall time).
-MAX_RATIO_ADAPTIVE = 1.05
 
 # Telemetry overhead gate: the instrument sites are guarded by a single
 # `telemetry.active()` lookup, so running with collection enabled may
@@ -74,8 +66,8 @@ MAX_RATIO_TELEMETRY = 3.0
 # with `python tools/bench_compare.py <baseline> <fresh>`.
 WAVEFORM_WARMUP_SLOTS = 40
 WAVEFORM_TIMED_SLOTS = 120
-# /2 adds "kernel_backend": which repro.phy.kernels backend (numba /
-# cext / numpy) served the measurement — numbers from different
+# /2 adds "kernel_backend": which repro.phy.kernels backend (cext /
+# numpy) served the measurement — numbers from different
 # backends are not comparable, so the snapshot records it.
 WAVEFORM_SNAPSHOT_SCHEMA = "bench-waveform/2"
 
@@ -84,7 +76,7 @@ WAVEFORM_SNAPSHOT_SCHEMA = "bench-waveform/2"
 # code path — so the waveform fast tier must stay within this ratio of
 # the baseline measured just before the kernel tier landed
 # (1.03 ms/slot).  Guards against the dispatch layer taxing the
-# fallback everyone gets when no compiler/numba is available.
+# fallback everyone gets when no C compiler is available.
 KERNELS_OFF_BASELINE_MS_PER_SLOT = 1.03
 MAX_RATIO_KERNELS_OFF = 1.05
 KERNELS_OFF_REPEATS = 3
@@ -246,8 +238,9 @@ def relay_overhead_check() -> bool:
     Returns True when the ratio stays under the gate.  With relaying
     off the wrapper must be provably inert: same slot records (held
     byte-identical by tests/relay/), and (checked here)
-    indistinguishable wall time — ``step()`` falls straight through to
-    the base class and no relay RNG stream is ever created.
+    indistinguishable wall time — the route-less network runs the base
+    ``step()``, its seams each one falsy test, and no relay RNG stream
+    is ever created.
     """
     sys.path.insert(0, os.path.join(repo_root(), "src"))
     from repro.core.network import NetworkConfig, SlottedNetwork
@@ -288,68 +281,14 @@ def relay_overhead_check() -> bool:
     return ok
 
 
-def adaptive_overhead_check() -> bool:
-    """Time an adaptive-gated-off SlottedNetwork against the plain loop.
-
-    Returns True when the ratio stays under the gate.  With the
-    ``REPRO_PHY_ADAPTIVE`` gate closed a network must be provably
-    inert even with a rate controller installed: same slot records
-    (held byte-identical by tests/phy/test_adaptive_differential.py),
-    and (checked here) indistinguishable wall time — each slot pays
-    one ``adaptive_enabled()`` lookup and nothing else.
-    """
-    sys.path.insert(0, os.path.join(repo_root(), "src"))
-    from repro.core.network import NetworkConfig, SlottedNetwork
-    from repro.phy import rate
-
-    periods = {f"tag{i}": p for i, p in enumerate((4, 8, 8, 16, 16, 32), start=1)}
-
-    def build(adaptive_stack: bool):
-        config = NetworkConfig(seed=0, ideal_channel=True)
-        if adaptive_stack:
-            return SlottedNetwork(
-                periods,
-                config=config,
-                rate_controller=rate.RateController(rate.DEFAULT_LADDER),
-            )
-        return SlottedNetwork(periods, config=config)
-
-    def one_run(adaptive_stack: bool) -> float:
-        net = build(adaptive_stack)
-        start = time.perf_counter()
-        net.run(OVERHEAD_SLOTS)
-        return time.perf_counter() - start
-
-    with rate.adaptive(False):
-        # Warm both paths once, then interleave the timed repeats so
-        # interpreter warm-up cannot bias whichever leg runs first.
-        one_run(True)
-        one_run(False)
-        best = {True: float("inf"), False: float("inf")}
-        for _ in range(OVERHEAD_REPEATS):
-            for adaptive_stack in (True, False):
-                best[adaptive_stack] = min(
-                    best[adaptive_stack], one_run(adaptive_stack)
-                )
-
-    ratio = best[True] / best[False]
-    ok = ratio <= MAX_RATIO_ADAPTIVE
-    print(
-        f"adaptive-off overhead over {OVERHEAD_SLOTS} slots: "
-        f"{ratio:.2f}x vs plain SlottedNetwork "
-        f"(gate {MAX_RATIO_ADAPTIVE}x) -> {'ok' if ok else 'FAIL'}"
-    )
-    return ok
-
-
 def kernels_overhead_check() -> bool:
     """Time the waveform fast tier with compiled kernels forced off.
 
     Returns True when the kernels-off ms/slot stays within
     ``MAX_RATIO_KERNELS_OFF`` of the pre-kernel-tier baseline.  The
     numpy fallback *is* that baseline's code path, so this gate keeps
-    the dispatch layer honest for environments with no C compiler and
-    no numba: the escape hatch must not quietly cost the fallback
+    the dispatch layer honest for environments with no C compiler: the
+    escape hatch must not quietly cost the fallback
     anything.  Best-of-``KERNELS_OFF_REPEATS`` to shrug off scheduler
     noise.
     """
@@ -561,12 +500,6 @@ def main(argv: List[str] | None = None) -> int:
         "else); used by the advisory CI figM job",
     )
     parser.add_argument(
-        "--adaptive-only",
-        action="store_true",
-        help="run only the adaptive-off overhead gate (skips everything "
-        "else); used by the advisory CI figA job",
-    )
-    parser.add_argument(
         "--kernels-only",
         action="store_true",
         help="run only the kernels-off overhead gate (waveform fast "
@@ -593,8 +526,6 @@ def main(argv: List[str] | None = None) -> int:
         return 0 if multireader_overhead_check() else 2
     if args.relay_only:
         return 0 if relay_overhead_check() else 2
-    if args.adaptive_only:
-        return 0 if adaptive_overhead_check() else 2
     if args.kernels_only:
         return 0 if kernels_overhead_check() else 2
     if args.fleet_only:
@@ -611,7 +542,6 @@ def main(argv: List[str] | None = None) -> int:
         overhead_ok = telemetry_overhead_check() and overhead_ok
         overhead_ok = multireader_overhead_check() and overhead_ok
         overhead_ok = relay_overhead_check() and overhead_ok
-        overhead_ok = adaptive_overhead_check() and overhead_ok
     out = args.out or os.path.join(root, default_out())
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
