@@ -163,8 +163,13 @@ class TestFleetEngineQueries:
         for spec in engine.specs:
             assert engine.settled_fraction(spec.name) == 1.0
 
-    @pytest.mark.parametrize("energy", [False, True])
-    def test_telemetry_counters_match_record_tallies(self, energy):
+    def test_telemetry_counters_match_record_tallies(self):
+        self._check_telemetry_counters(energy=False)
+
+    def test_energy_telemetry_counters_match_record_tallies(self):
+        self._check_telemetry_counters(energy=True)
+
+    def _check_telemetry_counters(self, energy):
         from repro import telemetry
 
         with telemetry.collecting() as registry:
