@@ -19,8 +19,8 @@ memoises each of those:
   codes keyed by bit tuple.
 * :func:`tag_template` — second-generation fast path: one
   :class:`TagTemplate` per ``(encoded raw bits, rate, geometry)``
-  holding the unit-amplitude OOK scale profile *and* its
-  filtered/decimated baseband quadrature pair, so steady-state slots
+  holding the filtered/decimated baseband quadrature pair of its
+  unit-amplitude OOK scale profile, so steady-state slots
   apply amplitude, carrier phase (angle-sum identity), and sample delay
   as cheap short-vector ops instead of re-running
   ``raw_bits_to_levels`` + mix + filter over ~10^5 samples.
@@ -278,7 +278,9 @@ class TagTemplate:
     * :attr:`profile` — the per-sample OOK scale profile (lead-in,
       levels, tail) at unit amplitude, exactly the array
       ``BackscatterUplink.tag_component`` fills before applying
-      amplitude and carrier phase.
+      amplitude and carrier phase.  Rebuilt on each access and never
+      retained: at the passband rate it is ~10^5 samples, and fault
+      bursts fill the LRU with transient templates.
     * :meth:`baseband` — the profile modulated onto the cos/sin carrier
       pair, zero-padded to the capture grid at a given sample delay,
       then low-passed and decimated.  Because mixing/filtering/
@@ -290,7 +292,8 @@ class TagTemplate:
       synthesis + filter run per slot.
 
     :meth:`passband` reconstructs the full-rate component bit-identical
-    to ``tag_component`` (the ulp-tolerance tests pin this).
+    to ``tag_component`` (the ulp-tolerance tests pin this).  Only it
+    and a :meth:`baseband` miss build the profile.
     """
 
     __slots__ = (
@@ -302,7 +305,6 @@ class TagTemplate:
         "n_lead",
         "n_tail",
         "modulation",
-        "profile",
         "n_body",
         "_baseband",
         "_lock",
@@ -321,6 +323,7 @@ class TagTemplate:
     ) -> None:
         from repro.phy.modulation import get_modulation
 
+        get_modulation(modulation)  # unknown names fail here, not later
         self.raw_bits = raw_bits
         self.raw_rate_bps = raw_rate_bps
         self.sample_rate_hz = sample_rate_hz
@@ -329,31 +332,45 @@ class TagTemplate:
         self.n_lead = n_lead
         self.n_tail = n_tail
         self.modulation = modulation
-        # For "fm0_ook" this is exactly raw_bits_to_levels, so legacy
-        # templates stay bit-identical through the registry hop.
-        levels = get_modulation(modulation).unit_profile(
-            raw_bits, raw_rate_bps, sample_rate_hz
-        )
-        n_body = n_lead + len(levels) + n_tail
-        profile = np.empty(n_body)
-        profile[:n_lead] = low_ratio
-        np.multiply(
-            levels, 1.0 - low_ratio, out=profile[n_lead : n_lead + len(levels)]
-        )
-        profile[n_lead : n_lead + len(levels)] += low_ratio
-        profile[n_lead + len(levels) :] = low_ratio
-        profile.setflags(write=False)
-        self.profile = profile
-        self.n_body = n_body
+        # Every unit profile spans this many samples (the Modulation
+        # contract), so the frame is sized without building it.
+        n_levels = int(np.rint(len(raw_bits) * sample_rate_hz / raw_rate_bps))
+        self.n_body = n_lead + n_levels + n_tail
         self._baseband: Dict[
             Tuple[int, float, int], Tuple[np.ndarray, np.ndarray]
         ] = {}
         self._lock = threading.Lock()
 
+    @property
+    def profile(self) -> np.ndarray:
+        """The unit-amplitude scale profile, built afresh (read-only)."""
+        from repro.phy.modulation import get_modulation
+
+        # For "fm0_ook" this is exactly raw_bits_to_levels, so legacy
+        # templates stay bit-identical through the registry hop.
+        levels = get_modulation(self.modulation).unit_profile(
+            self.raw_bits, self.raw_rate_bps, self.sample_rate_hz
+        )
+        n_lead, n_levels = self.n_lead, len(levels)
+        if n_lead + n_levels + self.n_tail != self.n_body:
+            raise ValueError(
+                f"{self.modulation} unit profile has {n_levels} samples, "
+                f"expected {self.n_body - n_lead - self.n_tail}"
+            )
+        profile = np.empty(self.n_body)
+        profile[:n_lead] = self.low_ratio
+        np.multiply(
+            levels, 1.0 - self.low_ratio, out=profile[n_lead : n_lead + n_levels]
+        )
+        profile[n_lead : n_lead + n_levels] += self.low_ratio
+        profile[n_lead + n_levels :] = self.low_ratio
+        profile.setflags(write=False)
+        return profile
+
     def passband(
         self, amplitude_v: float, phase_rad: float, n_delay: int
     ) -> np.ndarray:
-        """Full-rate component from the cached profile.
+        """Full-rate component, from a freshly built profile.
 
         Replays ``tag_component``'s exact operation order
         (``(profile * amp) * (cos p * cos_t - sin p * sin_t)``), so the
@@ -419,11 +436,12 @@ class TagTemplate:
             cos_t, sin_t = carrier_quadrature(
                 self.n_body, self.sample_rate_hz, self.carrier_hz
             )
+            profile = self.profile
             pair = []
             for quad in (cos_t, sin_t):
                 pad = np.zeros(grow_n)
                 np.multiply(
-                    self.profile,
+                    profile,
                     quad,
                     out=pad[n_delay : n_delay + self.n_body],
                 )
@@ -617,9 +635,7 @@ def cache_sizes() -> Dict[str, int]:
         "fm0_encodings": cached_fm0_encode.cache_info().currsize,
         "pie_encodings": cached_pie_encode.cache_info().currsize,
         "tag_templates": len(templates),
-        "tag_template_samples": sum(
-            len(t.profile) + t.baseband_samples() for t in templates
-        ),
+        "tag_template_samples": sum(t.baseband_samples() for t in templates),
         "leak_basebands": len(_leak_bb),
         "leak_baseband_samples": sum(len(b) for b in _leak_bb.values()),
     }

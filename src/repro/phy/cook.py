@@ -28,6 +28,7 @@ from repro.phy.modulation import (
     LinkConfig,
     Modulation,
     bit_windows,
+    offset_scan,
     register_modulation,
 )
 
@@ -42,9 +43,6 @@ CHIRP_HIGH_HZ = 15000.0
 #: the fast end of the ladder.
 COOK_RATES_BPS = (750.0, 1500.0, 3000.0)
 
-#: Offset-scan resolution: candidate bit alignments per bit period.
-_OFFSET_STEPS = 16
-
 
 @lru_cache(maxsize=256)
 def _chirp_replica(n: int, baseband_rate_hz: float, raw_rate_bps: float):
@@ -52,12 +50,14 @@ def _chirp_replica(n: int, baseband_rate_hz: float, raw_rate_bps: float):
 
     Complex so the correlation magnitude is immune to the projection's
     arbitrary polarity and to the receive filter's in-band phase slope.
+    Read-only: every decode shares the cached array.
     """
     tau = (np.arange(n) + 0.5) / baseband_rate_hz
     sweep = (CHIRP_HIGH_HZ - CHIRP_LOW_HZ) * raw_rate_bps
     phase = 2.0 * math.pi * (CHIRP_LOW_HZ * tau + 0.5 * sweep * tau * tau)
     replica = np.exp(-1j * phase)
     replica -= replica.mean()
+    replica.setflags(write=False)
     return replica
 
 
@@ -121,28 +121,19 @@ class ChirpOok(Modulation):
         samples_per_bit = baseband_rate_hz / raw_rate_bps
         if len(projected) < samples_per_bit:
             return []
-        step = max(1, int(samples_per_bit // _OFFSET_STEPS))
-        best_bits: List[int] = []
+        best_bits = np.empty(0, dtype=np.uint8)
         best_key = (-1, -math.inf)
-        for offset in range(0, int(math.ceil(samples_per_bit)), step):
-            windows = bit_windows(len(projected), samples_per_bit, offset)
-            if not windows:
-                continue
-            scores = np.empty(len(windows))
-            for i, (lo, hi) in enumerate(windows):
-                window = projected[lo:hi]
-                window = window - window.mean()
-                scores[i] = abs(
-                    complex(
-                        window
-                        @ _chirp_replica(hi - lo, baseband_rate_hz, raw_rate_bps)
-                    )
-                )
+        for scores in offset_scan(
+            projected,
+            samples_per_bit,
+            lambda n: _chirp_replica(n, baseband_rate_hz, raw_rate_bps)[:, None],
+        ):
+            scores = scores[:, 0]
             # OOK decision at half the strongest correlation: a frame
             # is a minority of the capture windows, so an order
             # statistic over all windows would sit in the noise floor.
             peak = float(scores.max())
-            bits = [int(s > 0.5 * peak) for s in scores]
+            bits = (scores > 0.5 * peak).view(np.uint8)
             # Bit alignment is ambiguous at sub-bit scale, so — like
             # the FM0 chain's half-bit scan — candidate offsets compete
             # on recovered CRC-clean frames first, correlation second.
@@ -150,7 +141,7 @@ class ChirpOok(Modulation):
             if key > best_key:
                 best_key = key
                 best_bits = bits
-        return best_bits
+        return best_bits.tolist()
 
 
 COOK = register_modulation(ChirpOok())

@@ -26,6 +26,7 @@ from repro.phy.modulation import (
     LinkConfig,
     Modulation,
     bit_windows,
+    offset_scan,
     register_modulation,
 )
 
@@ -39,18 +40,22 @@ FSK_F1_HZ = 6000.0
 #: tone spacing, keeping the tone pair orthogonal per bit.
 FSK_RATES_BPS = (125.0, 250.0)
 
-#: Offset-scan resolution: candidate bit alignments per bit period.
-_OFFSET_STEPS = 16
-
 
 @lru_cache(maxsize=256)
 def _tone_basis(n: int, baseband_rate_hz: float):
-    """Complex correlation tones for an ``n``-sample bit window."""
+    """Complex correlation tones for an ``n``-sample bit window.
+
+    One ``(n, 2)`` matrix, the ``0`` tone in column 0 and the ``1``
+    tone in column 1.  Read-only: every decode shares the cached array.
+    """
     tau = (np.arange(n) + 0.5) / baseband_rate_hz
-    return (
-        np.exp(-2.0j * math.pi * FSK_F0_HZ * tau),
-        np.exp(-2.0j * math.pi * FSK_F1_HZ * tau),
+    basis = np.exp(
+        np.outer(
+            tau, (-2.0j * math.pi * FSK_F0_HZ, -2.0j * math.pi * FSK_F1_HZ)
+        )
     )
+    basis.setflags(write=False)
+    return basis
 
 
 class BinaryFsk(Modulation):
@@ -105,23 +110,17 @@ class BinaryFsk(Modulation):
         samples_per_bit = baseband_rate_hz / raw_rate_bps
         if len(projected) < samples_per_bit:
             return []
-        step = max(1, int(samples_per_bit // _OFFSET_STEPS))
-        best_bits: List[int] = []
+        best_bits = np.empty(0, dtype=np.uint8)
         best_key = (-1, -math.inf)
-        for offset in range(0, int(math.ceil(samples_per_bit)), step):
-            windows = bit_windows(len(projected), samples_per_bit, offset)
-            if not windows:
-                continue
-            bits: List[int] = []
-            metric = 0.0
-            for lo, hi in windows:
-                window = projected[lo:hi]
-                window = window - window.mean()
-                tone0, tone1 = _tone_basis(hi - lo, baseband_rate_hz)
-                m0 = abs(complex(window @ tone0))
-                m1 = abs(complex(window @ tone1))
-                bits.append(int(m1 > m0))
-                metric += abs(m1 - m0)
+        for mags in offset_scan(
+            projected,
+            samples_per_bit,
+            lambda n: _tone_basis(n, baseband_rate_hz),
+        ):
+            m0, m1 = mags[:, 0], mags[:, 1]
+            bits = (m1 > m0).view(np.uint8)
+            # Summed left to right, as a running total would be.
+            metric = float(np.add.accumulate(np.abs(m1 - m0))[-1])
             # Candidate alignments compete on recovered CRC-clean
             # frames first, tone separation second (cf. the FM0
             # chain's half-bit scan).
@@ -129,7 +128,7 @@ class BinaryFsk(Modulation):
             if key > best_key:
                 best_key = key
                 best_bits = bits
-        return best_bits
+        return best_bits.tolist()
 
 
 FSK = register_modulation(BinaryFsk())

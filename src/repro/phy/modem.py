@@ -10,9 +10,9 @@ The synthesis path is vectorised and backed by the lookup tables of
 :mod:`repro.phy.cache` — carrier blocks come from grow-once cos/sin
 tables, line codes are memoised, and per-frame buffers are filled in
 place instead of concatenated.  The original scalar implementations of
-the two loop-heavy kernels are kept (``raw_bits_to_levels_reference``
-and ``FskOokDownlink.naive_ook_waveform_reference``) as executable
-specifications for the equivalence tests.
+the two loop-heavy kernels live on as test oracles
+(``tests/phy/oracles.py``), the executable specifications the
+equivalence tests hold these against.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def raw_bits_to_levels(
     Sample counts per bit are accumulated in exact time so long frames
     do not drift relative to the sample grid.  Vectorised: bit
     boundaries are rounded onto the sample grid in one pass and the
-    bits repeated to their per-bit sample counts — bit-exact with
-    :func:`raw_bits_to_levels_reference`.
+    bits repeated to their per-bit sample counts — bit-exact with the
+    scalar per-bit loop it replaced (kept as a test oracle).
     """
     if raw_rate_bps <= 0 or sample_rate_hz <= 0:
         raise ValueError("rates must be positive")
@@ -57,29 +57,6 @@ def raw_bits_to_levels(
     ).astype(np.int64)
     np.clip(edges, 0, n_total, out=edges)
     return np.repeat(bits, np.diff(edges))
-
-
-def raw_bits_to_levels_reference(
-    raw_bits: Sequence[int],
-    raw_rate_bps: float,
-    sample_rate_hz: float,
-) -> np.ndarray:
-    """Scalar reference implementation of :func:`raw_bits_to_levels`.
-
-    Kept as the executable specification the vectorised kernel is
-    tested bit-exact against; not used on the hot path.
-    """
-    if raw_rate_bps <= 0 or sample_rate_hz <= 0:
-        raise ValueError("rates must be positive")
-    n_total = int(round(len(raw_bits) * sample_rate_hz / raw_rate_bps))
-    levels = np.zeros(n_total, dtype=float)
-    for i, bit in enumerate(raw_bits):
-        if bit not in (0, 1):
-            raise ValueError(f"raw bits must be 0/1, got {bit!r}")
-        start = int(round(i * sample_rate_hz / raw_rate_bps))
-        end = int(round((i + 1) * sample_rate_hz / raw_rate_bps))
-        levels[start:end] = float(bit)
-    return levels
 
 
 def carrier(
@@ -361,35 +338,4 @@ class FskOokDownlink:
                 * np.exp(-seg_t / tau)
                 * np.cos(omega * (t_edge + seg_t))
             )
-        return link_gain * out
-
-    def naive_ook_waveform_reference(
-        self,
-        pie_bits: Sequence[int],
-        raw_rate_bps: float,
-        link_gain: float = 1.0,
-    ) -> np.ndarray:
-        """Scalar reference for :meth:`naive_ook_waveform`: one
-        independent full-length tail per ON→OFF edge.  Kept as the
-        executable specification for the equivalence tests."""
-        raw = list(phy_cache.pie_raw(pie_bits))
-        levels = raw_bits_to_levels_reference(
-            raw, raw_rate_bps, self.sample_rate_hz
-        )
-        t = np.arange(len(levels)) / self.sample_rate_hz
-        on_wave = self.on_amplitude_v * np.cos(2 * math.pi * self.resonant_hz * t)
-        out = levels * on_wave
-        tau = self.pzt.ring_time_constant_s
-        falling = np.flatnonzero(np.diff(levels) < 0) + 1
-        for idx in falling:
-            remaining = len(out) - idx
-            if remaining <= 0:
-                continue
-            tail_t = np.arange(remaining) / self.sample_rate_hz
-            tail = (
-                self.on_amplitude_v
-                * np.exp(-tail_t / tau)
-                * np.cos(2 * math.pi * self.resonant_hz * (t[idx] + tail_t))
-            )
-            out[idx:] += tail
         return link_gain * out

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -76,27 +76,90 @@ class LinkConfig:
         return get_modulation(self.modulation).data_rate_bps(self.bitrate_bps)
 
 
+#: Offset-scan resolution of the matched demodulators: candidate bit
+#: alignments per bit period.
+OFFSET_STEPS = 16
+
+
+def bit_edges(n_samples: int, samples_per_bit: float) -> np.ndarray:
+    """Bit edges ``rint(i * samples_per_bit)`` that fit in ``n_samples``.
+
+    The one definition of the bit grid: edge ``i`` is where bit ``i``
+    starts, and the array ends at the last edge ``<= n_samples``, so
+    every bit between two edges lies whole inside the capture.  Edges
+    ride the same ``rint`` grid as
+    :func:`repro.phy.modem.raw_bits_to_levels`, so synthesis and decode
+    agree on where each bit's samples live even when
+    ``samples_per_bit`` is fractional.
+    """
+    if samples_per_bit <= 0:
+        raise ValueError("samples per bit must be positive")
+    # One edge past n_samples is enough: rint(count * spb) > n_samples.
+    count = int(math.ceil((n_samples + 1) / samples_per_bit)) + 1
+    edges = np.rint(np.arange(max(count, 0) + 1, dtype=float) * samples_per_bit)
+    edges = edges.astype(np.int64)
+    return edges[: int(np.searchsorted(edges, n_samples, side="right"))]
+
+
 def bit_windows(
     n_samples: int, samples_per_bit: float, offset: int
 ) -> List[Tuple[int, int]]:
-    """Integer sample windows for successive bits starting at ``offset``.
+    """Integer sample windows ``(lo, hi)`` for bits from ``offset`` on.
 
-    Edges ride the same ``rint`` grid as
-    :func:`repro.phy.modem.raw_bits_to_levels`, so synthesis and decode
-    agree on where each bit's samples live even when ``samples_per_bit``
-    is fractional.
+    The :func:`bit_edges` grid shifted by ``offset``; empty windows
+    (below one sample per bit) are skipped.
     """
-    windows: List[Tuple[int, int]] = []
-    i = 0
-    while True:
-        lo = offset + int(np.rint(i * samples_per_bit))
-        hi = offset + int(np.rint((i + 1) * samples_per_bit))
-        if hi > n_samples:
-            break
-        if hi > lo:
-            windows.append((lo, hi))
-        i += 1
-    return windows
+    edges = (offset + bit_edges(n_samples - offset, samples_per_bit)).tolist()
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if hi > lo]
+
+
+def offset_scan(
+    projected: np.ndarray,
+    samples_per_bit: float,
+    basis: Callable[[int], np.ndarray],
+) -> List[np.ndarray]:
+    """Correlation magnitudes of every bit window at every scan offset.
+
+    The scan tries offsets ``0, step, 2 * step, ...`` below one bit
+    period, ``step = samples_per_bit // OFFSET_STEPS`` (at least one
+    sample), each cut into :func:`bit_windows`.  Every window is made
+    zero-mean and correlated against the columns of ``basis(n)``, a
+    read-only complex ``(n, k)`` matrix for ``n``-sample windows.
+
+    All windows of one length are gathered into one matrix and scored
+    with one product, so a capture costs one gather and one matvec per
+    distinct window length (at most two when ``samples_per_bit >= 1``)
+    instead of one dot product per window and offset.
+
+    Returns one ``(windows, k)`` array of magnitudes per offset, in
+    offset order, leaving out offsets with no whole window.
+    """
+    n_samples = len(projected)
+    edges = bit_edges(n_samples, samples_per_bit)
+    step = max(1, int(samples_per_bit // OFFSET_STEPS))
+    offsets = np.arange(0, int(math.ceil(samples_per_bit)), step)[:, None]
+    lo = offsets + edges[:-1]
+    hi = offsets + edges[1:]
+    # (offset, bit) of every whole window, offset-major; windows are
+    # empty only below one sample per bit.
+    owner, bit = np.nonzero((hi <= n_samples) & (hi > lo))
+    if not len(owner):
+        return []
+    lo, hi = lo[owner, bit], hi[owner, bit]
+    width = hi - lo
+    mags = None
+    for n in np.unique(width).tolist():
+        rows = np.flatnonzero(width == n)
+        windows = projected[lo[rows, None] + np.arange(n)]
+        windows -= windows.mean(axis=1, keepdims=True)
+        # A complex (n, k) basis viewed as float is (n, 2k) with each
+        # column's real and imaginary parts side by side.
+        corr = windows @ basis(n).view(np.float64)
+        if mags is None:
+            mags = np.empty((len(lo), corr.shape[1] // 2))
+        mags[rows] = np.hypot(corr[:, 0::2], corr[:, 1::2])
+    per_offset = np.split(mags, np.cumsum(np.bincount(owner))[:-1])
+    return [m for m in per_offset if len(m)]
 
 
 class Modulation:
@@ -143,9 +206,12 @@ class Modulation:
     ) -> np.ndarray:
         """Unit-amplitude backscatter scale profile in ``[0, 1]``.
 
-        The profile multiplies the tag's reflective swing on top of the
-        absorptive floor — see ``TagTemplate`` for the exact affine
-        placement, which is shared bit-for-bit with ``tag_component``.
+        It spans ``rint(len(raw_bits) * sample_rate_hz / raw_rate_bps)``
+        samples, which ``TagTemplate`` relies on to size a frame without
+        building its profile.  The profile multiplies the tag's
+        reflective swing on top of the absorptive floor — see
+        ``TagTemplate`` for the exact affine placement, which is shared
+        bit-for-bit with ``tag_component``.
         """
         raise NotImplementedError
 
@@ -304,7 +370,10 @@ __all__ = [
     "LinkConfig",
     "Modulation",
     "Fm0Ook",
+    "OFFSET_STEPS",
+    "bit_edges",
     "bit_windows",
+    "offset_scan",
     "register_modulation",
     "get_modulation",
     "modulation_names",

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
+import numpy as np
+
 from repro.phy.crc import append_crc8, bits_to_int, check_crc8, int_to_bits
 
 #: Field widths (bits).
@@ -35,6 +37,10 @@ DL_FRAME_BITS = DL_PREAMBLE_BITS + CMD_BITS
 #: clock recovery; the DL preamble is a short unique marker.
 UL_PREAMBLE = (1, 0, 1, 0, 1, 0, 1, 1)
 DL_PREAMBLE = (1, 1, 1, 0, 1, 0)
+
+#: The UL preamble as one byte per bit, the form the frame scan
+#: searches for.
+UL_PREAMBLE_BYTES = bytes(UL_PREAMBLE)
 
 #: Maximum TID value with a 4-bit field (up to 16 tags, Sec. 4.2).
 MAX_TID = (1 << TID_BITS) - 1
@@ -130,19 +136,25 @@ def find_ul_frames(bits: Sequence[int]) -> List[UplinkPacket]:
     """Scan a decoded bit stream for valid UL frames.
 
     Slides the UL preamble across the stream and attempts a parse at
-    each match; only CRC-clean frames are returned.  This is the
+    each match; only CRC-clean frames are returned.  A clean frame is
+    skipped whole, a failed parse moves on by one bit.  This is the
     framing step of the reader's receive chain.
+
+    ``bits`` is any sequence of 0/1 (ints, bools) or a NumPy array;
+    the scan jumps between preamble matches with ``bytes.find``.
     """
+    if isinstance(bits, np.ndarray):
+        bits = bits.astype(np.uint8, copy=False)
+    stream = bytes(bits)
     packets: List[UplinkPacket] = []
-    bits = list(bits)
-    i = 0
-    while i + UL_FRAME_BITS <= len(bits):
-        if tuple(bits[i : i + UL_PREAMBLE_BITS]) == UL_PREAMBLE:
-            try:
-                packets.append(UplinkPacket.from_bits(bits[i : i + UL_FRAME_BITS]))
-                i += UL_FRAME_BITS
-                continue
-            except PacketError:
-                pass
-        i += 1
+    i = stream.find(UL_PREAMBLE_BYTES)
+    while i >= 0:
+        try:
+            packets.append(
+                UplinkPacket.from_bits(list(stream[i : i + UL_FRAME_BITS]))
+            )
+            i += UL_FRAME_BITS
+        except PacketError:  # bad CRC, or the stream ends mid-frame
+            i += 1
+        i = stream.find(UL_PREAMBLE_BYTES, i)
     return packets

@@ -297,7 +297,7 @@ class ReaderReceiveChain:
             if len(candidate) % 2:
                 candidate = candidate[:-1]
             bits_arr, viol_arr = kernels.fm0_pairs(candidate)
-            packets = find_ul_frames(bits_arr.tolist())
+            packets = find_ul_frames(bits_arr)
             violations = int(viol_arr.sum())
             if len(packets) > len(best_packets) or (
                 len(packets) == len(best_packets) and violations < best_violations

@@ -1,8 +1,10 @@
 """Tests for packet structures (Fig. 5)."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from phy.oracles import find_ul_frames_reference
 from repro.phy.packets import (
     DL_FRAME_BITS,
     DownlinkBeacon,
@@ -10,6 +12,7 @@ from repro.phy.packets import (
     MAX_TID,
     PacketError,
     UL_FRAME_BITS,
+    UL_PREAMBLE,
     UplinkPacket,
     find_ul_frames,
 )
@@ -111,3 +114,85 @@ class TestFraming:
 
     def test_empty_stream(self):
         assert find_ul_frames([]) == []
+
+
+class TestFramingDifferential:
+    """``find_ul_frames`` jumps between preamble matches; the scalar
+    oracle tests every position.  Same packets, always."""
+
+    @staticmethod
+    def _check(stream):
+        expected = find_ul_frames_reference(list(stream))
+        assert find_ul_frames(stream) == expected
+        assert find_ul_frames(list(stream)) == expected
+        assert find_ul_frames(tuple(bool(b) for b in stream)) == expected
+        assert find_ul_frames(np.asarray(stream, dtype=np.uint8)) == expected
+        assert find_ul_frames(np.asarray(stream, dtype=bool)) == expected
+        assert find_ul_frames(np.asarray(stream, dtype=np.int64)) == expected
+        return expected
+
+    def test_random_streams(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            self._check(rng.integers(0, 2, size=int(rng.integers(0, 400))).tolist())
+
+    def test_preamble_rich_streams(self):
+        """Streams built from preamble fragments hit many parse attempts,
+        including the occasional spurious CRC pass."""
+        rng = np.random.default_rng(99)
+        chunks = [list(UL_PREAMBLE), [1, 0], [1, 1], [0]]
+        for _ in range(300):
+            stream = []
+            while len(stream) < 300:
+                stream += chunks[int(rng.integers(0, len(chunks)))]
+            self._check(stream)
+
+    def test_planted_frames(self):
+        rng = np.random.default_rng(5)
+        n_planted = n_found = 0
+        for _ in range(100):
+            stream, planted = [], []
+            for _ in range(int(rng.integers(1, 6))):
+                stream += rng.integers(0, 2, size=int(rng.integers(0, 40))).tolist()
+                pkt = UplinkPacket(int(rng.integers(0, MAX_TID + 1)),
+                                   int(rng.integers(0, MAX_PAYLOAD + 1)))
+                planted.append(pkt)
+                stream += pkt.to_bits()
+            found = self._check(stream)
+            n_planted += len(planted)
+            n_found += sum(p in found for p in planted)
+        # A spurious match in the filler can swallow a planted frame.
+        assert n_found > 0.9 * n_planted
+
+    def test_back_to_back_frames(self):
+        pkts = [UplinkPacket(t, 100 * t) for t in range(5)]
+        stream = [b for p in pkts for b in p.to_bits()]
+        assert self._check(stream) == pkts
+
+    def test_overlapping_preambles(self):
+        """A preamble inside the previous preamble's run: the scan must
+        try each start, not skip past the first mismatch."""
+        pkt = UplinkPacket(9, 321)
+        stream = [1, 0, 1, 0] + pkt.to_bits()  # "1010" + "10101011..."
+        assert self._check(stream) == [pkt]
+        stream = list(UL_PREAMBLE[:6]) + pkt.to_bits() + [1, 0, 1]
+        assert self._check(stream) == [pkt]
+
+    def test_crc_failing_frame_just_before_a_valid_one(self):
+        good = UplinkPacket(2, 2000)
+        bad = UplinkPacket(1, 1000).to_bits()
+        bad[20] ^= 1
+        for gap in range(0, 10):
+            stream = bad + [0] * gap + good.to_bits()
+            assert self._check(stream) == [good]
+        # The valid frame starts inside the failed one: a failed parse
+        # advances by one bit, so it is still found.
+        stream = bad[:12] + good.to_bits()
+        assert self._check(stream) == [good]
+
+    def test_short_streams(self):
+        pkt = UplinkPacket(1, 1)
+        bits = pkt.to_bits()
+        assert self._check(bits[:-1]) == []
+        assert self._check(bits) == [pkt]
+        assert self._check([]) == []

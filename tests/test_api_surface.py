@@ -83,12 +83,23 @@ def test_version_string():
         ("repro.phy.rate", "ADAPTIVE_ENV"),
         ("repro.phy", "adaptive_enabled"),
         ("repro.core.waveform_network", "_LINK_CACHE_DEPRECATION_EMITTED"),
+        ("repro.phy.modem", "raw_bits_to_levels_reference"),
+        ("repro.phy.modem", "FskOokDownlink.naive_ook_waveform_reference"),
+        ("repro.phy.cook", "_OFFSET_STEPS"),
+        ("repro.phy.fsk", "_OFFSET_STEPS"),
     ],
 )
 def test_removed_surface_stays_gone(module, attribute):
     """The adaptive gate and the link-cache deprecation latch were
-    removed in 1.11.0; nothing may quietly reintroduce them."""
-    assert not hasattr(importlib.import_module(module), attribute)
+    removed in 1.11.0; the scalar oracles moved to tests/phy/oracles.py
+    and the demodulators' private scan constants folded into
+    ``repro.phy.modulation`` in 1.12.0.  Nothing may quietly
+    reintroduce them."""
+    owner = importlib.import_module(module)
+    *path, name = attribute.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, name)
 
 
 @pytest.mark.parametrize(
