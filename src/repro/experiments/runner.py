@@ -1027,18 +1027,19 @@ class FleetRunner:
         Every execution path lands rows in the same float64 matrix
         first, so the document bytes cannot depend on how the rows got
         there (pickled return, shared memory, or checkpoint resume).
+        Seeds come from the sweep itself: float64 cannot hold every
+        seed at or above 2**53.
         """
         import numpy as np
 
         if np.isnan(matrix).any():
             raise ResultsError("fleet sweep finished with missing rows")
         networks = []
-        for i, name in enumerate(self.names):
-            row = matrix[i]
+        for name, seed, row in zip(self.names, self.seeds, matrix):
             networks.append(
                 {
                     "network": name,
-                    "seed": int(row[0]),
+                    "seed": seed,
                     "slots": int(row[1]),
                     "decodes": int(row[2]),
                     "acks": int(row[3]),

@@ -68,6 +68,17 @@ class FleetEngine:
         schedules ride the scalar lane as faulted energy networks.
     """
 
+    #: Keys of a :meth:`summary` scorecard, in order.
+    SUMMARY_KEYS = (
+        "network",
+        "slots",
+        "decodes",
+        "acks",
+        "collisions",
+        "idle_slots",
+        "settled_fraction",
+    )
+
     def __init__(
         self,
         tag_periods,
@@ -165,7 +176,7 @@ class FleetEngine:
         self._vec_names = [s.name for s in vec_specs]
         self._vec_index = {name: i for i, name in enumerate(self._vec_names)}
         nv = self.n_vector = len(vec_specs)
-        self.log = SlotLog()
+        self.log = SlotLog(nv)
         if nv == 0:
             return
 
@@ -509,27 +520,37 @@ class FleetEngine:
     def slots_elapsed(self) -> int:
         return self._slot
 
-    def records(self, name: str) -> List[SlotRecord]:
-        """One network's slot log, as sequential-tier ``SlotRecord``s."""
-        if name in self._scalar_nets:
-            return self._scalar_nets[name].records
+    def _vector_row(self, name: str) -> int:
         row = self._vec_index.get(name)
         if row is None:
             raise KeyError(f"unknown network {name!r}")
-        out: List[SlotRecord] = []
-        for slot in range(len(self.log)):
-            d = int(self.log.decoded_tid[slot][row])
-            out.append(
-                SlotRecord(
-                    slot=slot,
-                    n_transmitters=int(self.log.n_transmitters[slot][row]),
-                    decoded=self._names[d] if d >= 0 else None,
-                    collision_detected=bool(self.log.collision[slot][row]),
-                    acked=bool(self.log.acked[slot][row]),
-                    empty_flag=bool(self.log.empty_flag[slot][row]),
-                )
+        return row
+
+    def records(self, name: str) -> List[SlotRecord]:
+        """One network's slot log, as a fresh list of sequential-tier
+        ``SlotRecord``s."""
+        if name in self._scalar_nets:
+            return list(self._scalar_nets[name].records)
+        row = self._vector_row(name)
+        log = self.log
+        columns = zip(
+            log.n_transmitters[:, row].tolist(),
+            log.decoded_tid[:, row].tolist(),
+            log.collision[:, row].tolist(),
+            log.acked[:, row].tolist(),
+            log.empty_flag[:, row].tolist(),
+        )
+        return [
+            SlotRecord(
+                slot=slot,
+                n_transmitters=n_tx,
+                decoded=self._names[d] if d >= 0 else None,
+                collision_detected=collision,
+                acked=acked,
+                empty_flag=empty,
             )
-        return out
+            for slot, (n_tx, d, collision, acked, empty) in enumerate(columns)
+        ]
 
     def scalar_network(self, name: str) -> SlottedNetwork:
         """The embedded sequential network behind a scalar-lane spec
@@ -544,36 +565,65 @@ class FleetEngine:
         """Fraction of activated tags currently settled, per network."""
         if name in self._scalar_nets:
             return self._scalar_nets[name].settled_fraction()
-        row = self._vec_index[name]
+        row = self._vector_row(name)
+        return self._settled_fractions(slice(row, row + 1))[0]
+
+    def _settled_fractions(self, rows: slice) -> List[float]:
+        """Settled fraction of each vector-lane network in ``rows``."""
         if self._energy:
             active = np.ones(self.n_tags, dtype=bool)
         else:
             active = self._activation <= self._slot
         n_active = int(active.sum())
-        if not n_active:
-            return 0.0
-        return int(self.tags.settled[row, active].sum()) / n_active
+        settled = self.tags.settled[rows][:, active].sum(axis=1).tolist()
+        return [count / n_active if n_active else 0.0 for count in settled]
 
     def summary(self, name: str) -> Dict[str, object]:
         """Deterministic per-network scorecard (runner result rows)."""
-        records = self.records(name)
-        decodes = sum(1 for r in records if r.decoded is not None)
-        acks = sum(1 for r in records if r.acked)
-        collisions = sum(1 for r in records if r.collision_detected)
-        idle = sum(1 for r in records if r.n_transmitters == 0)
-        return {
-            "network": name,
-            "slots": len(records),
-            "decodes": decodes,
-            "acks": acks,
-            "collisions": collisions,
-            "idle_slots": idle,
-            "settled_fraction": self.settled_fraction(name),
-        }
+        if name in self._scalar_nets:
+            net = self._scalar_nets[name]
+            records = net.records
+            values = (
+                name,
+                len(records),
+                sum(r.decoded is not None for r in records),
+                sum(r.acked for r in records),
+                sum(r.collision_detected for r in records),
+                sum(r.n_transmitters == 0 for r in records),
+                net.settled_fraction(),
+            )
+            return dict(zip(self.SUMMARY_KEYS, values))
+        row = self._vector_row(name)
+        return self._vector_summaries(slice(row, row + 1))[0]
+
+    def _vector_summaries(self, rows: slice) -> List[Dict[str, object]]:
+        """Scorecards of the vector-lane networks in ``rows``: each
+        tally is one reduction over their slot-log columns."""
+        log = self.log
+        tallies = (
+            (log.decoded_tid[:, rows] >= 0).sum(axis=0),
+            log.acked[:, rows].sum(axis=0),
+            log.collision[:, rows].sum(axis=0),
+            (log.n_transmitters[:, rows] == 0).sum(axis=0),
+        )
+        return [
+            dict(zip(self.SUMMARY_KEYS, (name, len(log), *values)))
+            for name, *values in zip(
+                self._vec_names[rows],
+                *(t.tolist() for t in tallies),
+                self._settled_fractions(rows),
+            )
+        ]
 
     def summaries(self) -> List[Dict[str, object]]:
         """Scorecards for every network, in spec order."""
-        return [self.summary(spec.name) for spec in self.specs]
+        vector = {}
+        if self.n_vector:
+            vector = dict(zip(self._vec_names, self._vector_summaries(slice(None))))
+        return [
+            vector[spec.name] if spec.name in vector else self.summary(spec.name)
+            for spec in self.specs
+        ]
 
     def aggregate_tag_slots(self) -> int:
         """Total (network x tag x slot) work units stepped so far."""

@@ -114,8 +114,6 @@ class BatchReader:
         ack = self.pending_ack.copy()
         reset = self.pending_reset.copy()
         if reset.any():
-            # Reassign rather than mutate: the previous slot's ACK row
-            # is shared with the engine's slot log.
             self.pending_reset = self.pending_reset & ~reset
             self.pending_ack = self.pending_ack & ~reset
             self.appeared[reset] = False

@@ -11,7 +11,7 @@ the same sorted-name order the sequential simulator assigns tids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
@@ -97,21 +97,35 @@ class TagArrays:
         )
 
 
-@dataclass
 class SlotLog:
     """Columnar per-slot log for the vector lane.
 
-    One entry per (network, slot), append-only; materialised back into
+    One row per slot, one column per vector-lane network, append-only.
+    Each field reads back as a read-only ``(slots, N)`` array, so a
+    per-network tally is one column reduction; the engine materialises
     the sequential tier's :class:`~repro.core.reader_protocol.SlotRecord`
-    lists on demand (the differential suite compares those lists
-    byte-for-byte against N sequential runs).
+    lists from the same columns on demand (the differential suite
+    compares those lists byte-for-byte against N sequential runs).
+
+    Storage is one ``(capacity, N)`` array per field, doubled when full,
+    so appending a slot copies its rows in amortised O(N).
     """
 
-    n_transmitters: list = field(default_factory=list)
-    decoded_tid: list = field(default_factory=list)
-    collision: list = field(default_factory=list)
-    acked: list = field(default_factory=list)
-    empty_flag: list = field(default_factory=list)
+    FIELDS = (
+        ("n_transmitters", np.int64),
+        ("decoded_tid", np.int64),
+        ("collision", bool),
+        ("acked", bool),
+        ("empty_flag", bool),
+    )
+    INITIAL_CAPACITY = 64
+
+    def __init__(self, n_networks: int) -> None:
+        self._len = 0
+        self._columns = {
+            name: np.zeros((self.INITIAL_CAPACITY, n_networks), dtype=dtype)
+            for name, dtype in self.FIELDS
+        }
 
     def append_slot(
         self,
@@ -121,11 +135,39 @@ class SlotLog:
         acked: np.ndarray,
         empty_flag: np.ndarray,
     ) -> None:
-        self.n_transmitters.append(n_transmitters)
-        self.decoded_tid.append(decoded_tid)
-        self.collision.append(collision)
-        self.acked.append(acked)
-        self.empty_flag.append(empty_flag)
+        values = (n_transmitters, decoded_tid, collision, acked, empty_flag)
+        for (name, _), value in zip(self.FIELDS, values):
+            column = self._columns[name]
+            if self._len == len(column):
+                column = np.concatenate((column, np.zeros_like(column)))
+                self._columns[name] = column
+            column[self._len] = value
+        self._len += 1
+
+    def _view(self, name: str) -> np.ndarray:
+        view = self._columns[name][: self._len]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def n_transmitters(self) -> np.ndarray:
+        return self._view("n_transmitters")
+
+    @property
+    def decoded_tid(self) -> np.ndarray:
+        return self._view("decoded_tid")
+
+    @property
+    def collision(self) -> np.ndarray:
+        return self._view("collision")
+
+    @property
+    def acked(self) -> np.ndarray:
+        return self._view("acked")
+
+    @property
+    def empty_flag(self) -> np.ndarray:
+        return self._view("empty_flag")
 
     def __len__(self) -> int:
-        return len(self.n_transmitters)
+        return self._len

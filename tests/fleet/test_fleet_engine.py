@@ -2,17 +2,34 @@
 
 import numpy as np
 import pytest
+from fleet.oracles import summary_from_records
 
-from repro.core.network import NetworkConfig
+from repro.core.energy_network import EnergyAwareNetwork
+from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.fleet import (
     FleetEngine,
     FleetSpec,
     OffsetBank,
+    SlotLog,
     UniformBank,
     specs_for_seeds,
 )
 
 PERIODS = {"tag1": 4, "tag2": 8, "tag3": 8}
+
+
+def fault_schedule():
+    from repro.faults.schedule import FaultEvent, FaultSchedule
+
+    return FaultSchedule(
+        [
+            FaultEvent(
+                slot=10, duration=15, kind="beacon_loss", target="tag1", magnitude=0.5
+            ),
+            FaultEvent(slot=40, duration=5, kind="brownout", target="tag3"),
+            FaultEvent(slot=70, duration=1, kind="reader_restart"),
+        ]
+    )
 
 
 class TestUniformBank:
@@ -110,6 +127,39 @@ class TestFleetSpec:
         assert not FleetSpec(name="x", seed=0, faults=schedule).vectorizable
 
 
+class TestSlotLog:
+    def test_columns_read_back_every_row_across_growth(self):
+        n_slots = 2 * SlotLog.INITIAL_CAPACITY + 3
+        rng = np.random.default_rng(0)
+        rows = [
+            (
+                rng.integers(0, 4, 5),
+                rng.integers(-1, 3, 5),
+                rng.random(5) < 0.5,
+                rng.random(5) < 0.5,
+                rng.random(5) < 0.5,
+            )
+            for _ in range(n_slots)
+        ]
+        log = SlotLog(5)
+        for row in rows:
+            log.append_slot(*row)
+        assert len(log) == n_slots
+        for k, (name, dtype) in enumerate(SlotLog.FIELDS):
+            column = getattr(log, name)
+            assert column.dtype == dtype
+            assert (column == np.stack([row[k] for row in rows])).all()
+
+    def test_columns_are_read_only_and_copy_their_rows(self):
+        log = SlotLog(2)
+        acked = np.array([True, False])
+        log.append_slot(np.zeros(2), np.full(2, -1), acked, acked, acked)
+        acked[:] = False
+        assert log.acked.tolist() == [[True, False]]
+        with pytest.raises(ValueError):
+            log.acked[0, 0] = False
+
+
 class TestFleetEngineValidation:
     def test_rejects_duplicate_names(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -193,3 +243,112 @@ class TestFleetEngineQueries:
         assert total("mac.slots") == 2 * 80
         assert total("mac.decodes") == decodes
         assert total("mac.collisions") == collisions
+
+    def test_records_are_fresh_lists_on_both_lanes(self):
+        specs = [
+            FleetSpec(name="v", seed=0),
+            FleetSpec(name="f", seed=1, faults=fault_schedule()),
+        ]
+        engine = FleetEngine(PERIODS, specs)
+        engine.run(20)
+        for name in ("v", "f"):
+            engine.records(name).clear()
+            assert len(engine.records(name)) == 20
+            assert engine.summary(name)["slots"] == 20
+
+    @pytest.mark.parametrize("query", ["records", "summary", "settled_fraction"])
+    def test_unknown_network_raises_one_message(self, query):
+        engine = FleetEngine(PERIODS, specs_for_seeds([0]))
+        with pytest.raises(KeyError, match="unknown network 'nope'"):
+            getattr(engine, query)("nope")
+
+
+class TestSummaryOracle:
+    """``summaries()`` and ``summary(name)`` equal tallies over a
+    sequential twin's records plus its ``settled_fraction()``."""
+
+    SEEDS = [3, 1, 2]
+
+    @staticmethod
+    def _check(engine, twins):
+        expected = [summary_from_records(name, net) for name, net in twins]
+        assert engine.summaries() == expected
+        assert [engine.summary(name) for name, _ in twins] == expected
+
+    @pytest.mark.parametrize("n_slots", [0, 1, 63, 64, 65, 131])
+    def test_slot_counts_across_log_growth(self, n_slots):
+        engine = FleetEngine(PERIODS, specs_for_seeds(self.SEEDS))
+        engine.run(n_slots)
+        twins = []
+        for spec in engine.specs:
+            net = SlottedNetwork(PERIODS, config=NetworkConfig(seed=spec.seed))
+            net.run(n_slots)
+            twins.append((spec.name, net))
+        self._check(engine, twins)
+
+    def test_mixed_fleet_with_faulted_and_supervised_specs(self):
+        from repro.resilience import NetworkSupervisor
+
+        specs = [
+            FleetSpec(name="plain0", seed=3),
+            FleetSpec(name="faulted", seed=1, faults=fault_schedule()),
+            FleetSpec(name="plain1", seed=2),
+            FleetSpec(name="supervised", seed=3, supervisor_factory=NetworkSupervisor),
+        ]
+        engine = FleetEngine(PERIODS, specs)
+        engine.run(131)
+        plain0 = SlottedNetwork(PERIODS, config=NetworkConfig(seed=3))
+        faulted = SlottedNetwork(
+            PERIODS, config=NetworkConfig(seed=1), faults=fault_schedule()
+        )
+        plain1 = SlottedNetwork(PERIODS, config=NetworkConfig(seed=2))
+        supervised = NetworkSupervisor(
+            SlottedNetwork(PERIODS, config=NetworkConfig(seed=3))
+        )
+        for stepper in (plain0, faulted, plain1, supervised):
+            stepper.run(131)
+        twins = [
+            ("plain0", plain0),
+            ("faulted", faulted),
+            ("plain1", plain1),
+            ("supervised", supervised.network),
+        ]
+        self._check(engine, twins)
+
+    def test_energy_mode(self):
+        specs = specs_for_seeds(self.SEEDS) + [
+            FleetSpec(name="faulted", seed=4, faults=fault_schedule())
+        ]
+        engine = FleetEngine(PERIODS, specs, energy=True)
+        engine.run(131)
+        twins = []
+        for spec in specs:
+            net = EnergyAwareNetwork(
+                PERIODS, config=NetworkConfig(seed=spec.seed), faults=spec.faults
+            )
+            net.run(131)
+            twins.append((spec.name, net))
+        self._check(engine, twins)
+
+    def test_staggered_activation(self):
+        activation = {"tag1": 10, "tag2": 30, "tag3": 90}
+        engine = FleetEngine(
+            PERIODS, specs_for_seeds(self.SEEDS), activation_slot=activation
+        )
+        twins = [
+            (
+                spec.name,
+                SlottedNetwork(
+                    PERIODS,
+                    config=NetworkConfig(seed=spec.seed),
+                    activation_slot=activation,
+                ),
+            )
+            for spec in engine.specs
+        ]
+        # Before, between and after the activations.
+        for n_slots in (5, 20, 45, 131):
+            engine.run(n_slots - engine.slots_elapsed)
+            for _, net in twins:
+                net.run(n_slots - len(net.records))
+            self._check(engine, twins)

@@ -4,6 +4,7 @@ import json
 import os
 
 import pytest
+from fleet.oracles import summary_from_records
 
 from repro.experiments.runner import (
     FleetRunner,
@@ -42,17 +43,16 @@ class TestShardingInvariance:
         assert doc_bytes(doc) == doc_bytes(reference_doc)
 
     def test_rows_match_direct_engine_summaries(self, reference_doc):
-        from repro.fleet import FleetEngine, specs_for_seeds
+        """Each row equals the tally over a sequential network's records
+        for the same seed."""
+        from repro.core.network import NetworkConfig, SlottedNetwork
 
-        engine = FleetEngine(PERIODS, specs_for_seeds(SEEDS))
-        for _ in range(SLOTS):
-            engine.step_all()
-        for row, summary in zip(
-            reference_doc["networks"], engine.summaries()
-        ):
-            for key in ("decodes", "acks", "collisions", "idle_slots"):
-                assert row[key] == summary[key]
-            assert row["settled_fraction"] == summary["settled_fraction"]
+        for row, seed in zip(reference_doc["networks"], SEEDS):
+            net = SlottedNetwork(PERIODS, config=NetworkConfig(seed=seed))
+            net.run(SLOTS)
+            expected = summary_from_records(row["network"], net)
+            expected["seed"] = seed
+            assert row == expected
 
     def test_telemetry_signature_stable_across_grouping(self):
         serial = FleetRunner(PERIODS, SEEDS[:8], 100, shard_size=3).run(
@@ -108,6 +108,39 @@ class TestCheckpointing:
     def test_resume_without_checkpoint_path_rejected(self):
         with pytest.raises(ResultsError, match="resume"):
             FleetRunner(PERIODS, SEEDS, SLOTS).run(resume=True)
+
+
+class TestLargeSeeds:
+    """Seeds that float64 rows cannot hold come back exact."""
+
+    SEEDS = [2**53 + 1, 2**63 - 1, 5]
+
+    @pytest.mark.parametrize("path", ["serial", "shm", "resume"])
+    def test_document_reports_exact_seeds(self, tmp_path, path):
+        runner = FleetRunner(PERIODS, self.SEEDS, 30, shard_size=2)
+        if path == "serial":
+            doc = runner.run()
+        elif path == "shm":
+            doc = runner.run(jobs=2, use_shm=True)
+        else:
+            ckpt = str(tmp_path / "fleet.ckpt")
+            index, offset, names, seeds = runner.shards()[0]
+            _, rows, _, _ = _run_fleet_shard(
+                index,
+                sorted(PERIODS.items()),
+                names,
+                seeds,
+                30,
+                None,
+                False,
+                False,
+                None,
+                offset,
+                runner.n_networks,
+            )
+            runner._write_fleet_checkpoint(ckpt, {str(index): rows}, {})
+            doc = runner.run(checkpoint=ckpt, resume=True)
+        assert [n["seed"] for n in doc["networks"]] == self.SEEDS
 
 
 class TestValidation:

@@ -17,8 +17,8 @@ Two formats are understood, picked automatically:
   differ — cross-backend numbers are not comparable);
 * ``bench-fleet/1`` throughput snapshots (from
   ``tools/bench_smoke.py --fleet-only``) — compares the batch engine's
-  aggregate tag-slots/s per fleet width (plus the sequential baseline),
-  higher is better.
+  aggregate tag-slots/s per fleet width (plus the sequential baseline
+  and the serial ``FleetRunner`` sweep), higher is better.
 
 Either way the tool exits non-zero if any shared entry regressed by
 more than ``--threshold`` (default 1.25, i.e. 25% slower).  Use the
@@ -57,6 +57,8 @@ def load_fleet_rates(doc: dict) -> Dict[str, float]:
     rates: Dict[str, float] = {}
     if "sequential_tag_slots_per_s" in doc:
         rates["sequential"] = float(doc["sequential_tag_slots_per_s"])
+    if "sweep_tag_slots_per_s" in doc:
+        rates["sweep"] = float(doc["sweep_tag_slots_per_s"])
     for size, entry in doc.get("fleet", {}).items():
         if "tag_slots_per_s" in entry:
             rates[f"fleet N={int(size):>5d}"] = float(entry["tag_slots_per_s"])

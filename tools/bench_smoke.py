@@ -83,12 +83,16 @@ KERNELS_OFF_REPEATS = 3
 
 # Fleet-tier throughput snapshot: aggregate (network x tag x slot) work
 # units per second for the batch engine at each fleet width, plus the
-# sequential single-network rate the speedups are measured against.
+# sequential single-network rate the speedups are measured against,
+# plus one serial FleetRunner sweep: stepping is only part of a sweep,
+# which also builds engines and reduces their slot logs to summaries.
 # The committed baseline lives at benchmarks/BENCH_fleet.json.
 FLEET_WARMUP_SLOTS = 32
 FLEET_TIMED_SLOTS = 256
 FLEET_SIZES = (16, 128, 1024)
 FLEET_SEQUENTIAL_SLOTS = 2000
+FLEET_SWEEP_NETWORKS = 256
+FLEET_SWEEP_SLOTS = 512
 FLEET_SNAPSHOT_SCHEMA = "bench-fleet/1"
 
 
@@ -407,12 +411,15 @@ def fleet_snapshot(out_path: str) -> None:
     channel), warm it up, then time ``FLEET_TIMED_SLOTS`` vectorised
     steps.  The sequential leg times one ``SlottedNetwork`` with the
     same topology and channel so the snapshot carries the speedup each
-    width buys.
+    width buys.  The sweep leg times a serial ``FleetRunner`` over
+    ``FLEET_SWEEP_NETWORKS`` seeds x ``FLEET_SWEEP_SLOTS`` slots in one
+    shard: the delivered rate of ``repro fleet``, results included.
     """
     sys.path.insert(0, os.path.join(repo_root(), "src"))
     import json
 
     from repro.core.network import NetworkConfig, SlottedNetwork
+    from repro.experiments.runner import FleetRunner
     from repro.fleet import FleetEngine, specs_for_seeds
 
     periods = {f"tag{i}": p for i, p in enumerate((4, 8, 8, 16, 16, 32), start=1)}
@@ -438,6 +445,19 @@ def fleet_snapshot(out_path: str) -> None:
             "speedup_vs_sequential": rate / sequential,
         }
 
+    runner = FleetRunner(
+        periods,
+        list(range(FLEET_SWEEP_NETWORKS)),
+        FLEET_SWEEP_SLOTS,
+        shard_size=FLEET_SWEEP_NETWORKS,
+    )
+    start = time.perf_counter()
+    runner.run()
+    sweep = (
+        FLEET_SWEEP_NETWORKS * FLEET_SWEEP_SLOTS * n_tags
+        / (time.perf_counter() - start)
+    )
+
     snapshot = {
         "schema": FLEET_SNAPSHOT_SCHEMA,
         "warmup_slots": FLEET_WARMUP_SLOTS,
@@ -445,6 +465,9 @@ def fleet_snapshot(out_path: str) -> None:
         "n_tags": n_tags,
         "sequential_tag_slots_per_s": sequential,
         "fleet": fleet,
+        "sweep_networks": FLEET_SWEEP_NETWORKS,
+        "sweep_slots": FLEET_SWEEP_SLOTS,
+        "sweep_tag_slots_per_s": sweep,
     }
     with open(out_path, "w") as fh:
         json.dump(snapshot, fh, indent=2, sort_keys=True)
@@ -454,7 +477,10 @@ def fleet_snapshot(out_path: str) -> None:
         f"(x{fleet[str(size)]['speedup_vs_sequential']:.1f})"
         for size in FLEET_SIZES
     )
-    print(f"fleet snapshot: sequential {sequential:.0f} tag-slots/s; {curve}")
+    print(
+        f"fleet snapshot: sequential {sequential:.0f} tag-slots/s; {curve}; "
+        f"sweep {sweep:.0f} tag-slots/s"
+    )
     print(f"wrote {out_path}")
 
 
