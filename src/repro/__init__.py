@@ -59,7 +59,7 @@ from repro.phy import (
     pie_encode,
 )
 
-__version__ = "1.13.0"
+__version__ = "1.14.0"
 
 __all__ = [
     "AlohaResult",

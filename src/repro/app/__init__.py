@@ -1,10 +1,9 @@
 """Application layer: structural-health monitoring on top of the
-backscatter network, plus the shared-memory result seam the fleet
-runner publishes through."""
+backscatter network (``repro.app.shm``: SHM is structural-health
+monitoring)."""
 
 from repro.app.shm import (
     Alarm,
-    FleetResultBuffer,
     AlarmKind,
     Report,
     ShmMonitor,
@@ -14,7 +13,6 @@ from repro.app.shm import (
 
 __all__ = [
     "Alarm",
-    "FleetResultBuffer",
     "AlarmKind",
     "Report",
     "ShmMonitor",

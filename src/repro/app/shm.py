@@ -14,21 +14,12 @@ packets into those answers:
   (a settled tag that stops reporting is itself an alarm: it browned
   out, fell off, or its mount failed), threshold alarms, and trend
   (aging-rate) estimation.
-
-The module name is deliberately double-booked: ``shm`` is also where
-the *shared-memory* result seam lives.  :class:`FleetResultBuffer`
-backs the fleet runner's process pool with one POSIX shared-memory
-segment of per-network summary rows, so workers publish results by
-writing float64 rows in place instead of pickling them back through
-the executor.
 """
 
 from __future__ import annotations
 
 import enum
-import secrets
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -247,121 +238,3 @@ class ShmMonitor:
             }
         return out
 
-
-# -- shared-memory fleet result seam ----------------------------------------
-
-
-class FleetResultBuffer:
-    """A shared-memory matrix of per-network fleet summary rows.
-
-    The creating process owns the segment (and must eventually
-    :meth:`unlink` it); pool workers :meth:`attach` by name, write
-    their shard's rows through the zero-copy :attr:`rows` view, and
-    :meth:`close` their mapping.  Both ``close`` and ``unlink`` are
-    idempotent, so ``with``-blocks, explicit teardown, and error paths
-    can overlap without double-free errors.
-    """
-
-    #: One float64 per column per network, in this order.
-    COLUMNS = (
-        "seed",
-        "slots",
-        "decodes",
-        "acks",
-        "collisions",
-        "idle_slots",
-        "settled_fraction",
-    )
-
-    def __init__(
-        self, n_rows: int, *, name: Optional[str] = None, _create: bool = True
-    ) -> None:
-        if n_rows <= 0:
-            raise ValueError("buffer needs at least one row")
-        self.n_rows = int(n_rows)
-        nbytes = self.n_rows * len(self.COLUMNS) * np.dtype(np.float64).itemsize
-        if _create:
-            name = name or f"repro-fleet-{secrets.token_hex(6)}"
-            self._shm = shared_memory.SharedMemory(
-                name=name, create=True, size=nbytes
-            )
-        else:
-            assert name is not None
-            self._shm = shared_memory.SharedMemory(name=name, create=False)
-            if self._shm.size < nbytes:
-                self._shm.close()
-                raise ValueError(
-                    f"segment {name!r} holds {self._shm.size} bytes; "
-                    f"{n_rows} rows need {nbytes}"
-                )
-        self._owner = _create
-        self._closed = False
-        self._rows: Optional[np.ndarray] = np.ndarray(
-            (self.n_rows, len(self.COLUMNS)),
-            dtype=np.float64,
-            buffer=self._shm.buf,
-        )
-        if _create:
-            self._rows.fill(np.nan)
-
-    @classmethod
-    def attach(cls, name: str, n_rows: int) -> "FleetResultBuffer":
-        """Map an existing segment created by another process."""
-        return cls(n_rows, name=name, _create=False)
-
-    @property
-    def name(self) -> str:
-        """The segment name workers attach by."""
-        return self._shm.name
-
-    @property
-    def rows(self) -> np.ndarray:
-        """The live ``(n_rows, len(COLUMNS))`` float64 view."""
-        if self._closed:
-            raise ValueError("buffer is closed")
-        assert self._rows is not None
-        return self._rows
-
-    def write_rows(self, start: int, values: np.ndarray) -> None:
-        """Publish a shard's rows at row offset ``start``."""
-        block = np.asarray(values, dtype=np.float64)
-        if block.ndim != 2 or block.shape[1] != len(self.COLUMNS):
-            raise ValueError(
-                f"expected (k, {len(self.COLUMNS)}) rows, got {block.shape}"
-            )
-        if start < 0 or start + block.shape[0] > self.n_rows:
-            raise ValueError(
-                f"rows [{start}, {start + block.shape[0]}) fall outside "
-                f"a {self.n_rows}-row buffer"
-            )
-        self.rows[start : start + block.shape[0]] = block
-
-    def read_rows(self, start: int, count: int) -> np.ndarray:
-        """An owned copy of ``count`` rows starting at ``start``."""
-        return np.array(self.rows[start : start + count])
-
-    def close(self) -> None:
-        """Drop this process's mapping.  Safe to call repeatedly."""
-        if self._closed:
-            return
-        self._closed = True
-        self._rows = None  # release the exported buffer before unmapping
-        self._shm.close()
-
-    def unlink(self) -> None:
-        """Destroy the segment (owner only).  Safe to call repeatedly."""
-        if not self._owner:
-            return
-        self._owner = False
-        try:
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def __enter__(self) -> "FleetResultBuffer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-        if self._owner:
-            self.unlink()

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, List
+from typing import Any, Callable, Dict, List, Tuple
 
 
 def _run_table1(args: argparse.Namespace) -> str:
@@ -102,10 +102,18 @@ def _run_fig19(args: argparse.Namespace) -> str:
     return format_fig19(run_fig19(seed=args.seed))
 
 
-def _run_results(args: argparse.Namespace) -> str:
-    import json
+def _run_checkpointed(
+    args: argparse.Namespace, run: Callable[..., dict], **kwargs: Any
+) -> Tuple[dict, int]:
+    """Call a runner ('results', 'fleet') with the shared job flags.
 
-    from repro.experiments.runner import ResultsError, collect_results, default_jobs
+    ``run`` gets the worker count from ``--serial``/``--jobs``, the
+    checkpoint from ``--checkpoint``/``--out``, ``--resume``,
+    ``--timeout``, ``--max-retries`` and ``kwargs``.  A runner failure
+    or an interrupt exits with one line instead of a traceback.
+    Returns the document and the worker count.
+    """
+    from repro.experiments.runner import ResultsError, default_jobs
 
     if args.serial:
         jobs = 1
@@ -118,6 +126,38 @@ def _run_results(args: argparse.Namespace) -> str:
         checkpoint = f"{args.out}.ckpt"
     if args.resume and checkpoint is None:
         raise SystemExit("error: --resume needs --checkpoint or --out")
+    try:
+        document = run(
+            jobs=jobs,
+            checkpoint=checkpoint,
+            resume=args.resume,
+            timeout=args.timeout,
+            max_retries=args.max_retries,
+            **kwargs,
+        )
+    except ResultsError as exc:
+        raise SystemExit(f"error: {exc}")
+    except KeyboardInterrupt:
+        hint = ""
+        if checkpoint:
+            hint = f"; resume with --resume --checkpoint {checkpoint}"
+        raise SystemExit(f"interrupted{hint}")
+    return document, jobs
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text + "\n")
+    except OSError as exc:
+        raise SystemExit(f"error: cannot write {path}: {exc}")
+
+
+def _run_results(args: argparse.Namespace) -> str:
+    import json
+
+    from repro.experiments.runner import collect_results
+
     telemetry = args.telemetry or args.telemetry_jsonl is not None
     profile_dir = None
     if args.profile:
@@ -128,26 +168,15 @@ def _run_results(args: argparse.Namespace) -> str:
         anchor = args.telemetry_jsonl or args.out
         base = os.path.dirname(anchor) if anchor else "."
         profile_dir = os.path.join(base or ".", "profile")
-    try:
-        results = collect_results(
-            seed=args.seed,
-            quick=not args.full,
-            jobs=jobs,
-            perf=args.perf,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            telemetry=telemetry,
-            profile_dir=profile_dir,
-        )
-    except ResultsError as exc:
-        raise SystemExit(f"error: {exc}")
-    except KeyboardInterrupt:
-        hint = ""
-        if checkpoint:
-            hint = f"; resume with --resume --checkpoint {checkpoint}"
-        raise SystemExit(f"interrupted{hint}")
+    results, jobs = _run_checkpointed(
+        args,
+        collect_results,
+        seed=args.seed,
+        quick=not args.full,
+        perf=args.perf,
+        telemetry=telemetry,
+        profile_dir=profile_dir,
+    )
     if args.telemetry_jsonl:
         from repro.telemetry import MetricsSnapshot, write_jsonl
 
@@ -162,11 +191,7 @@ def _run_results(args: argparse.Namespace) -> str:
             )
     text = json.dumps(results, indent=2, sort_keys=True)
     if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        except OSError as exc:
-            raise SystemExit(f"error: cannot write {args.out}: {exc}")
+        _write_text(args.out, text)
         return f"wrote {args.out} ({jobs} job{'s' if jobs != 1 else ''})"
     return text
 
@@ -352,39 +377,23 @@ def _run_resilience(args: argparse.Namespace) -> str:
 def _run_fleet(args: argparse.Namespace) -> str:
     import json
 
-    from repro.experiments.runner import FleetRunner, default_jobs
+    from repro.experiments.runner import FleetRunner
     from repro.faults.scenarios import SCENARIO_PERIODS
 
-    if args.serial:
-        jobs = 1
-    elif args.jobs is not None:
-        jobs = args.jobs
-    else:
-        jobs = default_jobs()
-    checkpoint = args.checkpoint
-    if checkpoint is None and args.out:
-        checkpoint = f"{args.out}.ckpt"
-    if args.resume and checkpoint is None:
-        raise SystemExit("error: --resume needs --checkpoint or --out")
-    runner = FleetRunner(
-        SCENARIO_PERIODS,
-        seeds=list(range(args.seed, args.seed + args.fleet_size)),
-        n_slots=args.slots,
-        shard_size=args.shard_size,
-    )
-    document = runner.run(
-        jobs=jobs,
-        telemetry=args.telemetry,
-        use_shm=args.shm,
-        checkpoint=checkpoint,
-        resume=args.resume,
-        timeout=args.timeout,
-        max_retries=args.max_retries,
-    )
+    # Built inside the runner call, so a bad --fleet-size, --slots or
+    # --shard-size is reported like any other runner error.
+    def run(**knobs: Any) -> dict:
+        return FleetRunner(
+            SCENARIO_PERIODS,
+            seeds=list(range(args.seed, args.seed + args.fleet_size)),
+            n_slots=args.slots,
+            shard_size=args.shard_size,
+        ).run(**knobs)
+
+    document, _ = _run_checkpointed(args, run, telemetry=args.telemetry)
     payload = json.dumps(document, indent=2, sort_keys=True)
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
+        _write_text(args.out, payload)
         agg = document["aggregate"]
         return (
             f"fleet sweep: {document['n_networks']} networks x "
@@ -455,13 +464,13 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="('results') fan experiments out over N processes "
+        help="('results'/'fleet') fan jobs out over N processes "
         "(default: one per CPU)",
     )
     parser.add_argument(
         "--serial",
         action="store_true",
-        help="('results') force serial execution, overriding --jobs",
+        help="('results'/'fleet') force serial execution, overriding --jobs",
     )
     parser.add_argument(
         "--full",
@@ -477,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--slots",
         type=int,
         default=2000,
-        help="('faults'/'resilience') number of slots to simulate",
+        help="('faults'/'resilience'/'fleet') number of slots to simulate",
     )
     parser.add_argument(
         "--n-faults",
@@ -500,12 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="('fleet') networks per batch-engine shard",
     )
     parser.add_argument(
-        "--shm",
-        action="store_true",
-        help="('fleet') publish result rows through a shared-memory "
-        "segment instead of pickling them back from the pool",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         metavar="PATH",
@@ -516,30 +519,30 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="S",
-        help="('results') per-experiment wall-clock bound in seconds",
+        help="('results'/'fleet') per-job wall-clock bound in seconds",
     )
     parser.add_argument(
         "--max-retries",
         type=int,
         default=1,
         metavar="N",
-        help="('results') extra attempts for a failed experiment",
+        help="('results'/'fleet') extra attempts for a failed job",
     )
     parser.add_argument(
         "--checkpoint",
         default=None,
         metavar="PATH",
-        help="('results') checkpoint file (default: <--out>.ckpt)",
+        help="('results'/'fleet') checkpoint file (default: <--out>.ckpt)",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="('results') preload the checkpoint, run only missing experiments",
+        help="('results'/'fleet') preload the checkpoint, run only missing jobs",
     )
     parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="('results') collect metrics in every experiment and embed "
+        help="('results'/'fleet') collect metrics in every job and embed "
         "the merged, signed telemetry snapshot",
     )
     parser.add_argument(

@@ -26,6 +26,10 @@ is byte-identical to an uninterrupted one.  A crashed worker pool
 serial re-execution of the incomplete jobs instead of losing the
 finished ones, and each job gets a bounded number of retries and an
 optional wall-clock timeout.
+
+:class:`FleetRunner` sweeps run on the same job loop, so seed sweeps
+and the results document share one checkpoint format, one retry and
+timeout policy, one pool fallback and one telemetry merge.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.channel.medium import AcousticMedium
 
@@ -53,7 +57,8 @@ QUICK_ALOHA_S, FULL_ALOHA_S = 4000.0, 10_000.0
 
 
 class ResultsError(RuntimeError):
-    """A job failed past its retry budget, or a checkpoint mismatched."""
+    """A job failed past its retry budget, or a checkpoint mismatched or
+    could not be read or written."""
 
 
 class _JobTimeout(Exception):
@@ -205,70 +210,70 @@ EXPERIMENT_JOBS: List[Tuple[str, Callable[..., Dict[str, Any]]]] = [
 _JOBS_BY_NAME = dict(EXPERIMENT_JOBS)
 
 
-def _execute_job(
-    name: str,
-    medium: AcousticMedium,
-    seed: int,
-    quick: bool,
+def _experiment(
+    name: str, medium: AcousticMedium, seed: int, quick: bool
+) -> Dict[str, Any]:
+    """Run the experiment job registered under ``name``.
+
+    The job is looked up when it runs, inside the worker: tests patch
+    ``_JOBS_BY_NAME``, and a name can be pickled where a closure cannot.
+    """
+    return _JOBS_BY_NAME[name](medium, seed, quick)
+
+
+def _profiled_execute(
+    key: str,
+    fn: Callable[..., Any],
+    args: Tuple[Any, ...],
     with_telemetry: bool,
-) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-    """Run one experiment, optionally under a fresh telemetry registry.
+    profile_dir: Optional[str],
+) -> Tuple[Any, Optional[Dict[str, Any]]]:
+    """Run one job, optionally under a fresh telemetry registry and
+    under cProfile.
 
     Every job gets its *own* registry (via ``telemetry.collecting``), on
     the serial path exactly as in a pool worker — a reused worker
     process never leaks one job's tallies into the next, and the merged
     document is byte-identical whichever way the jobs were executed.
-    """
-    if not with_telemetry:
-        return _JOBS_BY_NAME[name](medium, seed, quick), None
-    from repro import telemetry
-
-    with telemetry.collecting() as registry:
-        fragment = _JOBS_BY_NAME[name](medium, seed, quick)
-    return fragment, registry.snapshot().to_jsonable()
-
-
-def _profiled_execute(
-    name: str,
-    medium: AcousticMedium,
-    seed: int,
-    quick: bool,
-    with_telemetry: bool,
-    profile_dir: Optional[str],
-) -> Tuple[Dict[str, Any], Optional[Dict[str, Any]]]:
-    """Run one job, optionally under cProfile.
 
     With ``profile_dir`` set, the job executes inside its own
     :class:`cProfile.Profile` and the raw stats land in
-    ``<profile_dir>/<name>.pstats`` (one file per experiment; pool
-    workers write theirs independently).  Inspect with
-    ``python -m pstats`` or ``snakeviz``.
+    ``<profile_dir>/<key>.pstats`` (one file per job; pool workers
+    write theirs independently).  Inspect with ``python -m pstats`` or
+    ``snakeviz``.
     """
-    if not profile_dir:
-        return _execute_job(name, medium, seed, quick, with_telemetry)
-    import cProfile
+    profiler = None
+    if profile_dir:
+        import cProfile
 
-    profiler = cProfile.Profile()
-    profiler.enable()
+        profiler = cProfile.Profile()
+        profiler.enable()
     try:
-        return _execute_job(name, medium, seed, quick, with_telemetry)
+        if not with_telemetry:
+            return fn(*args), None
+        from repro import telemetry
+
+        with telemetry.collecting() as registry:
+            fragment = fn(*args)
+        return fragment, registry.snapshot().to_jsonable()
     finally:
-        profiler.disable()
-        os.makedirs(profile_dir, exist_ok=True)
-        profiler.dump_stats(os.path.join(profile_dir, f"{name}.pstats"))
+        if profiler is not None:
+            profiler.disable()
+            os.makedirs(profile_dir, exist_ok=True)
+            profiler.dump_stats(os.path.join(profile_dir, f"{key}.pstats"))
 
 
 def _run_job(
-    name: str,
-    medium: AcousticMedium,
-    seed: int,
-    quick: bool,
-    with_telemetry: bool = False,
-    with_perf: bool = False,
-    profile_dir: Optional[str] = None,
-) -> Tuple[str, Dict[str, Any], float, Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
-    """Pool entry point: run one experiment, return its fragment, wall
-    time, and (optionally) its telemetry snapshot and perf report."""
+    key: str,
+    fn: Callable[..., Any],
+    args: Tuple[Any, ...],
+    with_telemetry: bool,
+    with_perf: bool,
+    profile_dir: Optional[str],
+) -> Tuple[Any, float, Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+    """Run one job (the pool entry point, and the serial path's call):
+    returns its fragment, wall time, and (optionally) its telemetry
+    snapshot and perf report."""
     if with_perf:
         # Fresh per-job slate: pool workers are reused across jobs, and
         # without the reset a shipped report would double-count earlier
@@ -277,14 +282,12 @@ def _run_job(
 
         perf_mod.reset()
     start = time.perf_counter()
-    fragment, tel = _profiled_execute(
-        name, medium, seed, quick, with_telemetry, profile_dir
-    )
+    fragment, tel = _profiled_execute(key, fn, args, with_telemetry, profile_dir)
     elapsed = time.perf_counter() - start
     perf_report = None
     if with_perf:
         perf_report = perf_mod.report()
-    return name, fragment, elapsed, tel, perf_report
+    return fragment, elapsed, tel, perf_report
 
 
 def default_jobs() -> int:
@@ -297,65 +300,67 @@ def default_jobs() -> int:
 _CHECKPOINT_VERSION = 1
 
 
-def _atomic_json_dump(path: str, payload: Dict[str, Any]) -> None:
-    """Write ``payload`` atomically (tmp file + fsync + rename): a kill
-    at any instant leaves either the previous file or the new one,
-    never a torn one."""
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        json.dump(payload, fh, sort_keys=True)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
-
-
 def _write_checkpoint(
     path: str,
-    seed: int,
-    quick: bool,
-    fragments: Dict[str, Dict[str, Any]],
+    identity: Dict[str, Any],
+    fragments: Dict[str, Any],
     timings: Dict[str, float],
     telemetry_fragments: Optional[Dict[str, Dict[str, Any]]] = None,
 ) -> None:
-    """Persist completed fragments atomically."""
+    """Persist completed fragments, stamped with the run's identity (the
+    parameters every fragment is a pure function of).
+
+    The write is atomic (tmp file + fsync + rename): a kill at any
+    instant leaves either the previous file or the new one, never a
+    torn one.
+    """
     payload = {
         "version": _CHECKPOINT_VERSION,
-        "seed": seed,
-        "quick": quick,
+        **identity,
         "fragments": fragments,
         "timings": timings,
     }
     if telemetry_fragments:
         payload["telemetry"] = telemetry_fragments
-    _atomic_json_dump(path, payload)
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(payload, fh, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ResultsError(f"cannot write checkpoint {path}: {exc}")
 
 
 def _load_checkpoint(
-    path: str, seed: int, quick: bool
-) -> Tuple[Dict[str, Dict[str, Any]], Dict[str, float], Dict[str, Dict[str, Any]]]:
-    """Load a checkpoint, validating it belongs to this run's params."""
+    path: str, identity: Dict[str, Any]
+) -> Tuple[Dict[str, Any], Dict[str, float], Dict[str, Dict[str, Any]]]:
+    """Load a checkpoint, validating it belongs to this run.
+
+    The version and every identity field must equal this run's, compared
+    in JSON form (so a tuple matches the list it was saved as).  Returns
+    ``(fragments, timings, telemetry_fragments)``.
+    """
     try:
         with open(path) as fh:
             payload = json.load(fh)
     except (OSError, ValueError) as exc:
         raise ResultsError(f"cannot read checkpoint {path}: {exc}")
-    if payload.get("version") != _CHECKPOINT_VERSION:
-        raise ResultsError(
-            f"checkpoint {path} has version {payload.get('version')!r}; "
-            f"expected {_CHECKPOINT_VERSION}"
-        )
-    if payload.get("seed") != seed or payload.get("quick") != quick:
-        raise ResultsError(
-            f"checkpoint {path} was taken with seed={payload.get('seed')} "
-            f"quick={payload.get('quick')}; this run uses seed={seed} "
-            f"quick={quick} — refusing to mix"
-        )
-    fragments = payload.get("fragments", {})
-    known = {n for n, _ in EXPERIMENT_JOBS}
-    fragments = {n: f for n, f in fragments.items() if n in known}
-    tel = payload.get("telemetry", {})
-    tel = {n: t for n, t in tel.items() if n in known}
-    return fragments, payload.get("timings", {}), tel
+    if not isinstance(payload, dict):
+        raise ResultsError(f"cannot read checkpoint {path}: not a JSON object")
+    expected = json.loads(json.dumps({"version": _CHECKPOINT_VERSION, **identity}))
+    for key, want in expected.items():
+        if payload.get(key) != want:
+            raise ResultsError(
+                f"checkpoint {path} was taken with {key}={payload.get(key)!r};"
+                f" this run uses {want!r} — refusing to mix"
+            )
+    return (
+        payload.get("fragments", {}),
+        payload.get("timings", {}),
+        payload.get("telemetry", {}),
+    )
 
 
 @contextmanager
@@ -386,6 +391,186 @@ def _serial_timeout(seconds: Optional[float]) -> Iterator[None]:
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+# -- the job loop -----------------------------------------------------------
+
+
+class _Run(NamedTuple):
+    """A finished run: fragment and wall time per job key, the merged
+    telemetry section (None when off), the perf report of each job a
+    pool worker ran, and the worker count the run finished with (1
+    after a serial fallback)."""
+
+    fragments: Dict[str, Any]
+    timings: Dict[str, float]
+    telemetry: Optional[Dict[str, Any]]
+    perf_reports: Dict[str, Dict[str, Any]]
+    jobs: int
+
+
+def _drive(
+    work: List[Tuple[str, Callable[..., Any], Tuple[Any, ...]]],
+    identity: Dict[str, Any],
+    noun: str,
+    jobs: int = 1,
+    timeout: Optional[float] = None,
+    max_retries: int = 0,
+    checkpoint: Optional[str] = None,
+    resume: bool = False,
+    telemetry: bool = False,
+    perf: bool = False,
+    profile_dir: Optional[str] = None,
+    fits: Callable[[str, Any], bool] = lambda key, fragment: True,
+) -> _Run:
+    """Run every job of ``work`` to completion: the one crash-tolerant
+    job loop behind :func:`collect_results` and :meth:`FleetRunner.run`.
+
+    A job is ``(key, fn, args)``: the key names its checkpoint fragment,
+    and ``fn`` is a module-level function a pool worker can unpickle.
+    ``identity`` holds the parameters every fragment is a pure function
+    of; a checkpoint taken with other values is refused, and so is one
+    holding a fragment that ``fits`` rejects.  ``noun`` names a job in
+    errors.
+
+    ``timeout``, ``max_retries``, ``checkpoint``, ``resume``,
+    ``telemetry``, ``perf`` and ``profile_dir`` behave per job as
+    :func:`collect_results` documents them.  Telemetry snapshots merge
+    in ``work`` order, and the pool has ``min(jobs, pending)`` workers,
+    or none when the work cannot be pickled.
+    """
+    calls = {key: (fn, args) for key, fn, args in work}  # in work order
+    fragments: Dict[str, Any] = {}
+    timings: Dict[str, float] = {}
+    tel_fragments: Dict[str, Dict[str, Any]] = {}
+    perf_reports: Dict[str, Dict[str, Any]] = {}
+    if resume:
+        if checkpoint is None:
+            raise ResultsError("resume requested without a checkpoint path")
+        if os.path.exists(checkpoint):
+            fragments, timings, tel_fragments = _load_checkpoint(checkpoint, identity)
+            for key, fragment in fragments.items():
+                if key in calls and not fits(key, fragment):
+                    raise ResultsError(
+                        f"checkpoint {checkpoint} holds a malformed fragment "
+                        f"for {noun} {key!r} — refusing to resume"
+                    )
+            # A fragment without its telemetry snapshot (checkpoint from
+            # a telemetry-off run) must be re-executed — the merged
+            # section covers every job or none.
+            fragments = {
+                key: fragment
+                for key, fragment in fragments.items()
+                if key in calls and (key in tel_fragments or not telemetry)
+            }
+
+    if jobs > 1:
+        try:
+            pickle.dumps(work)
+        except Exception:
+            jobs = 1  # e.g. a custom medium that can't cross a process boundary
+
+    pending = [key for key in calls if key not in fragments]
+    attempts = dict.fromkeys(calls, 0)
+    ship_perf = perf and jobs > 1
+
+    def record(
+        key: str,
+        fragment: Any,
+        elapsed: float,
+        tel: Optional[Dict[str, Any]],
+        perf_report: Optional[Dict[str, Any]],
+    ) -> None:
+        fragments[key] = fragment
+        timings[key] = elapsed
+        if tel is not None:
+            tel_fragments[key] = tel
+        if perf_report is not None:
+            perf_reports[key] = perf_report
+        if checkpoint is not None:
+            _write_checkpoint(checkpoint, identity, fragments, timings, tel_fragments)
+
+    while pending:
+        failed: List[Tuple[str, str]] = []
+        if jobs > 1:
+            pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
+            try:
+                futures = {
+                    key: pool.submit(
+                        _run_job, key, *calls[key], telemetry, ship_perf, profile_dir
+                    )
+                    for key in pending
+                }
+                for key, future in futures.items():
+                    try:
+                        result = future.result(timeout=timeout)
+                    except FuturesTimeout as exc:
+                        # A finished future re-raised the job's own
+                        # TimeoutError; only an unfinished one timed out.
+                        reason = repr(exc)
+                        if not future.done():
+                            reason = f"timed out after {timeout:g}s"
+                        failed.append((key, reason))
+                    except BrokenProcessPool:
+                        raise
+                    except Exception as exc:
+                        failed.append((key, repr(exc)))
+                    else:
+                        record(key, *result)
+            except BrokenProcessPool:
+                # A worker died hard (segfault, OOM-kill): the pool is
+                # unusable, but every recorded fragment is safe.  Degrade
+                # to serial for the jobs still missing; no retry budget
+                # is charged — the jobs never ran.
+                jobs = 1
+                pending = [key for key in pending if key not in fragments]
+                continue
+            finally:
+                # Never wait on a hung worker: a timed-out job must not
+                # hold the run past its timeout.
+                pool.shutdown(wait=False, cancel_futures=True)
+        else:
+            for key in pending:
+                try:
+                    with _serial_timeout(timeout):
+                        result = _run_job(
+                            key, *calls[key], telemetry, False, profile_dir
+                        )
+                except _JobTimeout:
+                    failed.append((key, f"timed out after {timeout:g}s"))
+                except Exception as exc:
+                    failed.append((key, repr(exc)))
+                else:
+                    record(key, *result)
+
+        pending = []
+        for key, reason in failed:
+            attempts[key] += 1
+            if attempts[key] > max_retries:
+                raise ResultsError(
+                    f"{noun} {key!r} failed after {attempts[key]} attempt"
+                    f"{'s' if attempts[key] != 1 else ''}: {reason}"
+                )
+            pending.append(key)
+
+    section = None
+    if telemetry:
+        from repro.telemetry import MetricsSnapshot, merge_snapshots
+
+        # Canonical job order, NOT completion order: snapshot merging is
+        # associative and commutative for counters/gauges, but histogram
+        # float sums are only guaranteed bit-stable along one order.
+        merged = merge_snapshots(
+            MetricsSnapshot.from_jsonable(tel_fragments[key]) for key in calls
+        )
+        section = {"signature": merged.signature(), "snapshot": merged.to_jsonable()}
+
+    if checkpoint is not None:
+        try:
+            os.remove(checkpoint)
+        except OSError:
+            pass
+    return _Run(fragments, timings, section, perf_reports, jobs)
 
 
 # -- collection -------------------------------------------------------------
@@ -447,184 +632,44 @@ def collect_results(
     data rather than guesswork.
     """
     medium = medium if medium is not None else AcousticMedium()
-
-    fragments: Dict[str, Dict[str, Any]] = {}
-    timings: Dict[str, float] = {}
-    tel_fragments: Dict[str, Dict[str, Any]] = {}
-    perf_reports: Dict[str, Dict[str, Any]] = {}
-    if resume:
-        if checkpoint is None:
-            raise ResultsError("resume requested without a checkpoint path")
-        if os.path.exists(checkpoint):
-            fragments, timings, tel_fragments = _load_checkpoint(
-                checkpoint, seed, quick
-            )
-            if telemetry:
-                # A fragment without its telemetry snapshot (checkpoint
-                # from a telemetry-off run) must be re-executed — the
-                # merged section covers every job or none.
-                fragments = {
-                    n: f for n, f in fragments.items() if n in tel_fragments
-                }
-
-    if jobs > 1:
-        try:
-            pickle.dumps(medium)
-        except Exception:
-            jobs = 1  # custom media that can't cross a process boundary
-
     names = [name for name, _ in EXPERIMENT_JOBS]
-    pending = [name for name in names if name not in fragments]
-    attempts: Dict[str, int] = {name: 0 for name in names}
-    ship_perf = perf and jobs > 1
-
-    def record(
-        name: str,
-        fragment: Dict[str, Any],
-        elapsed: float,
-        tel: Optional[Dict[str, Any]] = None,
-        perf_report: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        fragments[name] = fragment
-        timings[name] = elapsed
-        if tel is not None:
-            tel_fragments[name] = tel
-        if perf_report is not None:
-            perf_reports[name] = perf_report
-        if checkpoint is not None:
-            _write_checkpoint(
-                checkpoint,
-                seed,
-                quick,
-                fragments,
-                timings,
-                tel_fragments if telemetry else None,
-            )
-
-    try:
-        while pending:
-            failed: List[Tuple[str, str]] = []
-            if jobs > 1:
-                pool = ProcessPoolExecutor(max_workers=min(jobs, len(pending)))
-                try:
-                    futures = {
-                        name: pool.submit(
-                            _run_job,
-                            name,
-                            medium,
-                            seed,
-                            quick,
-                            telemetry,
-                            ship_perf,
-                            profile_dir,
-                        )
-                        for name in pending
-                    }
-                    for name, future in futures.items():
-                        try:
-                            (
-                                done_name,
-                                fragment,
-                                elapsed,
-                                tel,
-                                perf_report,
-                            ) = future.result(timeout=timeout)
-                            record(done_name, fragment, elapsed, tel, perf_report)
-                        except FuturesTimeout:
-                            failed.append(
-                                (name, f"timed out after {timeout:g}s")
-                            )
-                        except BrokenProcessPool:
-                            raise
-                        except Exception as exc:
-                            failed.append((name, repr(exc)))
-                except BrokenProcessPool:
-                    # A worker died hard (segfault, OOM-kill): the pool
-                    # is unusable, but every recorded fragment is safe.
-                    # Degrade to serial for the jobs still missing; no
-                    # retry budget is charged — the jobs never ran.
-                    jobs = 1
-                    pending = [n for n in pending if n not in fragments]
-                    continue
-                finally:
-                    pool.shutdown(wait=False, cancel_futures=True)
-            else:
-                for name in pending:
-                    start = time.perf_counter()
-                    try:
-                        with _serial_timeout(timeout):
-                            fragment, tel = _profiled_execute(
-                                name, medium, seed, quick, telemetry, profile_dir
-                            )
-                    except _JobTimeout:
-                        failed.append((name, f"timed out after {timeout:g}s"))
-                    except KeyboardInterrupt:
-                        raise
-                    except Exception as exc:
-                        failed.append((name, repr(exc)))
-                    else:
-                        record(name, fragment, time.perf_counter() - start, tel)
-
-            still_pending: List[str] = []
-            for name, reason in failed:
-                attempts[name] += 1
-                if attempts[name] > max_retries:
-                    raise ResultsError(
-                        f"experiment {name!r} failed after "
-                        f"{attempts[name]} attempt"
-                        f"{'s' if attempts[name] != 1 else ''}: {reason}"
-                    )
-                still_pending.append(name)
-            pending = still_pending
-    except KeyboardInterrupt:
-        # The per-fragment checkpoint is already on disk; re-raise so
-        # the caller (or the shell) sees the interrupt.  Completed work
-        # survives for --resume.
-        raise
+    run = _drive(
+        [(name, _experiment, (name, medium, seed, quick)) for name in names],
+        {"seed": seed, "quick": quick},
+        "experiment",
+        jobs=jobs,
+        timeout=timeout,
+        max_retries=max_retries,
+        checkpoint=checkpoint,
+        resume=resume,
+        telemetry=telemetry,
+        perf=perf,
+        profile_dir=profile_dir,
+    )
 
     out: Dict[str, Any] = {"quick": quick, "seed": seed}
     for name in names:
-        out.update(fragments[name])
-
-    if telemetry:
-        from repro.telemetry import MetricsSnapshot, merge_snapshots
-
-        # Canonical job order, NOT completion order: snapshot merging is
-        # associative and commutative for counters/gauges, but histogram
-        # float sums are only guaranteed bit-stable along one order.
-        merged = merge_snapshots(
-            MetricsSnapshot.from_jsonable(tel_fragments[name])
-            for name in names
-            if name in tel_fragments
-        )
-        out["telemetry"] = {
-            "signature": merged.signature(),
-            "snapshot": merged.to_jsonable(),
-        }
-
-    if checkpoint is not None:
-        try:
-            os.remove(checkpoint)
-        except OSError:
-            pass
+        out.update(run.fragments[name])
+    if run.telemetry is not None:
+        out["telemetry"] = run.telemetry
 
     if perf:
         from repro import perf as perf_mod
         from repro.phy import cache as phy_cache
         from repro.phy import kernels
 
-        if perf_reports:
+        if run.perf_reports:
             # Pool run: the parent's own registry saw only setup work;
             # fold in what each child measured, in canonical job order.
             process_report = perf_mod.merge_reports(
                 [perf_mod.report()]
-                + [perf_reports[n] for n in names if n in perf_reports]
+                + [run.perf_reports[n] for n in names if n in run.perf_reports]
             )
         else:
             process_report = perf_mod.report()
         out["perf"] = {
-            "jobs": jobs,
-            "experiment_wall_s": {k: timings[k] for k in sorted(timings)},
+            "jobs": run.jobs,
+            "experiment_wall_s": {k: run.timings[k] for k in sorted(run.timings)},
             "process": process_report,
             "cache_sizes": phy_cache.cache_sizes(),
             # Cache efficacy at a glance: hit/miss tallies and ratios
@@ -643,15 +688,12 @@ def collect_results(
 #
 # The batch engine (repro.fleet) steps one shard of networks per
 # vectorised call; FleetRunner shards a whole seed sweep across engines
-# — optionally across a process pool with repro.app.shm's shared-memory
-# buffer as the result seam — and reassembles a document that is
-# byte-identical for every (shard_size, jobs, use_shm) combination,
-# because each network's randomness is a pure function of its own seed.
+# — optionally across a process pool — and reassembles a document that
+# is byte-identical for every (shard_size, jobs) combination, because
+# each network's randomness is a pure function of its own seed.
 
-_FLEET_CHECKPOINT_VERSION = 1
-
-#: Column order of a fleet summary row (matches
-#: :attr:`repro.app.shm.FleetResultBuffer.COLUMNS`).
+#: Column order of a fleet summary row (the fragment a shard
+#: checkpoints is one row per network).
 FLEET_ROW_COLUMNS = (
     "seed",
     "slots",
@@ -664,72 +706,25 @@ FLEET_ROW_COLUMNS = (
 
 
 def _run_fleet_shard(
-    shard_index: int,
     tag_periods: List[Tuple[str, int]],
     names: List[str],
     seeds: List[int],
     n_slots: int,
     config: Optional[Any],
     energy: bool,
-    with_telemetry: bool,
-    shm_name: Optional[str],
-    row_offset: int,
-    n_total_rows: int,
-) -> Tuple[int, Optional[List[List[float]]], float, Optional[Dict[str, Any]]]:
-    """Pool entry point: run one shard of the sweep on a batch engine.
-
-    Returns ``(shard_index, rows, wall_s, telemetry_snapshot)``; with a
-    shared-memory seam the rows travel through the segment instead and
-    the returned ``rows`` is None.
-    """
+) -> List[List[float]]:
+    """Run one shard of a sweep on a batch engine; returns one
+    :data:`FLEET_ROW_COLUMNS` row per network."""
     from repro.fleet import FleetEngine, FleetSpec
 
-    start = time.perf_counter()
     specs = [FleetSpec(name=n, seed=int(s)) for n, s in zip(names, seeds)]
-
-    def execute() -> List[List[float]]:
-        engine = FleetEngine(
-            dict(tag_periods), specs, config=config, energy=energy
-        )
-        for _ in range(n_slots):
-            engine.step_all()
-        rows: List[List[float]] = []
-        for spec, summary in zip(specs, engine.summaries()):
-            rows.append(
-                [
-                    float(spec.seed),
-                    float(summary["slots"]),
-                    float(summary["decodes"]),
-                    float(summary["acks"]),
-                    float(summary["collisions"]),
-                    float(summary["idle_slots"]),
-                    float(summary["settled_fraction"]),
-                ]
-            )
-        return rows
-
-    tel: Optional[Dict[str, Any]] = None
-    if with_telemetry:
-        from repro import telemetry
-
-        with telemetry.collecting() as registry:
-            rows = execute()
-        tel = registry.snapshot().to_jsonable()
-    else:
-        rows = execute()
-
-    if shm_name is not None:
-        import numpy as np
-
-        from repro.app.shm import FleetResultBuffer
-
-        buffer = FleetResultBuffer.attach(shm_name, n_total_rows)
-        try:
-            buffer.write_rows(row_offset, np.asarray(rows))
-        finally:
-            buffer.close()
-        rows = None  # type: ignore[assignment]
-    return shard_index, rows, time.perf_counter() - start, tel
+    engine = FleetEngine(dict(tag_periods), specs, config=config, energy=energy)
+    for _ in range(n_slots):
+        engine.step_all()
+    return [
+        [float(spec.seed)] + [float(summary[c]) for c in FLEET_ROW_COLUMNS[1:]]
+        for spec, summary in zip(specs, engine.summaries())
+    ]
 
 
 class FleetRunner:
@@ -742,9 +737,9 @@ class FleetRunner:
     byte-identical however the sweep is sharded or scheduled — the
     property ``tests/fleet/test_runner_fleet.py`` pins.
 
-    Reuses the experiment runner's machinery: the same atomic
-    checkpoint pattern (one fragment per completed shard, ``resume=``
-    to continue a killed run), the same per-job telemetry registries
+    Runs on the experiment runner's job loop: the same atomic
+    checkpoint (one fragment per completed shard, ``resume=`` to
+    continue a killed run), the same per-job telemetry registries
     merged in canonical shard order, and the same pool robustness knobs
     (per-shard timeout, bounded retries, serial degradation when the
     pool breaks).
@@ -792,11 +787,10 @@ class FleetRunner:
             )
         return out
 
-    # -- checkpointing -------------------------------------------------------
+    # -- execution -----------------------------------------------------------
 
     def _checkpoint_identity(self) -> Dict[str, Any]:
         return {
-            "version": _FLEET_CHECKPOINT_VERSION,
             "kind": "fleet-sweep",
             "seeds": self.seeds,
             "n_slots": self.n_slots,
@@ -805,47 +799,10 @@ class FleetRunner:
             "shard_size": self.shard_size,
         }
 
-    def _write_fleet_checkpoint(
-        self,
-        path: str,
-        fragments: Dict[str, List[List[float]]],
-        tel_fragments: Dict[str, Dict[str, Any]],
-    ) -> None:
-        payload = self._checkpoint_identity()
-        payload["fragments"] = fragments
-        if tel_fragments:
-            payload["telemetry"] = tel_fragments
-        _atomic_json_dump(path, payload)
-
-    def _load_fleet_checkpoint(
-        self, path: str
-    ) -> Tuple[Dict[str, List[List[float]]], Dict[str, Dict[str, Any]]]:
-        try:
-            with open(path) as fh:
-                payload = json.load(fh)
-        except (OSError, ValueError) as exc:
-            raise ResultsError(f"cannot read checkpoint {path}: {exc}")
-        identity = self._checkpoint_identity()
-        for key, want in identity.items():
-            got = payload.get(key)
-            if key == "tag_periods" and got is not None:
-                got = [tuple(item) for item in got]
-                want = list(want)
-                got = list(got)
-            if got != want:
-                raise ResultsError(
-                    f"checkpoint {path} was taken with {key}={payload.get(key)!r};"
-                    f" this sweep uses {identity[key]!r} — refusing to mix"
-                )
-        return payload.get("fragments", {}), payload.get("telemetry", {})
-
-    # -- execution -----------------------------------------------------------
-
     def run(
         self,
         jobs: int = 1,
         telemetry: bool = False,
-        use_shm: bool = False,
         checkpoint: Optional[str] = None,
         resume: bool = False,
         timeout: Optional[float] = None,
@@ -853,185 +810,51 @@ class FleetRunner:
     ) -> Dict[str, Any]:
         """Run the sweep; returns the JSON-able fleet document.
 
-        ``jobs`` > 1 fans shards over a process pool; ``use_shm``
-        routes result rows through a :class:`repro.app.shm.FleetResultBuffer`
-        segment instead of pickling them back through the executor.
-        Both paths (and any shard size) emit the same bytes.
+        ``jobs`` > 1 fans shards over a process pool.  Serial, pooled
+        and resumed runs, at any shard size, emit the same bytes.  The
+        other knobs behave as in :func:`collect_results`, per shard.
         """
-        import numpy as np
-
-        fragments: Dict[str, List[List[float]]] = {}
-        tel_fragments: Dict[str, Dict[str, Any]] = {}
-        if resume:
-            if checkpoint is None:
-                raise ResultsError("resume requested without a checkpoint path")
-            if os.path.exists(checkpoint):
-                fragments, tel_fragments = self._load_fleet_checkpoint(checkpoint)
-                if telemetry:
-                    fragments = {
-                        k: v for k, v in fragments.items() if k in tel_fragments
-                    }
-
         shards = self.shards()
-        matrix = np.full(
-            (self.n_networks, len(FLEET_ROW_COLUMNS)), np.nan, dtype=np.float64
+        periods = sorted(self.tag_periods.items())
+        sizes = {str(index): len(names) for index, _, names, _ in shards}
+        run = _drive(
+            [
+                (
+                    str(index),
+                    _run_fleet_shard,
+                    (periods, names, seeds, self.n_slots, self.config, self.energy),
+                )
+                for index, _, names, seeds in shards
+            ],
+            self._checkpoint_identity(),
+            "fleet shard",
+            jobs=jobs,
+            timeout=timeout,
+            max_retries=max_retries,
+            checkpoint=checkpoint,
+            resume=resume,
+            telemetry=telemetry,
+            fits=lambda key, rows: len(rows) == sizes[key],
         )
-        offsets = {index: offset for index, offset, _, _ in shards}
-        sizes = {index: len(names) for index, _, names, _ in shards}
-        for key, rows in fragments.items():
-            index = int(key)
-            if index in offsets and len(rows) == sizes[index]:
-                matrix[offsets[index] : offsets[index] + sizes[index]] = rows
-        done = {
-            int(k)
-            for k in fragments
-            if int(k) in offsets and len(fragments[k]) == sizes[int(k)]
-        }
-        pending = [s for s in shards if s[0] not in done]
-        attempts: Dict[int, int] = {s[0]: 0 for s in shards}
-
-        buffer = None
-        if use_shm and pending:
-            from repro.app.shm import FleetResultBuffer
-
-            buffer = FleetResultBuffer(self.n_networks)
-
-        def record(
-            index: int,
-            rows: Optional[List[List[float]]],
-            tel: Optional[Dict[str, Any]],
-        ) -> None:
-            if rows is None:
-                assert buffer is not None
-                rows = buffer.read_rows(offsets[index], sizes[index]).tolist()
-            matrix[offsets[index] : offsets[index] + sizes[index]] = rows
-            fragments[str(index)] = rows
-            if tel is not None:
-                tel_fragments[str(index)] = tel
-            if checkpoint is not None:
-                self._write_fleet_checkpoint(checkpoint, fragments, tel_fragments)
-
-        def shard_args(
-            shard: Tuple[int, int, List[str], List[int]]
-        ) -> Tuple[Any, ...]:
-            index, offset, names, seeds = shard
-            return (
-                index,
-                sorted(self.tag_periods.items()),
-                names,
-                seeds,
-                self.n_slots,
-                self.config,
-                self.energy,
-                telemetry,
-                buffer.name if buffer is not None else None,
-                offset,
-                self.n_networks,
-            )
-
-        def run_serial(shard: Tuple[int, int, List[str], List[int]]) -> None:
-            with _serial_timeout(timeout):
-                index, rows, _, tel = _run_fleet_shard(*shard_args(shard))
-            record(index, rows, tel)
-
-        try:
-            while pending:
-                failed: List[Tuple[int, str]] = []
-                if jobs > 1:
-                    try:
-                        with ProcessPoolExecutor(max_workers=jobs) as pool:
-                            futures = {
-                                pool.submit(_run_fleet_shard, *shard_args(s)): s[0]
-                                for s in pending
-                            }
-                            for future, index in futures.items():
-                                try:
-                                    got, rows, _, tel = future.result(
-                                        timeout=timeout
-                                    )
-                                except FuturesTimeout:
-                                    future.cancel()
-                                    failed.append((index, "timed out"))
-                                except BrokenProcessPool:
-                                    raise
-                                except Exception as exc:
-                                    failed.append((index, repr(exc)))
-                                else:
-                                    record(got, rows, tel)
-                    except BrokenProcessPool:
-                        # A worker died hard; finish the incomplete
-                        # shards serially rather than losing the run.
-                        done_now = {int(k) for k in fragments}
-                        for shard in pending:
-                            if shard[0] in done_now:
-                                continue
-                            try:
-                                run_serial(shard)
-                            except (_JobTimeout, Exception) as exc:  # noqa: BLE001
-                                failed.append((shard[0], repr(exc)))
-                        failed = [
-                            (i, r)
-                            for i, r in failed
-                            if str(i) not in fragments
-                        ]
-                else:
-                    for shard in pending:
-                        try:
-                            run_serial(shard)
-                        except _JobTimeout:
-                            failed.append((shard[0], "timed out"))
-                        except Exception as exc:  # noqa: BLE001
-                            failed.append((shard[0], repr(exc)))
-
-                still_pending = []
-                for index, reason in failed:
-                    attempts[index] += 1
-                    if attempts[index] > max_retries:
-                        raise ResultsError(
-                            f"fleet shard {index} failed after "
-                            f"{attempts[index]} attempt"
-                            f"{'s' if attempts[index] != 1 else ''}: {reason}"
-                        )
-                    still_pending.append(index)
-                pending = [s for s in shards if s[0] in set(still_pending)]
-        finally:
-            if buffer is not None:
-                buffer.close()
-                buffer.unlink()
-
-        document = self._build_document(matrix)
-        if telemetry:
-            from repro.telemetry import MetricsSnapshot, merge_snapshots
-
-            # Canonical shard order, NOT completion order — identical
-            # to collect_results' merge discipline.
-            merged = merge_snapshots(
-                MetricsSnapshot.from_jsonable(tel_fragments[str(index)])
-                for index, _, _, _ in shards
-                if str(index) in tel_fragments
-            )
-            document["telemetry"] = {
-                "signature": merged.signature(),
-                "snapshot": merged.to_jsonable(),
-            }
-        if checkpoint is not None:
-            try:
-                os.remove(checkpoint)
-            except OSError:
-                pass
+        document = self._build_document(
+            [row for key in sizes for row in run.fragments[key]]
+        )
+        if run.telemetry is not None:
+            document["telemetry"] = run.telemetry
         return document
 
-    def _build_document(self, matrix: Any) -> Dict[str, Any]:
-        """Assemble the result document from the row matrix.
+    def _build_document(self, rows: List[List[float]]) -> Dict[str, Any]:
+        """Assemble the result document from every network's row.
 
         Every execution path lands rows in the same float64 matrix
         first, so the document bytes cannot depend on how the rows got
-        there (pickled return, shared memory, or checkpoint resume).
+        there (serial call, pool worker, or checkpoint resume).
         Seeds come from the sweep itself: float64 cannot hold every
         seed at or above 2**53.
         """
         import numpy as np
 
+        matrix = np.array(rows, dtype=np.float64)
         if np.isnan(matrix).any():
             raise ResultsError("fleet sweep finished with missing rows")
         networks = []

@@ -1,6 +1,5 @@
 """Tests for the SHM application layer."""
 
-import numpy as np
 import pytest
 
 from repro.app.shm import (
@@ -204,103 +203,3 @@ class TestEnergyCoupledStaleness:
         assert "tag11" in stale_tags
         assert "tag8" not in stale_tags
 
-
-class TestFleetResultBuffer:
-    """Attach/detach lifecycle of the shared-memory result seam."""
-
-    def _buffer(self, n=8):
-        from repro.app.shm import FleetResultBuffer
-
-        return FleetResultBuffer(n)
-
-    def test_write_then_attach_reads_same_rows(self):
-        from repro.app.shm import FleetResultBuffer
-
-        owner = self._buffer()
-        try:
-            block = np.arange(14, dtype=float).reshape(2, 7)
-            owner.write_rows(3, block)
-            reader = FleetResultBuffer.attach(owner.name, 8)
-            try:
-                assert (reader.read_rows(3, 2) == block).all()
-                # Zero-copy: a write through one mapping is visible
-                # through the other without any publish step.
-                owner.rows[3, 0] = 99.0
-                assert reader.rows[3, 0] == 99.0
-            finally:
-                reader.close()
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_double_close_and_double_unlink_are_idempotent(self):
-        buf = self._buffer()
-        buf.close()
-        buf.close()  # second close must be a no-op
-        buf.unlink()
-        buf.unlink()  # second unlink must be a no-op
-
-    def test_attacher_never_unlinks(self):
-        from multiprocessing import shared_memory
-
-        from repro.app.shm import FleetResultBuffer
-
-        owner = self._buffer(4)
-        try:
-            reader = FleetResultBuffer.attach(owner.name, 4)
-            reader.close()
-            reader.unlink()  # non-owner: must be a no-op
-            # The segment must still be attachable afterwards.
-            probe = shared_memory.SharedMemory(name=owner.name, create=False)
-            probe.close()
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_rows_view_refused_after_close(self):
-        buf = self._buffer()
-        buf.close()
-        with pytest.raises(ValueError, match="closed"):
-            buf.rows
-        buf.unlink()
-
-    def test_write_bounds_and_shape_validated(self):
-        buf = self._buffer(4)
-        try:
-            with pytest.raises(ValueError, match="outside"):
-                buf.write_rows(3, np.zeros((2, 7)))
-            with pytest.raises(ValueError, match="rows"):
-                buf.write_rows(0, np.zeros((2, 3)))
-        finally:
-            buf.close()
-            buf.unlink()
-
-    def test_attach_rejects_undersized_segment(self):
-        from repro.app.shm import FleetResultBuffer
-
-        owner = self._buffer(2)
-        try:
-            with pytest.raises(ValueError, match="rows need"):
-                FleetResultBuffer.attach(owner.name, 64)
-        finally:
-            owner.close()
-            owner.unlink()
-
-    def test_context_manager_owner_unlinks(self):
-        from multiprocessing import shared_memory
-
-        from repro.app.shm import FleetResultBuffer
-
-        with FleetResultBuffer(2) as buf:
-            name = buf.name
-            buf.write_rows(0, np.zeros((2, 7)))
-        with pytest.raises(FileNotFoundError):
-            shared_memory.SharedMemory(name=name, create=False)
-
-    def test_fresh_buffer_is_all_nan(self):
-        buf = self._buffer(3)
-        try:
-            assert np.isnan(buf.rows).all()
-        finally:
-            buf.close()
-            buf.unlink()

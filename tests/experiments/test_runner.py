@@ -223,7 +223,10 @@ class TestTelemetryDifferential:
         # telemetry-on resume must re-run those jobs, not emit a
         # partial telemetry section.
         runner_mod._write_checkpoint(
-            ckpt, 7, True, {"t1": {"t1": {"slots": 120}}}, {"t1": 0.0}
+            ckpt,
+            {"seed": 7, "quick": True},
+            {"t1": {"t1": {"slots": 120}}},
+            {"t1": 0.0},
         )
         resumed = collect_results(
             medium,
@@ -310,7 +313,7 @@ class TestRobustRunner:
             patched[name] = tracking
         monkeypatch.setattr(runner_mod, "_JOBS_BY_NAME", patched)
         runner_mod._write_checkpoint(
-            ckpt, 7, True,
+            ckpt, {"seed": 7, "quick": True},
             {"j1": {"j1": {"seed": 7, "quick": True}},
              "j2": {"j2": {"seed": 7, "quick": True}}},
             {"j1": 0.0, "j2": 0.0},
@@ -322,7 +325,7 @@ class TestRobustRunner:
         from repro.experiments.runner import ResultsError, _write_checkpoint
 
         ckpt = str(tmp_path / "run.ckpt")
-        _write_checkpoint(ckpt, 99, True, {}, {})
+        _write_checkpoint(ckpt, {"seed": 99, "quick": True}, {}, {})
         with pytest.raises(ResultsError, match="seed"):
             collect_results(medium, seed=7, quick=True, checkpoint=ckpt, resume=True)
 
@@ -421,31 +424,123 @@ class TestRobustRunner:
 
         patched["j3"] = hung_j3
         monkeypatch.setattr(runner_mod, "_JOBS_BY_NAME", patched)
+        start = time_mod.monotonic()
         with pytest.raises(ResultsError, match="timed out"):
             collect_results(
                 medium, seed=7, quick=True, jobs=2, timeout=0.5, max_retries=0
             )
+        # The pool must not wait on the hung worker past the timeout.
+        assert time_mod.monotonic() - start < 2.5
+
+    def test_pool_job_raising_timeout_error_is_a_plain_failure(
+        self, tiny_jobs, monkeypatch, medium
+    ):
+        """A job's own TimeoutError is a failure like any other, not a
+        pool timeout (with no timeout set there is none to report)."""
+        import repro.experiments.runner as runner_mod
+        from repro.experiments.runner import ResultsError
+
+        patched = dict(tiny_jobs)
+
+        def refusing_j2(m, seed, quick):
+            raise TimeoutError("instrument did not answer")
+
+        patched["j2"] = refusing_j2
+        monkeypatch.setattr(runner_mod, "_JOBS_BY_NAME", patched)
+        with pytest.raises(ResultsError, match="j2.*instrument did not answer"):
+            collect_results(medium, seed=7, quick=True, jobs=2, max_retries=0)
 
     def test_atomic_checkpoint_never_leaves_torn_files(self, tiny_jobs, tmp_path):
         from repro.experiments.runner import _load_checkpoint, _write_checkpoint
 
         ckpt = str(tmp_path / "run.ckpt")
         for i in range(5):
-            _write_checkpoint(ckpt, 7, True, {"j1": {"v": i}}, {"j1": 0.0})
-            fragments, _, _ = _load_checkpoint(ckpt, 7, True)
+            identity = {"seed": 7, "quick": True}
+            _write_checkpoint(ckpt, identity, {"j1": {"v": i}}, {"j1": 0.0})
+            fragments, _, _ = _load_checkpoint(ckpt, identity)
             assert fragments == {"j1": {"v": i}}
         assert not os.path.exists(ckpt + ".tmp")
+
+
+class TestCheckpointCrashPaths:
+    """Both runners resume through one checkpoint reader: a torn, stale
+    or foreign file is refused by name and left on disk."""
+
+    @staticmethod
+    def _fleet():
+        from repro.experiments.runner import FleetRunner
+
+        return FleetRunner({"tag1": 4, "tag2": 8}, [0, 1, 2], 40, shard_size=2)
+
+    def _write(self, runner, ckpt):
+        from repro.experiments.runner import _write_checkpoint
+
+        if runner == "results":
+            fragment = {"j1": {"seed": 7, "quick": True}}
+            _write_checkpoint(
+                ckpt, {"seed": 7, "quick": True}, {"j1": fragment}, {"j1": 0.0}
+            )
+        else:
+            identity = self._fleet()._checkpoint_identity()
+            _write_checkpoint(ckpt, identity, {"0": [[0.0] * 7, [1.0] * 7]}, {})
+
+    @pytest.mark.parametrize("runner", ["results", "fleet"])
+    @pytest.mark.parametrize("damage", ["truncated", "version", "other_runner"])
+    def test_damaged_checkpoint_refused_and_kept(
+        self, tiny_jobs, tmp_path, medium, runner, damage
+    ):
+        from repro.experiments.runner import ResultsError
+
+        ckpt = str(tmp_path / "run.ckpt")
+        other = "fleet" if runner == "results" else "results"
+        self._write(other if damage == "other_runner" else runner, ckpt)
+        with open(ckpt) as fh:
+            text = fh.read()
+        if damage == "truncated":
+            text = text[: len(text) // 2]
+        elif damage == "version":
+            payload = json.loads(text)
+            payload["version"] += 1
+            text = json.dumps(payload)
+        with open(ckpt, "w") as fh:
+            fh.write(text)
+
+        with pytest.raises(ResultsError) as exc:
+            if runner == "results":
+                collect_results(
+                    medium, seed=7, quick=True, checkpoint=ckpt, resume=True
+                )
+            else:
+                self._fleet().run(checkpoint=ckpt, resume=True)
+        assert ckpt in str(exc.value)
+        assert os.path.exists(ckpt)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unwritable_checkpoint_is_a_results_error(
+        self, tiny_jobs, tmp_path, medium, jobs
+    ):
+        """A checkpoint that cannot be written stops the run by name; it
+        is not charged to the job as a failed attempt."""
+        from repro.experiments.runner import ResultsError
+
+        ckpt = str(tmp_path / "missing" / "run.ckpt")
+        with pytest.raises(ResultsError, match="cannot write checkpoint"):
+            collect_results(
+                medium, seed=7, quick=True, jobs=jobs, checkpoint=ckpt,
+                max_retries=3,
+            )
 
 
 class TestProfiledExecution:
     def test_profiled_execute_dumps_pstats(self, tmp_path):
         import pstats
 
-        from repro.experiments.runner import _execute_job, _profiled_execute
+        from repro.experiments.runner import _experiment, _profiled_execute
 
-        plain = _execute_job("table2", None, 0, True, False)
+        args = ("table2", None, 0, True)
+        plain = _profiled_execute("table2", _experiment, args, False, None)
         profiled = _profiled_execute(
-            "table2", None, 0, True, False, str(tmp_path)
+            "table2", _experiment, args, False, str(tmp_path)
         )
         assert profiled == plain  # profiling must not perturb the result
         dump = tmp_path / "table2.pstats"
@@ -453,9 +548,11 @@ class TestProfiledExecution:
         assert len(pstats.Stats(str(dump)).stats) > 0
 
     def test_no_profile_dir_writes_nothing(self, tmp_path):
-        from repro.experiments.runner import _profiled_execute
+        from repro.experiments.runner import _experiment, _profiled_execute
 
-        _profiled_execute("table2", None, 0, True, False, None)
+        _profiled_execute(
+            "table2", _experiment, ("table2", None, 0, True), False, None
+        )
         assert list(tmp_path.iterdir()) == []
 
     def test_collect_results_threads_profile_dir(self, tmp_path, monkeypatch):
@@ -464,9 +561,9 @@ class TestProfiledExecution:
         seen = []
         real = runner_mod._profiled_execute
 
-        def spy(name, medium, seed, quick, with_telemetry, profile_dir):
+        def spy(key, fn, args, with_telemetry, profile_dir):
             seen.append(profile_dir)
-            return real(name, medium, seed, quick, with_telemetry, profile_dir)
+            return real(key, fn, args, with_telemetry, profile_dir)
 
         monkeypatch.setattr(runner_mod, "_profiled_execute", spy)
         collect_results(seed=0, quick=True, jobs=1,

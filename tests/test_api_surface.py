@@ -87,14 +87,17 @@ def test_version_string():
         ("repro.phy.modem", "FskOokDownlink.naive_ook_waveform_reference"),
         ("repro.phy.cook", "_OFFSET_STEPS"),
         ("repro.phy.fsk", "_OFFSET_STEPS"),
+        ("repro.app", "FleetResultBuffer"),
+        ("repro.app.shm", "FleetResultBuffer"),
     ],
 )
 def test_removed_surface_stays_gone(module, attribute):
     """The adaptive gate and the link-cache deprecation latch were
     removed in 1.11.0; the scalar oracles moved to tests/phy/oracles.py
     and the demodulators' private scan constants folded into
-    ``repro.phy.modulation`` in 1.12.0.  Nothing may quietly
-    reintroduce them."""
+    ``repro.phy.modulation`` in 1.12.0; the fleet runner's shared-memory
+    result buffer went in 1.14.0.  Nothing may quietly reintroduce
+    them."""
     owner = importlib.import_module(module)
     *path, name = attribute.split(".")
     for part in path:

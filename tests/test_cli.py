@@ -1,5 +1,7 @@
 """Tests for the command-line experiment runner."""
 
+import os
+
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main
@@ -25,6 +27,12 @@ class TestParser:
         args = build_parser().parse_args(["results", "--profile"])
         assert args.profile is True
         assert build_parser().parse_args(["results"]).profile is False
+
+    def test_fleet_shm_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["fleet", "--shm"])
+        assert exc.value.code == 2
+        assert "--shm" in capsys.readouterr().err
 
 
 class TestExecution:
@@ -89,7 +97,28 @@ class TestExecution:
         args = build_parser().parse_args(["fleet"])
         assert args.fleet_size == 256
         assert args.shard_size == 64
-        assert not args.shm
+        assert not hasattr(args, "shm")
         assert main(["fleet", "--fleet-size", "2", "--slots", "40", "--serial"]) == 0
         out = capsys.readouterr().out
         assert '"schema": "fleet-sweep/1"' in out
+
+    def test_fleet_bad_sweep_size_is_an_error_line(self):
+        with pytest.raises(SystemExit, match="^error: fleet sweep needs"):
+            main(["fleet", "--fleet-size", "0", "--serial"])
+
+    def test_fleet_mismatched_checkpoint_is_an_error_line(self, tmp_path):
+        """A refused fleet checkpoint exits with ``error: ...`` (no
+        traceback), as 'results' does, and stays on disk."""
+        from repro.experiments.runner import FleetRunner, _write_checkpoint
+        from repro.faults.scenarios import SCENARIO_PERIODS
+
+        ckpt = str(tmp_path / "fleet.ckpt")
+        other = FleetRunner(SCENARIO_PERIODS, [0, 1], 41)
+        _write_checkpoint(ckpt, other._checkpoint_identity(), {}, {})
+        argv = ["fleet", "--fleet-size", "2", "--slots", "40", "--serial"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--checkpoint", ckpt, "--resume"])
+        message = str(exc.value)
+        assert message.startswith(f"error: checkpoint {ckpt} ")
+        assert "refusing to mix" in message
+        assert os.path.exists(ckpt)
