@@ -33,6 +33,7 @@ from repro.channel.noise import (
 )
 from repro.channel.propagation import PropagationModel
 from repro.channel.pzt import PZTTransducer
+from repro.sim.random import BufferedUniforms
 
 #: Backscatter amplitude at the reader RX from the nearest tag (tag8),
 #: the calibration anchor for the Fig. 12(a) SNR curves (volts).
@@ -98,6 +99,10 @@ class SlotObservation:
     @property
     def is_empty(self) -> bool:
         return not self.transmitters
+
+
+#: The observation of a slot nobody transmitted in (frozen, so shared).
+EMPTY_SLOT = SlotObservation((), None, False)
 
 
 class AcousticMedium:
@@ -580,7 +585,7 @@ class AcousticMedium:
     def observe_slot(
         self,
         transmitters: Iterable[str],
-        rng: np.random.Generator,
+        rng: "np.random.Generator | BufferedUniforms",
         bit_rate_bps: float = 375.0,
         packet_bits: int = 64,
         penalty_db: Optional[Mapping[str, float]] = None,
@@ -597,6 +602,9 @@ class AcousticMedium:
           cluster count exposes the collision with high probability
           (Sec. 5.3 "Reader Feedback Mechanism").
 
+        ``rng`` is only ever asked for ``random()`` draws: a numpy
+        Generator or the network's block-buffered slot stream.
+
         ``penalty_db`` maps tag -> transient SNR penalty (dB) from fault
         injection; None (the normal path) means no penalties.
 
@@ -610,7 +618,7 @@ class AcousticMedium:
         """
         tags = list(transmitters)
         if not tags:
-            return SlotObservation((), None, False)
+            return EMPTY_SLOT
 
         def tag_success(tag: str, pen: float) -> float:
             if config_for is not None:

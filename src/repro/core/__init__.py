@@ -15,6 +15,7 @@ from repro.core.slot_schedule import (
     assign_offsets,
     count_collision_slots,
     find_free_offset,
+    free_offsets,
     is_permissible_period,
     offsets_conflict,
     schedule_table,
@@ -44,6 +45,7 @@ __all__ = [
     "assign_offsets",
     "count_collision_slots",
     "find_free_offset",
+    "free_offsets",
     "is_permissible_period",
     "offsets_conflict",
     "schedule_table",

@@ -14,15 +14,16 @@ activation from the charging model, and the ablation switches.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
 
 from repro import telemetry
-from repro.channel.medium import AcousticMedium, SlotObservation
+from repro.channel.medium import EMPTY_SLOT, AcousticMedium, SlotObservation
 from repro.core.reader_protocol import ReaderMac, SlotRecord
 from repro.core.state_machine import DEFAULT_NACK_THRESHOLD, TagState
 from repro.core.tag_protocol import TagMac
-from repro.sim.random import RandomStreams
+from repro.sim.random import BufferedPicker, BufferedUniforms, RandomStreams
 
 if TYPE_CHECKING:  # avoid importing the fault layer unless it is used
     from repro.faults.controller import FaultController
@@ -54,6 +55,21 @@ class NetworkConfig:
     ideal_channel: bool = False
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        for name in ("slot_duration_s", "ul_raw_rate_bps", "dl_raw_rate_bps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if self.nack_threshold < 1:
+            raise ValueError(
+                f"nack_threshold must be >= 1, got {self.nack_threshold!r}"
+            )
+        loss = self.beacon_loss_probability
+        if loss is not None and not 0.0 <= loss <= 1.0:  # NaN fails too
+            raise ValueError(
+                f"beacon_loss_probability must lie in [0, 1], got {loss!r}"
+            )
+
 
 def derive_beacon_loss(
     config: NetworkConfig, medium: AcousticMedium, name: str
@@ -75,7 +91,7 @@ def ideal_observation(transmitters: Sequence[str]) -> SlotObservation:
         return SlotObservation(tuple(transmitters), transmitters[0], False)
     if transmitters:
         return SlotObservation(tuple(transmitters), None, True)
-    return SlotObservation((), None, False)
+    return EMPTY_SLOT
 
 
 class SlottedNetwork:
@@ -100,7 +116,10 @@ class SlottedNetwork:
             if tag not in self.medium.biw.mounts:
                 raise KeyError(f"tag {tag!r} is not mounted on the BiW")
         self._streams = RandomStreams(self.config.seed)
-        self._slot_rng = self._streams.stream("slots")
+        # The slot stream's only consumers are the per-tag beacon-loss
+        # draws and the channel's arbitration draws, both scalar
+        # ``random()`` calls, so it is served from blocks.
+        self._slot_rng = BufferedUniforms(self._streams.stream("slots"))
 
         self.reader = ReaderMac(
             tag_periods,
@@ -112,12 +131,13 @@ class SlottedNetwork:
         self._beacon_loss: Dict[str, float] = {}
         self.activation_slot = dict(activation_slot or {})
         for tid, (name, period) in enumerate(sorted(tag_periods.items())):
-            rng = self._streams.fork(name).stream("offset")
             self.tags[name] = TagMac(
                 tag_name=name,
                 tid=tid,
                 period=period,
-                offset_picker=lambda p, r=rng: int(r.integers(0, p)),
+                offset_picker=BufferedPicker(
+                    self._streams.fork(name).stream("offset"), period
+                ),
                 nack_threshold=self.config.nack_threshold,
                 respect_empty_flag=self.config.enable_empty_flag,
                 late_arrival=self.activation_slot.get(name, 0) > 0,
@@ -285,15 +305,24 @@ class SlottedNetwork:
         :meth:`_close_slot` to settle the verdict.
         """
         self._open_slot()
-        slot = self.reader.slot_index
+        reader = self.reader
+        slot = reader.slot_index
         ctl = self._faults
         if ctl is not None:
             ctl.on_slot_start(slot)
-        beacon = self.reader.make_beacon()
+        beacon = reader.make_beacon()
+        # The controller's per-tag hooks only act while a tag-level
+        # fault is active; in any other slot they would hand back their
+        # inputs unchanged and draw nothing, so they are skipped.
+        hooks = ctl if ctl is not None and ctl.state.tag_faults_active() else None
         transmitters: List[str] = []
         parked = self._parked
+        activation = self.activation_slot
+        draw = self._slot_rng.random
+        loss = self._beacon_loss
+        watchdog = self.config.enable_beacon_loss_timer
         for name, tag in self.tags.items():
-            if slot < self.activation_slot.get(name, 0):
+            if activation and slot < activation.get(name, 0):
                 continue  # still charging; not yet part of the network
             if parked and name in parked:
                 # Sitting out: silent, and crucially drawing nothing
@@ -301,18 +330,18 @@ class SlottedNetwork:
                 # byte-identical to a build without this seam.
                 tag.transmitted_last_slot = False
                 continue
-            lost = self._slot_rng.random() < self._beacon_loss[name]
-            if ctl is not None:
-                if ctl.tag_offline(name):
+            lost = draw() < loss[name]
+            if hooks is not None:
+                if hooks.tag_offline(name):
                     # Brownout: the MCU is dark — no reception, no
                     # watchdog; the counter simply stalls.  (The loss
                     # draw above still happens, keeping the shared slot
                     # stream aligned across fault scenarios.)
                     tag.transmitted_last_slot = False
                     continue
-                lost = ctl.beacon_lost(name, lost)
+                lost = hooks.beacon_lost(name, lost)
             if lost:
-                if self.config.enable_beacon_loss_timer:
+                if watchdog:
                     tag.on_beacon_loss()
                 else:
                     # Ablation: no watchdog — the tag silently skips the
@@ -321,10 +350,12 @@ class SlottedNetwork:
                     tag.beacons_missed += 1
                     tag.transmitted_last_slot = False
                 continue
-            decision = tag.on_beacon(
-                beacon if ctl is None else ctl.beacon_for(name, beacon)
-            )
-            if decision.transmit and (ctl is None or ctl.transmit_allowed(name)):
+            if hooks is None:
+                if tag.on_beacon(beacon).transmit:
+                    transmitters.append(name)
+            elif tag.on_beacon(
+                hooks.beacon_for(name, beacon)
+            ).transmit and hooks.transmit_allowed(name):
                 transmitters.append(name)
         observation = self._observe(transmitters)
         if ctl is not None:

@@ -22,6 +22,7 @@ SETTLE and re-competes.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set
 
@@ -30,11 +31,19 @@ from repro.channel.medium import SlotObservation
 from repro.core.slot_schedule import (
     Assignment,
     find_free_offset,
-    offsets_conflict,
+    free_offsets,
     validate_period,
 )
 from repro.core.state_machine import DEFAULT_NACK_THRESHOLD
 from repro.phy.packets import DownlinkBeacon
+
+#: Every beacon a reader sends, keyed by ``(ack, empty, reset)``.
+#: Beacons are frozen, so each slot shares one of these eight instead
+#: of constructing its own.
+_BEACONS = {
+    flags: DownlinkBeacon(ack=flags[0], empty=flags[1], reset=flags[2])
+    for flags in itertools.product((False, True), repeat=3)
+}
 
 
 @dataclass
@@ -85,6 +94,11 @@ class ReaderMac:
         for tag, period in tag_periods.items():
             validate_period(period)
         self.tag_periods = dict(tag_periods)
+        # Eq. 4 is evaluated once per distinct period, and EMPTY never
+        # looks further back than one max period: history older than
+        # twice that is dropped.
+        self._periods = sorted(set(self.tag_periods.values()))
+        self._horizon = 2 * max(self._periods, default=1)
         self.nack_threshold = nack_threshold
         self.enable_empty_flag = enable_empty_flag
         self.enable_future_avoidance = enable_future_avoidance
@@ -95,7 +109,6 @@ class ReaderMac:
         self._appeared: Set[str] = set()
         self._committed: Dict[str, int] = {}  # tag -> ground-truth offset
         self._evicting: Dict[str, int] = {}  # tag -> forced NACKs delivered
-        self._activity: Dict[int, bool] = {}  # slot -> any occupation
         self._slot_decoded: Dict[int, str] = {}  # slot -> attributed tag
         self._slot_collision: Dict[int, bool] = {}  # slot -> unattributed
         self.records: List[SlotRecord] = []
@@ -111,11 +124,7 @@ class ReaderMac:
         """Compose the beacon opening the current slot."""
         empty = self._compute_empty_flag(self.slot_index)
         self._last_empty_flag = empty
-        beacon = DownlinkBeacon(
-            ack=self._pending_ack,
-            empty=empty,
-            reset=self._pending_reset,
-        )
+        beacon = _BEACONS[self._pending_ack, empty, self._pending_reset]
         if self._pending_reset:
             self._apply_reset()
         return beacon
@@ -126,7 +135,6 @@ class ReaderMac:
         self._appeared.clear()
         self._committed.clear()
         self._evicting.clear()
-        self._activity.clear()
         self._slot_decoded.clear()
         self._slot_collision.clear()
 
@@ -173,16 +181,22 @@ class ReaderMac:
         arrivals.  Decoded packets carry the TID, so attribution is
         free; an unattributed *collision* one period back is treated
         conservatively as potentially-returning for every period.
+
+        Evaluated once per distinct period ``p``: some tag of period
+        ``p`` was decoded in slot ``s - p`` exactly when the tag decoded
+        there has period ``p``.
         """
         if not self.enable_empty_flag:
             return True
-        for tag, period in self.tag_periods.items():
+        decoded = self._slot_decoded
+        collided = self._slot_collision
+        periods = self.tag_periods
+        for period in self._periods:
             back = slot - period
-            if back >= 0 and self._slot_decoded.get(back) == tag:
+            if back in collided:
                 return False
-        for period in set(self.tag_periods.values()):
-            back = slot - period
-            if back >= 0 and self._slot_collision.get(back, False):
+            tag = decoded.get(back)
+            if tag is not None and periods.get(tag) == period:
                 return False
         return True
 
@@ -194,28 +208,27 @@ class ReaderMac:
         slot = self.slot_index
         decoded = observation.decoded_tag
         collision = observation.collision_detected
-        occupied = decoded is not None or collision
-        self._activity[slot] = occupied
         if decoded is not None:
             self._slot_decoded[slot] = decoded
         if collision:
             self._slot_collision[slot] = True
         # Bounded history: EMPTY only ever looks one max-period back.
-        stale = slot - 2 * max(self.tag_periods.values(), default=1)
-        self._activity.pop(stale, None)
+        stale = slot - self._horizon
         self._slot_decoded.pop(stale, None)
         self._slot_collision.pop(stale, None)
 
-        if not occupied:
+        committed = self._committed
+        if committed and decoded is None and not collision:
             # A committed tag's scheduled slot passed with no activity at
             # all: the tag has left that offset (demoted by collisions or
             # a beacon loss).  Expire the commitment so the viability
             # check does not hold a phantom slot against newcomers — a
             # stale commitment would trigger needless evictions.
-            for tag_name in list(self._committed):
-                period = self.tag_periods.get(tag_name)
-                if period is not None and slot % period == self._committed[tag_name]:
-                    del self._committed[tag_name]
+            periods = self.tag_periods
+            for tag_name, offset in list(committed.items()):
+                period = periods.get(tag_name)
+                if period is not None and slot % period == offset:
+                    del committed[tag_name]
                     self._evicting.pop(tag_name, None)
 
         ack = False
@@ -272,14 +285,13 @@ class ReaderMac:
                 tel.inc("mac.reader.commits")
             return True  # naive ACK-on-decode (ablation baseline)
         others = self._placement_constraints()
-        if find_free_offset(period, others) is None:
+        free = free_offsets(period, others)
+        if 1 not in free:
             # No viable offset exists at all for this tag: block it and
             # evict a victim to reopen the competition (Sec. 5.6).
             self._start_eviction(period, others)
             return False
-        if any(
-            offsets_conflict(period, offset, o.period, o.offset) for o in others
-        ):
+        if not free[offset]:
             # Viable offsets exist, but not this one: the chosen slot is
             # congruent with a committed tag's pattern and would collide
             # in a future slot — NACK despite the clean decode.
@@ -342,6 +354,13 @@ class ReaderMac:
             t: Assignment(t, self.tag_periods[t], o)
             for t, o in self._committed.items()
         }
+
+    def committed_offsets(self) -> Dict[str, int]:
+        """``tag -> offset`` of every commitment as stored (the period
+        is ``tag_periods[tag]``).  Unlike :attr:`committed_assignments`
+        nothing is validated, so the supervisor can inspect and report
+        a corrupted commitment instead of crashing on it."""
+        return dict(self._committed)
 
     def evicting(self) -> Set[str]:
         return set(self._evicting)

@@ -28,7 +28,7 @@ from repro.phy.fm0 import fm0_frame_duration_s
 from repro.phy.packets import UL_FRAME_BITS, DownlinkBeacon
 from repro.phy.pie import pie_duration_s
 from repro.sim.engine import EventHandle, Simulator
-from repro.sim.random import RandomStreams
+from repro.sim.random import BufferedPicker, RandomStreams
 from repro.sim.trace import TraceRecorder
 
 #: Tag turnaround between beacon end and UL start (Fig. 14a).
@@ -81,12 +81,13 @@ class RealtimeNetwork:
         for tid, (name, period) in enumerate(sorted(tag_periods.items())):
             if name not in self.medium.biw.mounts:
                 raise KeyError(f"tag {name!r} is not mounted on the BiW")
-            rng = self._streams.fork(name).stream("offset")
             mac = TagMac(
                 tag_name=name,
                 tid=tid,
                 period=period,
-                offset_picker=lambda p, r=rng: int(r.integers(0, p)),
+                offset_picker=BufferedPicker(
+                    self._streams.fork(name).stream("offset"), period
+                ),
                 nack_threshold=self.config.nack_threshold,
                 respect_empty_flag=self.config.enable_empty_flag,
                 late_arrival=self.activation_time_s.get(name, 0.0) > 0.0,

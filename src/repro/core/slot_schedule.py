@@ -54,10 +54,13 @@ class Assignment:
     offset: int
 
     def __post_init__(self) -> None:
-        validate_period(self.period)
-        if not 0 <= self.offset < self.period:
+        # validate_period, inlined: placement builds these per decode.
+        period = self.period
+        if period < 1 or period & (period - 1):
+            raise ValueError(f"period must be a power of two, got {period}")
+        if not 0 <= self.offset < period:
             raise ValueError(
-                f"offset {self.offset} out of range for period {self.period}"
+                f"offset {self.offset} out of range for period {period}"
             )
 
     def transmits_in(self, slot: int) -> bool:
@@ -121,20 +124,31 @@ def assign_offsets(
     return result
 
 
+def free_offsets(period: int, existing: Sequence[Assignment]) -> bytearray:
+    """Residue sieve of the offsets a ``period`` tag can take.
+
+    Byte ``o`` is 1 iff offset ``o`` conflicts with none of
+    ``existing``.  An assignment ``(q, b)`` blocks exactly the offsets
+    congruent to ``b`` modulo ``min(period, q)``
+    (:func:`offsets_conflict`), one strided slice of the sieve.
+    """
+    validate_period(period)
+    free = bytearray(b"\x01") * period
+    for e in existing:
+        step = e.period if e.period < period else period
+        start = e.offset % step
+        free[start::step] = bytes(len(range(start, period, step)))
+    return free
+
+
 def find_free_offset(
     period: int, existing: Sequence[Assignment]
 ) -> Optional[int]:
     """Smallest offset in [0, period) not conflicting with ``existing``,
     or None when the tag cannot fit — the reader's Sec. 5.6 viability
     check uses exactly this predicate."""
-    validate_period(period)
-    for offset in range(period):
-        if all(
-            not offsets_conflict(period, offset, e.period, e.offset)
-            for e in existing
-        ):
-            return offset
-    return None
+    offset = free_offsets(period, existing).find(1)
+    return None if offset < 0 else offset
 
 
 def schedule_table(

@@ -150,9 +150,6 @@ class TagMac:
         transmission slots through a competitive process")."""
         return self.late_arrival and not self.ever_settled
 
-    def _scheduled_now(self) -> bool:
-        return self.slot_counter % self.machine.period == self.machine.offset
-
     def on_beacon(self, beacon: DownlinkBeacon) -> TagDecision:
         """Process a received beacon; returns this slot's decision.
 
@@ -165,59 +162,55 @@ class TagMac:
         uplink = self._uplink
         if uplink is not None:
             beacon = uplink.feedback(self, beacon)
+        machine = self.machine
 
         if self.transmitted_last_slot:
-            prev_state = self.machine.state
+            self.transmitted_last_slot = False
+            prev_state = machine.state
             if beacon.ack:
-                self.machine.on_ack()
+                machine.on_ack()
                 self.ever_settled = True
             else:
-                self.machine.on_nack()
+                machine.on_nack()
             tel = telemetry.active()
-            if tel is not None and self.machine.state is not prev_state:
+            if tel is not None and machine.state is not prev_state:
                 # A feedback-driven state transition: settling on an ACK
                 # is a promotion, falling back to MIGRATE on the NACK
                 # threshold is a demotion.
-                if self.machine.state is TagState.SETTLE:
+                if machine.state is TagState.SETTLE:
                     tel.inc("mac.tag.promotions", tag=self.tag_name)
                 else:
                     tel.inc("mac.tag.demotions", tag=self.tag_name)
-        self.transmitted_last_slot = False
 
         if beacon.reset:
-            self.machine.reset()
+            machine.reset()
             self.ever_settled = False
             self.slot_counter = 0
 
+        counter = self.slot_counter
+        self.slot_counter = counter + 1
         if self.rejoin_holdoff > 0:
             # A rejoin-backoff policy is holding the tag out of the
             # competition: feedback and RESET were processed above, but
             # the tag stays silent and burns one hold-off slot.
             self.rejoin_holdoff -= 1
-            self.slot_counter += 1
-            return TagDecision(
-                transmit=False,
-                offset=self.machine.offset,
-                state=self.machine.state,
-            )
+            return TagDecision(False, machine.offset, machine.state)
 
-        transmit = self._scheduled_now()
-        if transmit and self.is_new and self.respect_empty_flag and not beacon.empty:
+        if counter % machine.period != machine.offset:
+            return TagDecision(False, machine.offset, machine.state)
+        if self.is_new and self.respect_empty_flag and not beacon.empty:
             # Predicted-busy slot: a newcomer defers and immediately
             # re-rolls its offset rather than provoking a collision.
-            if self.machine.state is TagState.MIGRATE:
-                self.machine.on_nack()  # re-pick without transmitting
-            transmit = False
+            if machine.state is TagState.MIGRATE:
+                machine.on_nack()  # re-pick without transmitting
+            return TagDecision(False, machine.offset, machine.state)
 
-        if transmit:
-            self.transmissions += 1
-            self.transmitted_last_slot = True
-            if uplink is not None:
-                transmit = uplink.to_reader(self)
-        self.slot_counter += 1
-        return TagDecision(
-            transmit=transmit, offset=self.machine.offset, state=self.machine.state
-        )
+        self.transmissions += 1
+        self.transmitted_last_slot = True
+        transmit = True
+        if uplink is not None:
+            transmit = uplink.to_reader(self)
+        return TagDecision(transmit, machine.offset, machine.state)
 
     def cold_boot(self) -> None:
         """Drop all protocol state, as an MCU reboot does: the state

@@ -46,7 +46,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import perf, telemetry
-from repro.channel.medium import AcousticMedium, SlotObservation
+from repro.channel.medium import EMPTY_SLOT, AcousticMedium, SlotObservation
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.experiments.fig12_uplink import WAVEFORM_AMPLITUDE_CALIBRATION
 from repro.faults.injectors import flip_bits
@@ -291,7 +291,7 @@ class WaveformNetwork(SlottedNetwork):
             self.slot_logs.append(
                 WaveformSlotLog(self.reader.slot_index, [], [], 0)
             )
-            return SlotObservation((), None, False)
+            return EMPTY_SLOT
 
         if self.rate_controller is not None:
             penalties = (

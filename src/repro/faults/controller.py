@@ -74,6 +74,20 @@ class FaultState:
     def is_flagged(table: Mapping[str, int], name: str) -> bool:
         return name in table or ALL_TAGS in table
 
+    def tag_faults_active(self) -> bool:
+        """True while a fault that the controller's four per-tag hooks
+        act on is active: brownout, harvester collapse, forced or scaled
+        beacon loss, or ACK flip.  Otherwise ``tag_offline``,
+        ``beacon_lost``, ``beacon_for`` and ``transmit_allowed`` hand
+        back their inputs unchanged and draw nothing."""
+        return bool(
+            self.offline
+            or self.tx_blocked
+            or self.forced_beacon_loss
+            or self.beacon_loss_scale
+            or self.ack_flip
+        )
+
     def any_active(self) -> bool:
         return bool(
             self.forced_beacon_loss

@@ -28,7 +28,7 @@ import numpy as np
 from repro.core.slot_schedule import (
     Assignment,
     find_free_offset,
-    offsets_conflict,
+    free_offsets,
     validate_period,
 )
 
@@ -217,12 +217,11 @@ class BatchReader:
             self.commits_this_slot += 1
             return True
         others = self._assignments(n, exclude=d)
-        if find_free_offset(period, others) is None:
+        free = free_offsets(period, others)
+        if 1 not in free:
             self._start_eviction_scalar(n, period, others)
             return False
-        if any(
-            offsets_conflict(period, offset, o.period, o.offset) for o in others
-        ):
+        if not free[offset]:
             return False
         self.committed[n, d] = offset
         self.commits_this_slot += 1

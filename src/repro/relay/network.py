@@ -17,7 +17,8 @@ that applies the T2T ACK override and diverts frames into the chain),
 the forwarding block inside :meth:`_observe`, and decode attribution
 plus delivery credit in :meth:`_close_slot`.
 
-Zero-cost-when-off contract: with no routes engaged, each seam is one
+Zero-cost-when-off contract: until a route engages, the forwarding
+seams are the base implementations and the slot-opening check is one
 falsy-dict test — no relay RNG stream is ever created, no extra draws
 occur, and slot logs are byte-identical to a plain
 :class:`SlottedNetwork`.  The differential tests and the bench_smoke
@@ -86,6 +87,13 @@ class RelaySlottedNetwork(SlottedNetwork):
         self._relay_rng = None
         # This slot's forwards: terminal relay -> source it carries.
         self._forwards: Dict[str, str] = {}
+        # Shadow the forwarding seams with the base implementations
+        # until the first route engages: route-less they reduce to the
+        # base behaviour anyway, and a network that never relays must
+        # not pay a wrapper frame per slot (the bench_smoke relay-off
+        # gate), as RelayReaderMac does for its grant-aware overrides.
+        self._observe = super()._observe
+        self._close_slot = super()._close_slot
 
     # -- route management ---------------------------------------------------
 
@@ -149,6 +157,9 @@ class RelaySlottedNetwork(SlottedNetwork):
         )
         self.routes[source] = route
         self.tags[source].attach_uplink(self)
+        # Expose the forwarding seams (shadowed since __init__).
+        self.__dict__.pop("_observe", None)
+        self.__dict__.pop("_close_slot", None)
         tel = telemetry.active()
         if tel is not None:
             tel.inc("relay.engaged", tag=source)

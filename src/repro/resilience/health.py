@@ -132,10 +132,11 @@ class LinkHealthMonitor:
         """
         reader = self.network.reader
         slot = reader.slot_index
+        periods = reader.tag_periods
         self._expected = {
-            tag: a.offset
-            for tag, a in reader.committed_assignments.items()
-            if slot % a.period == a.offset
+            tag: offset
+            for tag, offset in reader.committed_offsets().items()
+            if slot % periods[tag] == offset
         }
         self._expected_slot = slot
 
@@ -147,10 +148,11 @@ class LinkHealthMonitor:
             # current ledger; commitments the slot itself released are
             # simply unseen in this degraded mode.
             reader = self.network.reader
+            periods = reader.tag_periods
             self._expected = {
-                tag: a.offset
-                for tag, a in reader.committed_assignments.items()
-                if record.slot % a.period == a.offset
+                tag: offset
+                for tag, offset in reader.committed_offsets().items()
+                if record.slot % periods[tag] == offset
             }
         decoded = record.decoded
         tel = telemetry.active()

@@ -282,7 +282,7 @@ class SlotLeasePolicy(RecoveryPolicy):
             return
         reader = self.supervisor.network.reader
         monitor = self.supervisor.monitor
-        for tag in list(reader.committed_assignments):
+        for tag in reader.committed_offsets():
             health = monitor.health(tag)
             if health.consecutive_missed >= self.lease_misses:
                 if reader.release_assignment(tag):

@@ -238,30 +238,33 @@ class NetworkSupervisor:
         violations: List[InvariantViolation] = []
         reader = self.network.reader
         slot = reader.slot_index - 1
-        committed = reader.committed_assignments
-        for tag, a in committed.items():
-            if not 0 <= a.offset < a.period:
+        # Raw (period, offset) pairs: building validated Assignments
+        # would raise on the very corruption this check reports.
+        committed = reader.committed_offsets()
+        periods = reader.tag_periods
+        for tag, offset in committed.items():
+            period = periods[tag]
+            if not 0 <= offset < period:
                 violations.append(
                     InvariantViolation(
                         slot,
                         "offset_range",
-                        f"{tag} committed at offset {a.offset} outside "
-                        f"[0, {a.period})",
+                        f"{tag} committed at offset {offset} outside "
+                        f"[0, {period})",
                     )
                 )
         if reader.enable_future_avoidance:
-            for a, b in itertools.combinations(sorted(committed), 2):
-                aa, ab = committed[a], committed[b]
-                if offsets_conflict(aa.period, aa.offset, ab.period, ab.offset):
+            pairs = sorted((t, periods[t], o) for t, o in committed.items())
+            for (a, pa, oa), (b, pb, ob) in itertools.combinations(pairs, 2):
+                if offsets_conflict(pa, oa, pb, ob):
                     violations.append(
                         InvariantViolation(
                             slot,
                             "double_booked",
-                            f"{a}({aa.period},{aa.offset}) conflicts with "
-                            f"{b}({ab.period},{ab.offset})",
+                            f"{a}({pa},{oa}) conflicts with {b}({pb},{ob})",
                         )
                     )
-        stale = reader.evicting() - set(committed)
+        stale = reader.evicting() - committed.keys()
         if stale:
             violations.append(
                 InvariantViolation(
@@ -271,13 +274,14 @@ class NetworkSupervisor:
                 )
             )
         for name, tag in self.network.tags.items():
-            if not 0 <= tag.offset < tag.period:
+            machine = tag.machine
+            if not 0 <= machine.offset < machine.period:
                 violations.append(
                     InvariantViolation(
                         slot,
                         "tag_offset_range",
-                        f"{name} holds offset {tag.offset} outside "
-                        f"[0, {tag.period})",
+                        f"{name} holds offset {machine.offset} outside "
+                        f"[0, {machine.period})",
                     )
                 )
         return violations

@@ -146,6 +146,32 @@ class TestValidation:
         with pytest.raises(ValueError):
             ideal_net({"tag8": 4}).run_until_converged(streak=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beacon_loss_probability", 1.5),
+            ("beacon_loss_probability", -0.2),
+            ("beacon_loss_probability", float("nan")),
+            ("dl_raw_rate_bps", 0.0),
+            ("dl_raw_rate_bps", -250.0),
+            ("dl_raw_rate_bps", float("inf")),
+            ("ul_raw_rate_bps", 0.0),
+            ("ul_raw_rate_bps", float("nan")),
+            ("slot_duration_s", 0.0),
+            ("slot_duration_s", -1.0),
+            ("slot_duration_s", float("inf")),
+            ("nack_threshold", 0),
+            ("nack_threshold", -3),
+        ],
+    )
+    def test_invalid_config_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            NetworkConfig(**{field: value})
+
+    def test_config_boundaries_accepted(self):
+        NetworkConfig(beacon_loss_probability=0.0, nack_threshold=1)
+        NetworkConfig(beacon_loss_probability=1.0, slot_duration_s=1e-3)
+
     def test_nonconvergence_returns_none(self):
         net = ideal_net({"tag5": 2, "tag6": 2})  # both must fit period 2
         # Utilization 1.0 with two period-2 tags: needs the exact split.

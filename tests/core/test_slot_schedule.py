@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from core.oracles import find_free_offset_reference, free_offsets_reference
+from hypothesis import given, settings, strategies as st
 
 from repro.core.slot_schedule import (
     Assignment,
@@ -11,6 +12,7 @@ from repro.core.slot_schedule import (
     assign_offsets,
     count_collision_slots,
     find_free_offset,
+    free_offsets,
     is_permissible_period,
     offsets_conflict,
     schedule_table,
@@ -134,6 +136,65 @@ class TestFindFreeOffset:
 
     def test_empty_existing_gives_zero(self):
         assert find_free_offset(8, []) == 0
+
+
+PROP = settings(max_examples=200, deadline=None, derandomize=True)
+
+POWERS = [1, 2, 4, 8, 16, 32, 64]
+
+#: Arbitrary commitment sets: any power-of-two periods, offsets in
+#: range, possibly conflicting among themselves, possibly empty.
+commitments = st.lists(
+    st.sampled_from(POWERS).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(0, p - 1))
+    ),
+    max_size=24,
+)
+
+
+def as_assignments(pairs):
+    return [Assignment(f"t{i}", p, o) for i, (p, o) in enumerate(pairs)]
+
+
+class TestResidueSieve:
+    """``find_free_offset`` sieves residues; the oracle scans every
+    offset against every assignment."""
+
+    @PROP
+    @given(st.sampled_from(POWERS), commitments)
+    def test_sieve_matches_bruteforce_oracle(self, period, pairs):
+        existing = as_assignments(pairs)
+        assert find_free_offset(period, existing) == find_free_offset_reference(
+            period, existing
+        )
+        assert list(free_offsets(period, existing)) == free_offsets_reference(
+            period, existing
+        )
+
+    @PROP
+    @given(st.sampled_from(POWERS), st.lists(st.integers(0, 1 << 16), max_size=12))
+    def test_fully_booked_schedule_has_no_room(self, period, splits):
+        # Tile the whole slot grid: start from one period-1 pattern and
+        # repeatedly split a pattern into its two halves.
+        periods = [1]
+        for s in splits:
+            i = s % len(periods)
+            if periods[i] < 64:
+                half = 2 * periods.pop(i)
+                periods += [half, half]
+        existing = list(
+            assign_offsets({f"t{i}": p for i, p in enumerate(periods)}).values()
+        )
+        assert find_free_offset_reference(period, existing) is None
+        assert find_free_offset(period, existing) is None
+        assert not any(free_offsets(period, existing))
+
+    def test_empty_set_leaves_every_offset_free(self):
+        assert free_offsets(8, []) == bytearray(b"\x01" * 8)
+
+    def test_invalid_period_rejected(self):
+        with pytest.raises(ValueError):
+            free_offsets(6, [])
 
 
 class TestScheduleTable:

@@ -119,12 +119,14 @@ class TestScenarioMachinery:
         # "multireader" is pinned by tests/multireader/test_golden.py,
         # "relay_rescue" by tests/relay/test_relay_golden.py,
         # "adaptive_uplink" by tests/phy/test_adaptive_golden.py, the
-        # energy and waveform traces by tests/core/test_network_golden.py.
+        # energy and waveform traces by tests/core/test_network_golden.py,
+        # "results_quick" by tests/experiments/test_results_golden.py.
         stray = (
             {p.stem for p in GOLDEN_DIR.glob("*.json")}
             - set(SCENARIO_NAMES)
             - {"multireader", "relay_rescue", "adaptive_uplink"}
             - {"energy_faulted", "energy_sensing", "waveform_fm0",
                "waveform_adaptive"}
+            - {"results_quick"}
         )
         assert not stray, f"unexpected golden files: {sorted(stray)}"

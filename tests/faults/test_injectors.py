@@ -8,7 +8,7 @@ from repro.channel.medium import SlotObservation
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.faults.controller import FaultState
 from repro.faults.injectors import MacFaultInjector, flip_bits
-from repro.faults.schedule import FaultEvent, FaultSchedule
+from repro.faults.schedule import ALL_KINDS, FaultEvent, FaultSchedule
 from repro.phy.packets import DownlinkBeacon
 
 PERIODS = {"tag1": 4, "tag2": 8, "tag3": 8}
@@ -54,6 +54,23 @@ class TestFaultState:
         assert FaultState.is_flagged({"tag2": 1}, "tag2")
         assert not FaultState.is_flagged({"tag2": 1}, "tag1")
 
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_tag_faults_active_exactly_while_a_per_tag_hook_acts(self, kind):
+        # The network skips tag_offline / beacon_lost / beacon_for /
+        # transmit_allowed unless this predicate holds.
+        tag_level = {"brownout", "relay_brownout", "harvester_collapse",
+                     "beacon_loss", "envelope_drift", "ack_corrupt"}
+        target = {"reader_restart": "reader", "noise_burst": "*",
+                  "relay_table_stale": "*"}.get(kind, "tag1")
+        net = make_net([FaultEvent(slot=0, duration=2, kind=kind,
+                                   target=target)])
+        state = net.faults.state
+        assert not state.tag_faults_active()
+        net.faults.on_slot_start(0)
+        assert state.tag_faults_active() == (kind in tag_level)
+        net.faults.on_slot_start(2)
+        assert not state.tag_faults_active()
+
 
 class TestMacInjector:
     def test_beacon_loss_forced_then_cleared(self):
@@ -77,6 +94,19 @@ class TestMacInjector:
         assert seen.ack is False
         assert (seen.empty, seen.reset) == (beacon.empty, beacon.reset)
         assert ctl.beacon_for("tag1", beacon) is beacon
+
+    def test_lone_ack_corruption_reaches_the_tag(self):
+        # The only active fault is tag-level through beacon_for alone:
+        # the stepping loop must still route tag1's beacons through it.
+        clean = make_net([])
+        faulted = make_net([FaultEvent(slot=200, duration=16,
+                                       kind="ack_corrupt", target="tag1")])
+        clean.run(216)
+        faulted.run(216)
+        assert (
+            faulted.tags["tag1"].machine.migrations
+            > clean.tags["tag1"].machine.migrations
+        )
 
     def test_reader_restart_clears_soft_state(self):
         net = make_net([FaultEvent(slot=50, duration=1, kind="reader_restart",

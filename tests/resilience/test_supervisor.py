@@ -100,6 +100,41 @@ class TestInvariants:
         checks = {v.check for v in sup.verify_invariants()}
         assert "double_booked" in checks
 
+    @pytest.mark.parametrize("past", [0, 3, -5])
+    def test_out_of_range_commitment_is_reported(self, past):
+        net = build()
+        sup = NetworkSupervisor(net, policies=())
+        sup.run(200)
+        tag = sorted(net.reader._committed)[0]
+        # Corrupt: the first offset past the period, one further out, or
+        # a negative one.
+        bad = PERIODS[tag] + past if past >= 0 else past
+        net.reader._committed[tag] = bad
+        violations = sup.verify_invariants()
+        assert [v.check for v in violations if v.check == "offset_range"] == [
+            "offset_range"
+        ]
+        assert f"{tag} committed at offset {bad} outside" in violations[0].detail
+
+    def test_out_of_range_commitment_escalates_instead_of_crashing(self):
+        net = build()
+        sup = NetworkSupervisor(net, policy_grace=1)
+        sup.run(200)
+        reader = net.reader
+        # A tag not scheduled in the next slot: the reader cannot
+        # overwrite the corrupted entry before the check runs.
+        tag = next(
+            t
+            for t, o in sorted(reader._committed.items())
+            if reader.slot_index % PERIODS[t] != o
+        )
+        reader._committed[tag] = PERIODS[tag] + 3
+        sup.step()
+        assert "offset_range" in {v.check for v in sup.violations}
+        # The restart rung wiped the corrupted ledger.
+        assert [e.level for e in sup.escalations] == ["restart"]
+        assert sup.verify_invariants() == []
+
     def test_ablation_reader_skips_conflict_check(self):
         net = build(enable_future_avoidance=False)
         sup = NetworkSupervisor(net, policies=())

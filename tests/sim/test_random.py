@@ -1,6 +1,14 @@
 """Tests for seeded random streams."""
 
-from repro.sim.random import RandomStreams
+import pytest
+
+from repro.sim.random import (
+    PICK_BLOCK,
+    UNIFORM_BLOCK,
+    BufferedPicker,
+    BufferedUniforms,
+    RandomStreams,
+)
 
 
 class TestRandomStreams:
@@ -44,3 +52,31 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(42).seed == 42
+
+
+class TestBufferedStreams:
+    """Block-buffered draws replay the scalar calls they replace."""
+
+    def test_uniforms_match_scalar_random_across_refills(self):
+        buffered = BufferedUniforms(RandomStreams(9).stream("slots"))
+        scalar = RandomStreams(9).stream("slots")
+        n = 3 * UNIFORM_BLOCK + 5
+        drawn = [buffered.random() for _ in range(n)]
+        assert drawn == [scalar.random() for _ in range(n)]
+        assert all(type(x) is float for x in drawn)
+
+    @pytest.mark.parametrize("high", range(1, 65))
+    def test_picks_match_scalar_integers_across_refills(self, high):
+        buffered = BufferedPicker(
+            RandomStreams(high).fork("tag1").stream("offset"), high
+        )
+        scalar = RandomStreams(high).fork("tag1").stream("offset")
+        n = 3 * PICK_BLOCK + 5
+        drawn = [buffered(high) for _ in range(n)]
+        assert drawn == [int(scalar.integers(0, high)) for _ in range(n)]
+        assert all(type(x) is int for x in drawn)
+
+    def test_picker_refuses_another_bound(self):
+        picker = BufferedPicker(RandomStreams(0).stream("offset"), 8)
+        with pytest.raises(ValueError, match="below 8"):
+            picker(4)
