@@ -6,7 +6,12 @@ C compiler and loaded through :mod:`ctypes`.  The build is
 content-addressed: the shared object's file name embeds a hash of the
 source, the compiler, and the flags, so repeated processes load the
 cached ``.so`` without recompiling (``cache.kernel_build.hit`` /
-``.miss`` perf counters track this).
+``.miss`` perf counters track this).  A cached library is loaded only
+if its size and SHA-256 match the ``.sha256`` stamp written with it;
+one that does not is moved aside (``.bad-<pid>``) and rebuilt, and the
+repair is listed in :data:`CACHE_REPAIRS`.  Each compiling process
+writes its own copy of the source in a private directory, under a
+per-entry lock.
 
 Every kernel is written to be **bit-identical** to the numpy/scipy
 expression it replaces — the kernels-on/off parity suite and the
@@ -34,8 +39,27 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
   end point pinned to ``stop`` (and the denormal-step fallback
   ``(i / div) * delta + start``), which the 2-D histogram kernel
   replays for its bin edges.
-* ``np.searchsorted(side="right")`` — any correct binary search is
-  exact (integer semantics).
+* ``np.searchsorted(side="right")`` — integer semantics, so any
+  exact search agrees: the histogram guesses each bin arithmetically
+  and walks to the exact count of edges ``<=`` the value, in numpy's
+  order where NaN sorts last (binary search if the edges are not
+  sorted).
+* ``np.sum`` / ``np.mean`` — numpy's pairwise summation (blocks of
+  128, eight accumulators; complex arrays summed as interleaved
+  doubles), added to the reduction's 0 identity; a float mean is
+  ``sum / n``, a complex mean numpy's complex division by the count.
+* complex ``np.abs`` — numpy's SIMD loop computes
+  ``sqrt(fma(r, r, 1)) * max(|re|, |im|)`` with ``r = min / max``
+  (not ``hypot``).  A loop without FMA rounds differently, so
+  :func:`load` probes the replica against ``np.abs`` and leaves the
+  fused detector that uses it out of the table on a mismatch
+  (:data:`PROBE_FAILURES`).  On x86-64 the detector runs a copy
+  compiled for FMA where the CPU has it: the same results, with each
+  ``fma()`` one instruction instead of a libm call.
+* the 1%/99% histogram box — when both quantiles lie within 64 order
+  statistics of the ends, one pass keeps the smallest and largest
+  values in sorted buffers; they hold the same order statistics a
+  selection would place.
 * compare-only loops (Schmitt states, hysteresis slicing, FM0 pairs)
   are trivially exact.
 
@@ -65,6 +89,7 @@ continuous data.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import os
@@ -73,7 +98,7 @@ import subprocess
 import sys
 import tempfile
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -185,25 +210,30 @@ static double lerp_np(double a, double b, double t)
     return a + d * t;
 }
 
-static double quantile_from(double *a, i64 n, i64 done_upto, double q,
-                            i64 *last_k)
+/* numpy's 'linear' quantile: order statistics jp <= jn, weight gamma */
+static double quantile_index(i64 n, double q, i64 *jp, i64 *jn)
 {
     /* numpy's virtual index for the 'linear' method: (n - 1) * q */
     double virt = (double)(n - 1) * q;
-    i64 jp, jn;
-    double gamma;
     if (virt >= (double)(n - 1)) {
-        jp = jn = n - 1;
-        gamma = 0.0;
-    } else if (virt < 0.0) {
-        jp = jn = 0;
-        gamma = 0.0;
-    } else {
-        double fl = floor(virt);
-        jp = (i64)fl;
-        jn = jp + 1;
-        gamma = virt - fl;
+        *jp = *jn = n - 1;
+        return 0.0;
     }
+    if (virt < 0.0) {
+        *jp = *jn = 0;
+        return 0.0;
+    }
+    double fl = floor(virt);
+    *jp = (i64)fl;
+    *jn = *jp + 1;
+    return virt - fl;
+}
+
+static double quantile_from(double *a, i64 n, i64 done_upto, double q,
+                            i64 *last_k)
+{
+    i64 jp, jn;
+    double gamma = quantile_index(n, q, &jp, &jn);
     i64 lo = done_upto;
     if (jp > lo) { kth_smallest(a, lo, n - 1, jp); lo = jp; }
     else if (jp < lo) { /* already ordered below lo */ }
@@ -367,14 +397,42 @@ i64 rk_bit_grid(i64 n_samples, double samples_per_bit, double grid_offset,
 
 /* ---- 2-D histogram (np.histogram2d with scalar bins + range) ----- */
 
+/* e <= v in numpy's sort order, where NaN sorts last. */
+static int le_np(double e, double v)
+{
+    return !(v < e || (e != e && v == v));
+}
+
 static i64 searchsorted_right(const double *e, i64 m, double v)
 {
     i64 lo = 0, hi = m;
     while (lo < hi) {
         i64 mid = (lo + hi) >> 1;
-        if (e[mid] <= v) lo = mid + 1; else hi = mid;
+        if (le_np(e[mid], v)) lo = mid + 1; else hi = mid;
     }
     return lo;
+}
+
+static int edges_sorted(const double *e, i64 m)
+{
+    for (i64 i = 0; i + 1 < m; i++)
+        if (!le_np(e[i], e[i + 1])) return 0;
+    return 1;
+}
+
+/* searchsorted(e, v, "right") over bins + 1 sorted edges: guess the
+ * bin arithmetically (inv = bins / span), then walk to the exact
+ * count of edges <= v, so the result is the binary search's. */
+static i64 bin_right(const double *e, i64 bins, double inv, double v)
+{
+    double t = (v - e[0]) * inv;
+    i64 g;
+    if (!(t >= 0.0)) g = 0;
+    else if (t >= (double)bins) g = bins + 1;
+    else g = (i64)t + 1;
+    while (g > 0 && !le_np(e[g - 1], v)) g--;
+    while (g <= bins && le_np(e[g], v)) g++;
+    return g;
 }
 
 static void linspace_np(double start, double stop, i64 div, double *e)
@@ -400,11 +458,17 @@ void rk_hist2d(const double *x, const double *y, i64 n, i64 bins,
 {
     linspace_np(x0, x1, bins, xe);
     linspace_np(y0, y1, bins, ye);
+    int x_sorted = edges_sorted(xe, bins + 1);
+    int y_sorted = edges_sorted(ye, bins + 1);
+    double x_inv = (double)bins / (xe[bins] - xe[0]);
+    double y_inv = (double)bins / (ye[bins] - ye[0]);
     for (i64 i = 0; i < bins * bins; i++) hist[i] = 0.0;
     for (i64 i = 0; i < n; i++) {
         double vx = x[i], vy = y[i];
-        i64 ix = searchsorted_right(xe, bins + 1, vx);
-        i64 iy = searchsorted_right(ye, bins + 1, vy);
+        i64 ix = x_sorted ? bin_right(xe, bins, x_inv, vx)
+                          : searchsorted_right(xe, bins + 1, vx);
+        i64 iy = y_sorted ? bin_right(ye, bins, y_inv, vy)
+                          : searchsorted_right(ye, bins + 1, vy);
         if (vx == x1) ix--;
         if (vy == y1) iy--;
         if (ix > 0 && ix <= bins && iy > 0 && iy <= bins)
@@ -413,6 +477,41 @@ void rk_hist2d(const double *x, const double *y, i64 n, i64 bins,
 }
 
 /* ---- constellation cluster stage (collision detector) ------------ */
+
+#define EDGE_K 64
+
+/* np.quantile(x, [q0, q1]) when both quantiles lie within EDGE_K order
+ * statistics of the ends (the 1%/99% box of a few thousand points): one
+ * pass keeps the smallest and largest values in sorted buffers, which
+ * hold the same order statistics a selection would place.  Returns 0,
+ * leaving out alone, when the quantiles lie deeper. */
+static int edge_quantiles(const double *x, i64 n, double q0, double q1,
+                          double *out)
+{
+    i64 jp0, jn0, jp1, jn1;
+    double g0 = quantile_index(n, q0, &jp0, &jn0);
+    double g1 = quantile_index(n, q1, &jp1, &jn1);
+    i64 k_lo = jn0 + 1, k_hi = n - jp1;
+    if (k_lo > EDGE_K || k_hi > EDGE_K) return 0;
+    double lo[EDGE_K], hi[EDGE_K];  /* ascending / descending */
+    i64 m_lo = 0, m_hi = 0;
+    for (i64 i = 0; i < n; i++) {
+        double v = x[i];
+        if (m_lo < k_lo || v < lo[k_lo - 1]) {
+            i64 j = m_lo < k_lo ? m_lo++ : k_lo - 1;
+            while (j > 0 && v < lo[j - 1]) { lo[j] = lo[j - 1]; j--; }
+            lo[j] = v;
+        }
+        if (m_hi < k_hi || v > hi[k_hi - 1]) {
+            i64 j = m_hi < k_hi ? m_hi++ : k_hi - 1;
+            while (j > 0 && v > hi[j - 1]) { hi[j] = hi[j - 1]; j--; }
+            hi[j] = v;
+        }
+    }
+    out[0] = lerp_np(lo[jp0], lo[jn0], g0);
+    out[1] = lerp_np(hi[n - 1 - jp1], hi[n - 1 - jn1], g1);
+    return 1;
+}
 
 void rk_iq_hist(const double *iq, i64 n, i64 bins,
                 double q0, double q1, double pad_frac, double pad_min,
@@ -424,13 +523,17 @@ void rk_iq_hist(const double *iq, i64 n, i64 bins,
         im_buf[i] = iq[2 * i + 1];
     }
     double q[2];
-    for (i64 i = 0; i < n; i++) qscratch[i] = re_buf[i];
-    two_quantiles_destroy(qscratch, n, q0, q1, q);
+    if (!edge_quantiles(re_buf, n, q0, q1, q)) {
+        for (i64 i = 0; i < n; i++) qscratch[i] = re_buf[i];
+        two_quantiles_destroy(qscratch, n, q0, q1, q);
+    }
     double pad_r = (q[1] - q[0]) * pad_frac;
     if (pad_r < pad_min) pad_r = pad_min;
     double x0 = q[0] - pad_r, x1 = q[1] + pad_r;
-    for (i64 i = 0; i < n; i++) qscratch[i] = im_buf[i];
-    two_quantiles_destroy(qscratch, n, q0, q1, q);
+    if (!edge_quantiles(im_buf, n, q0, q1, q)) {
+        for (i64 i = 0; i < n; i++) qscratch[i] = im_buf[i];
+        two_quantiles_destroy(qscratch, n, q0, q1, q);
+    }
     double pad_i = (q[1] - q[0]) * pad_frac;
     if (pad_i < pad_min) pad_i = pad_min;
     double y0 = q[0] - pad_i, y1 = q[1] + pad_i;
@@ -552,6 +655,197 @@ i64 rk_cluster_peaks(const double *hist, i64 bins, double threshold,
     return nfinal;
 }
 
+/* ---- numpy reduction / abs replicas (collision detector guard) --- */
+
+/* numpy's pairwise float64 sum (blocks of 128, 8 accumulators). */
+static double pairwise_sum(const double *a, i64 n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        for (i64 i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++) r[k] = a[k];
+        i64 i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++) r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    return pairwise_sum(a, n2) + pairwise_sum(a + n2, n - n2);
+}
+
+/* numpy's complex pairwise sum: the array summed as n interleaved
+ * doubles, even slots real, odd slots imaginary. */
+static void pairwise_csum(const double *a, i64 n, double *rr, double *ri)
+{
+    if (n < 8) {
+        *rr = -0.0;
+        *ri = -0.0;
+        for (i64 i = 0; i < n; i += 2) { *rr += a[i]; *ri += a[i + 1]; }
+        return;
+    }
+    if (n <= 128) {
+        double r[8];
+        for (int k = 0; k < 8; k++) r[k] = a[k];
+        i64 i;
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (int k = 0; k < 8; k++) r[k] += a[i + k];
+        *rr = (r[0] + r[2]) + (r[4] + r[6]);
+        *ri = (r[1] + r[3]) + (r[5] + r[7]);
+        for (; i < n; i += 2) { *rr += a[i]; *ri += a[i + 1]; }
+        return;
+    }
+    double rr1, ri1, rr2, ri2;
+    i64 n2 = n / 2;
+    n2 -= n2 % 8;
+    pairwise_csum(a, n2, &rr1, &ri1);
+    pairwise_csum(a + n2, n - n2, &rr2, &ri2);
+    *rr = rr1 + rr2;
+    *ri = ri1 + ri2;
+}
+
+/* np.mean of m complex samples: add.reduce from the 0 identity, then
+ * numpy's complex division by the count (Smith's rule with a zero
+ * imaginary divisor). */
+static void complex_mean(const double *iq, i64 m, double *mr, double *mi)
+{
+    double sr, si;
+    pairwise_csum(iq, 2 * m, &sr, &si);
+    sr = 0.0 + sr;
+    si = 0.0 + si;
+    double br = (double)m, bi = 0.0;
+    double rat = bi / br;
+    double scl = 1.0 / (br + bi * rat);
+    *mr = (sr + si * rat) * scl;
+    *mi = (si - sr * rat) * scl;
+}
+
+/* np.abs of a complex value as numpy's SIMD loop computes it:
+ * sqrt(fma(r, r, 1)) * max(|re|, |im|), r = min / max.  The loader
+ * probes this against np.abs before enabling the kernels using it. */
+static inline __attribute__((always_inline)) double
+cabs_np(double re, double im)
+{
+    double a = fabs(re), b = fabs(im);
+    if (a == INFINITY || b == INFINITY) return INFINITY;
+    if (a != a || b != b) return NAN;
+    double larger = a > b ? a : b;
+    double smaller = a > b ? b : a;
+    double ratio = larger == 0.0 ? 0.0 : smaller / larger;
+    return sqrt(fma(ratio, ratio, 1.0)) * larger;
+}
+
+void rk_cabs(const double *iq, i64 n, double *out)
+{
+    for (i64 i = 0; i < n; i++) out[i] = cabs_np(iq[2 * i], iq[2 * i + 1]);
+}
+
+/* ---- fused collision detector (detect_collision_iq) ------------- */
+
+static inline __attribute__((always_inline)) i64
+iq_clusters(const double *iq, i64 n, i64 guard, i64 bins,
+            double threshold, double *fa, double *fb, double *fc,
+            double *plateau, double *hist, double *xe, double *ye,
+            double *grid, int *labels, double *stats)
+{
+    /* Cluster count of a capture; stats <- (total_var, noise_var),
+     * NaN when the guard does not run.  fa/fb/fc hold n doubles,
+     * plateau n complex values. */
+    const double *p = iq;
+    i64 m = n;
+    stats[0] = NAN;
+    stats[1] = NAN;
+    if (guard) {
+        /* Settling trim, then the modulation-energy guard: the spread
+         * about the mean against the first-difference noise. */
+        i64 settle = n / 10 < 200 ? n / 10 : 200;
+        p = iq + 2 * settle;
+        m = n - settle;
+        if (m < 8) return 0;
+        double mr, mi;
+        complex_mean(p, m, &mr, &mi);
+        for (i64 i = 0; i < m; i++) {
+            double a = cabs_np(p[2 * i] - mr, p[2 * i + 1] - mi);
+            fa[i] = a * a;
+        }
+        double total_var = (0.0 + pairwise_sum(fa, m)) / (double)m;
+        for (i64 i = 0; i + 1 < m; i++) {
+            double z0r = p[2 * i] - mr, z0i = p[2 * i + 1] - mi;
+            double z1r = p[2 * i + 2] - mr, z1i = p[2 * i + 3] - mi;
+            double a = cabs_np(z1r - z0r, z1i - z0i);
+            fa[i] = a * a;
+        }
+        double noise_var =
+            ((0.0 + pairwise_sum(fa, m - 1)) / (double)(m - 1)) / 2.0;
+        stats[0] = total_var;
+        stats[1] = noise_var;
+        if (noise_var <= 0 || total_var < 12.0 * noise_var) return 1;
+        /* Plateau filter: keep iq[1:] where |diff(iq)| < 3 * median. */
+        for (i64 i = 0; i + 1 < m; i++) {
+            double s = cabs_np(p[2 * i + 2] - p[2 * i],
+                               p[2 * i + 3] - p[2 * i + 1]);
+            fb[i] = s;
+            fc[i] = s;
+        }
+        double cut = 3.0 * median_inplace(fc, m - 1);
+        i64 k = 0;
+        for (i64 i = 0; i + 1 < m; i++) {
+            if (fb[i] < cut) {
+                plateau[2 * k] = p[2 * i + 2];
+                plateau[2 * k + 1] = p[2 * i + 3];
+                k++;
+            }
+        }
+        if (k >= 50) {
+            p = plateau;
+            m = k;
+        }
+    }
+    if (m == 0) return 0;
+    rk_iq_hist(p, m, bins, 1.0 / 100.0, 99.0 / 100.0, 0.1, 1e-12,
+               fa, fb, fc, hist, xe, ye);
+    double smax;
+    i64 peaks = rk_cluster_peaks(hist, bins, threshold, fa, grid, labels,
+                                 &smax);
+    return smax <= 0 ? 1 : peaks;
+}
+
+#if defined(__x86_64__) && defined(__GNUC__)
+#define IQ_FMA_VARIANT 1
+/* The same arithmetic with each fma() one instruction instead of a
+ * libm call (the baseline ISA has no FMA): a fifth of the kernel. */
+__attribute__((target("fma"))) static i64
+iq_clusters_fma(const double *iq, i64 n, i64 guard, i64 bins,
+                double threshold, double *fa, double *fb, double *fc,
+                double *plateau, double *hist, double *xe, double *ye,
+                double *grid, int *labels, double *stats)
+{
+    return iq_clusters(iq, n, guard, bins, threshold, fa, fb, fc, plateau,
+                       hist, xe, ye, grid, labels, stats);
+}
+#endif
+
+i64 rk_iq_clusters(const double *iq, i64 n, i64 guard, i64 bins,
+                   double threshold, double *fa, double *fb, double *fc,
+                   double *plateau, double *hist, double *xe, double *ye,
+                   double *grid, int *labels, double *stats)
+{
+#ifdef IQ_FMA_VARIANT
+    if (__builtin_cpu_supports("fma"))
+        return iq_clusters_fma(iq, n, guard, bins, threshold, fa, fb, fc,
+                               plateau, hist, xe, ye, grid, labels, stats);
+#endif
+    return iq_clusters(iq, n, guard, bins, threshold, fa, fb, fc, plateau,
+                       hist, xe, ye, grid, labels, stats);
+}
+
 /* ---- IIR filters (scipy DF2T, same op order) --------------------- */
 
 void rk_envelope_rc(const double *x, i64 n, double alpha, double *out)
@@ -656,34 +950,109 @@ def _candidate_dirs() -> List[str]:
     return dirs
 
 
+#: Kernel-cache repairs made by this process: each names a cached
+#: library that failed verification, was moved aside and rebuilt.
+CACHE_REPAIRS: List[str] = []
+
+
+def _digest(path: str) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def _verify(so_path: str) -> Optional[str]:
+    """Why the cached library must not be loaded, or None if it is sound.
+
+    ``ctypes.CDLL`` maps whatever file it is given, and a truncated
+    shared object kills the interpreter (SIGBUS) instead of raising.
+    Each build therefore publishes a ``.sha256`` stamp holding the
+    library's size and digest, and a hit is only a hit if both match.
+    """
+    if not os.path.exists(so_path):
+        return "missing"
+    try:
+        with open(so_path + ".sha256", encoding="ascii") as fh:
+            size_text, digest = fh.read().split()
+        size = os.path.getsize(so_path)
+    except (OSError, ValueError) as exc:
+        return f"no valid stamp ({type(exc).__name__})"
+    if size != int(size_text):
+        return f"size {size} != stamped {size_text}"
+    if _digest(so_path) != digest:
+        return "digest differs from its stamp"
+    return None
+
+
+@contextlib.contextmanager
+def _build_lock(path: str) -> Iterator[None]:
+    """Serialise compiles of one cache entry (no-op where ``fcntl`` is
+    missing: each compile still publishes atomically)."""
+    try:
+        import fcntl
+    except ImportError:
+        yield
+        return
+    with open(path, "a") as fh:
+        fcntl.flock(fh, fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(fh, fcntl.LOCK_UN)
+
+
+def _compile(cc: str, cache_dir: str, so_path: str) -> None:
+    """Build in a private directory, then publish library and stamp.
+
+    Each process compiles its own copy of the source, so none can
+    truncate the file under another's compiler.
+    """
+    work = tempfile.mkdtemp(prefix=".build-", dir=cache_dir)
+    try:
+        src_path = os.path.join(work, "_repro_kernels.c")
+        out_path = os.path.join(work, "_repro_kernels.so")
+        with open(src_path, "w") as fh:
+            fh.write(_C_SOURCE)
+        cmd = [cc, *_CFLAGS, "-o", out_path, src_path, "-lm"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+        if proc.returncode != 0:
+            raise KernelBuildError(
+                f"{cc} failed ({proc.returncode}): {proc.stderr[-500:]}"
+            )
+        stamp_path = os.path.join(work, "stamp")
+        with open(stamp_path, "w", encoding="ascii") as fh:
+            fh.write(f"{os.path.getsize(out_path)} {_digest(out_path)}\n")
+        os.replace(out_path, so_path)
+        os.replace(stamp_path, so_path + ".sha256")
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+
+
 def _build_library() -> Tuple[str, str]:
     """Compile (or reuse) the shared object; returns (path, cc)."""
     cc = _compiler()
     tag = _source_hash(cc)
-    so_name = f"_repro_kernels_{tag}.so"
+    stem = f"_repro_kernels_{tag}"
     last_error: Optional[Exception] = None
     for cache_dir in _candidate_dirs():
         try:
-            os.makedirs(cache_dir, exist_ok=True)
-            so_path = os.path.join(cache_dir, so_name)
-            if os.path.exists(so_path):
+            so_path = os.path.join(cache_dir, stem + ".so")
+            if _verify(so_path) is None:
                 perf.count("cache.kernel_build.hit")
                 return so_path, cc
-            src_path = os.path.join(cache_dir, f"_repro_kernels_{tag}.c")
-            tmp_path = os.path.join(
-                cache_dir, f".{so_name}.{os.getpid()}.tmp"
-            )
-            with open(src_path, "w") as fh:
-                fh.write(_C_SOURCE)
-            cmd = [cc, *_CFLAGS, "-o", tmp_path, src_path, "-lm"]
-            proc = subprocess.run(
-                cmd, capture_output=True, text=True, timeout=120
-            )
-            if proc.returncode != 0:
-                raise KernelBuildError(
-                    f"{cc} failed ({proc.returncode}): {proc.stderr[-500:]}"
-                )
-            os.replace(tmp_path, so_path)
+            os.makedirs(cache_dir, exist_ok=True)
+            with _build_lock(os.path.join(cache_dir, stem + ".lock")):
+                # Another process may have built it while we waited.
+                problem = _verify(so_path)
+                if problem is None:
+                    perf.count("cache.kernel_build.hit")
+                    return so_path, cc
+                if problem != "missing":
+                    aside = f"{so_path}.bad-{os.getpid()}"
+                    os.replace(so_path, aside)
+                    CACHE_REPAIRS.append(
+                        f"{so_path}: {problem}; moved to {aside} and rebuilt"
+                    )
+                _compile(cc, cache_dir, so_path)
             perf.count("cache.kernel_build.miss")
             return so_path, cc
         except KernelBuildError:
@@ -692,6 +1061,30 @@ def _build_library() -> Tuple[str, str]:
             last_error = exc
             continue
     raise KernelBuildError(f"no writable kernel cache dir: {last_error}")
+
+
+#: Fused entries left out of the table because a load-time probe found
+#: the host's numpy computing differently: name -> reason.
+PROBE_FAILURES: Dict[str, str] = {}
+
+
+def _abs_probe() -> np.ndarray:
+    """Fixed finite complex values spanning scales, ties and zeros."""
+    rng = np.random.default_rng(0xAB5)
+    z = rng.normal(size=2048) + 1j * rng.normal(size=2048)
+    z *= 10.0 ** rng.integers(-150, 150, size=2048)
+    edge = [0j, -0.0 - 0.0j, 1 + 1j, 3 - 4j, 1e-310 + 2e-310j, 5e-324j,
+            1e300 + 1e300j, 1.0 + 1e-17j]
+    return np.ascontiguousarray(np.concatenate([z, edge]))
+
+
+def _abs_matches_numpy(lib: ctypes.CDLL) -> bool:
+    """Whether the C complex-abs replica is byte-identical to ``np.abs``
+    on the probe values."""
+    probe = _abs_probe()
+    got = np.empty(probe.size)
+    lib.rk_cabs(probe.ctypes.data, probe.size, got.ctypes.data)
+    return got.tobytes() == np.abs(probe).tobytes()
 
 
 _tls = threading.local()
@@ -784,6 +1177,7 @@ def load() -> Dict[str, Callable]:
     Raises :class:`KernelBuildError` (or OSError from ``CDLL``) when the
     backend is unavailable; the caller falls back to numpy.
     """
+    PROBE_FAILURES.clear()
     so_path, _cc = _build_library()
     lib = ctypes.CDLL(so_path)
 
@@ -823,6 +1217,13 @@ def load() -> Dict[str, Callable]:
     ]
     lib.rk_cluster_peaks.restype = i64
     lib.rk_cluster_peaks.argtypes = [ptr, i64, f64, ptr, ptr, ptr, ptr]
+    lib.rk_cabs.restype = None
+    lib.rk_cabs.argtypes = [ptr, i64, ptr]
+    lib.rk_iq_clusters.restype = i64
+    lib.rk_iq_clusters.argtypes = [
+        ptr, i64, i64, i64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
+        ptr,
+    ]
     lib.rk_envelope_rc.restype = None
     lib.rk_envelope_rc.argtypes = [ptr, i64, f64, ptr]
     lib.rk_sosfilt_cplx.restype = ctypes.c_int
@@ -843,6 +1244,7 @@ def load() -> Dict[str, Callable]:
     c_hist = lib.rk_hist2d
     c_iq_hist = lib.rk_iq_hist
     c_peaks = lib.rk_cluster_peaks
+    c_iq_clusters = lib.rk_iq_clusters
     c_env = lib.rk_envelope_rc
     c_sos = lib.rk_sosfilt_cplx
     c_mix = lib.rk_mix_sosfilt_dec
@@ -1043,6 +1445,24 @@ def load() -> Dict[str, Callable]:
         labels = lane.l32[:nb].copy().reshape(bins, bins)
         return smoothed, labels, int(n_peaks), float(lane.out16[0])
 
+    def iq_clusters(
+        iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
+    ) -> Tuple[int, float, float]:
+        if bins > MAX_HIST_BINS:
+            raise ValueError("too many bins for the C cluster kernel")
+        a = np.asarray(iq, dtype=np.complex128)
+        n = a.size
+        lane = _lane(n)
+        np.copyto(lane.ca[:n], a)
+        count = c_iq_clusters(
+            lane.pca, n, guard, bins, peak_threshold,
+            lane.pfa, lane.pfb, lane.pfc, lane.pcb,
+            lane.phist, lane.pxe, lane.pye, lane.pgrid, lane.pl32,
+            lane.pout16,
+        )
+        stats = lane.out16
+        return count, float(stats[0]), float(stats[1])
+
     def envelope_rc(waveform: np.ndarray, alpha: float) -> np.ndarray:
         a = np.asarray(waveform, dtype=np.float64)
         n = a.size
@@ -1084,7 +1504,7 @@ def load() -> Dict[str, Callable]:
         )
         return lane.cc[:m].copy()
 
-    return {
+    table = {
         "median": median,
         "mad_spread": mad_spread,
         "two_quantiles": two_quantiles,
@@ -1103,3 +1523,14 @@ def load() -> Dict[str, Callable]:
         "sosfilt_complex": sosfilt_complex,
         "mix_sosfilt_decimate": mix_sosfilt_decimate,
     }
+    # numpy picks its complex-abs loop by CPU; the fused detector's
+    # replica matches the FMA loops only, so it is registered where it
+    # reproduces np.abs on the probe and composed from stages elsewhere.
+    if _abs_matches_numpy(lib):
+        table["iq_clusters"] = iq_clusters
+    else:
+        PROBE_FAILURES["iq_clusters"] = (
+            "np.abs on this host differs from the C replica; "
+            "composing the detector from its stages"
+        )
+    return table

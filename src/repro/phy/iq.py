@@ -13,8 +13,8 @@ the ACK (the anti-capture rule that keeps the slot-allocation honest).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import List, Sequence
+import numbers
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,46 +75,87 @@ def correct_frequency_offset(
     return iq * np.exp(-2j * math.pi * offset_hz * n / sample_rate_hz)
 
 
-@dataclass(frozen=True)
-class ClusterResult:
-    """Outcome of IQ clustering for one slot."""
+#: Histogram bins per axis and relative peak threshold of the detector.
+CLUSTER_BINS = 24
+PEAK_THRESHOLD = 0.15
 
-    n_clusters: int
-    centers: List[complex]
+
+class ClusterResult:
+    """Outcome of IQ clustering for one slot.
+
+    ``centers`` holds one complex centre of mass per counted cluster
+    (one mean when the capture shows no modulated structure).  The
+    detectors below count clusters in one kernel call and compute the
+    centres only when ``centers`` is first read, by running the stages
+    one at a time on a copy of their input: the collision verdict needs
+    only ``n_clusters``.
+    """
+
+    __slots__ = ("n_clusters", "_centers", "_source")
+
+    def __init__(
+        self, n_clusters: int, centers: Sequence[complex] = ()
+    ) -> None:
+        self.n_clusters = n_clusters
+        self._centers: Optional[List[complex]] = list(centers)
+        self._source: Optional[Tuple[np.ndarray, int, float, bool]] = None
+
+    @classmethod
+    def _deferred(
+        cls,
+        n_clusters: int,
+        pts: np.ndarray,
+        bins: int,
+        peak_threshold: float,
+        guard: bool,
+    ) -> "ClusterResult":
+        result = cls(n_clusters)
+        result._centers = None
+        result._source = (pts, bins, peak_threshold, guard)
+        return result
+
+    @property
+    def centers(self) -> List[complex]:
+        """Cluster centres of mass, computed on first read."""
+        if self._centers is None:
+            self._centers = _reference_centers(*self._source)
+            self._source = None
+        return self._centers
 
     @property
     def collision(self) -> bool:
         """More than two clusters = more than one active modulator."""
         return self.n_clusters > 2
 
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ClusterResult):
+            return NotImplemented
+        return (self.n_clusters, self.centers) == (other.n_clusters, other.centers)
 
-def cluster_iq(
-    iq: Sequence[complex],
-    bins: int = 24,
-    peak_threshold: float = 0.15,
-) -> ClusterResult:
-    """Count constellation modes via 2-D density peaks.
+    def __repr__(self) -> str:
+        return (
+            f"ClusterResult(n_clusters={self.n_clusters!r}, "
+            f"centers={self.centers!r})"
+        )
 
-    The IQ points are histogrammed over a robust (percentile-clipped)
-    grid, box-smoothed, and local density maxima above
-    ``peak_threshold`` of the global peak are counted.  K concurrent
-    OOK modulators produce up to 2^K well-separated modes; transition
-    samples form low-density ridges that the threshold suppresses, and
-    a pure-noise capture collapses to a single blob.
 
-    The whole detection runs as two fused kernels —
-    :func:`repro.phy.kernels.cluster_histogram` (percentile box + pad
-    + 2-D histogram) and :func:`repro.phy.kernels.cluster_peaks` (box
-    smoothing + local-maxima labelling, scipy.ndimage semantics); only
-    the per-peak centre-of-mass loop stays in numpy.
-    """
-    pts = np.asarray(iq, dtype=complex)
+def _reference_centers(
+    pts: np.ndarray, bins: int, peak_threshold: float, guard: bool
+) -> List[complex]:
+    """Cluster centres of :func:`cluster_iq` (``guard=False``) or
+    :func:`detect_collision_iq` (``guard=True``), stage by stage."""
+    if guard:
+        verdict, pts, _, _ = kernels.detect_points(pts)
+        if verdict == 0:
+            return []
+        if verdict == 1:
+            return [complex(np.mean(pts))]
     if pts.size == 0:
-        return ClusterResult(0, [])
+        return []
     hist, r_edges, i_edges = kernels.cluster_histogram(pts, bins)
     smoothed, labels, n_peaks, smax = kernels.cluster_peaks(hist, peak_threshold)
     if smax <= 0:
-        return ClusterResult(1, [complex(np.mean(pts.real), np.mean(pts.imag))])
+        return [complex(np.mean(pts.real), np.mean(pts.imag))]
     centers: List[complex] = []
     r_mid = (r_edges[:-1] + r_edges[1:]) / 2.0
     i_mid = (i_edges[:-1] + i_edges[1:]) / 2.0
@@ -130,7 +171,53 @@ def cluster_iq(
                 float(np.multiply(i_mid[cs], weights).sum() / wsum),
             )
         )
-    return ClusterResult(n_peaks, centers)
+    return centers
+
+
+def _check_cluster_params(bins: object, peak_threshold: object) -> None:
+    if (
+        isinstance(bins, bool)
+        or not isinstance(bins, numbers.Integral)
+        or bins < 1
+    ):
+        raise ValueError(f"bins must be an integer >= 1, got {bins!r}")
+    if (
+        isinstance(peak_threshold, bool)
+        or not isinstance(peak_threshold, numbers.Real)
+        or not 0.0 <= float(peak_threshold) <= 1.0
+    ):
+        raise ValueError(
+            "peak_threshold must be a finite number in [0, 1], "
+            f"got {peak_threshold!r}"
+        )
+
+
+def cluster_iq(
+    iq: Sequence[complex],
+    bins: int = CLUSTER_BINS,
+    peak_threshold: float = PEAK_THRESHOLD,
+) -> ClusterResult:
+    """Count constellation modes via 2-D density peaks.
+
+    The IQ points are histogrammed over a robust (percentile-clipped)
+    grid, box-smoothed, and local density maxima above
+    ``peak_threshold`` of the global peak are counted.  K concurrent
+    OOK modulators produce up to 2^K well-separated modes; transition
+    samples form low-density ridges that the threshold suppresses, and
+    a pure-noise capture collapses to a single blob.
+
+    The count is one :func:`repro.phy.kernels.iq_clusters` call
+    (percentile box + pad + 2-D histogram, box smoothing and
+    local-maxima labelling with scipy.ndimage semantics); the per-peak
+    centres of mass are computed when ``centers`` is read.  ``bins``
+    must be an integer >= 1 and ``peak_threshold`` a number in [0, 1].
+    """
+    _check_cluster_params(bins, peak_threshold)
+    bins = int(bins)
+    peak_threshold = float(peak_threshold)
+    pts = np.array(iq, dtype=complex)
+    n_clusters, _, _ = kernels.iq_clusters(pts, bins, peak_threshold, False)
+    return ClusterResult._deferred(n_clusters, pts, bins, peak_threshold, False)
 
 
 def detect_collision(
@@ -165,28 +252,18 @@ def detect_collision_iq(iq: np.ndarray) -> ClusterResult:
     waveform-fidelity network) can share one downconversion between the
     FM0 chain and the cluster detector — the rate-matched baseband is
     the same signal in both paths.
+
+    The capture loses its filter-settling samples; a modulation-energy
+    guard then calls a capture without backscatter one cluster, and the
+    plateau filter drops transition samples before :func:`cluster_iq`'s
+    histogram and peak count (see
+    :func:`repro.phy.kernels.detect_points`).  All of it is one
+    :func:`repro.phy.kernels.iq_clusters` call.
     """
-    # Drop the filter's settling transient.
-    settle = min(len(iq) // 10, 200)
-    iq = iq[settle:]
-    if len(iq) < 8:
-        return ClusterResult(0, [])
-    # Modulation-energy guard: a slot with no backscatter is just the
-    # static leak plus noise — its constellation is one noise blob, not
-    # a set of modes.  Compare the total spread against the fast
-    # (sample-to-sample) noise estimated from first differences; only
-    # genuinely modulated captures proceed to peak counting.
-    z = iq - np.mean(iq)
-    total_var = float(np.mean(np.abs(z) ** 2))
-    noise_var = float(np.mean(np.abs(np.diff(z)) ** 2)) / 2.0
-    if noise_var <= 0 or total_var < 12.0 * noise_var:
-        return ClusterResult(1, [complex(np.mean(iq))])
-    # Drop transition samples (large sample-to-sample movement): the
-    # rate-matched LPF smears level changes into ridges that would
-    # otherwise masquerade as extra constellation modes.
-    step = np.abs(np.diff(iq))
-    plateau = step < 3.0 * kernels.median(step)
-    plateau_iq = iq[1:][plateau]
-    if len(plateau_iq) >= 50:
-        iq = plateau_iq
-    return cluster_iq(iq)
+    capture = np.array(iq, dtype=complex)
+    n_clusters, _, _ = kernels.iq_clusters(
+        capture, CLUSTER_BINS, PEAK_THRESHOLD, True
+    )
+    return ClusterResult._deferred(
+        n_clusters, capture, CLUSTER_BINS, PEAK_THRESHOLD, True
+    )

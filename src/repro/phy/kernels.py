@@ -36,9 +36,14 @@ one Python-level call covers one profiled stage: :func:`project`
 (constellation centring + axis rotation + re-centring),
 :func:`schmitt_full` (spread + thresholds + state track),
 :func:`bit_grid` (integrate-and-dump windows), and
-:func:`hist2d_counts` (the collision detector's constellation
-histogram).  The fusions eliminate the per-call dispatch/marshalling
-overhead that otherwise dominates sub-100-us stages.
+:func:`iq_clusters` (the whole IQ-cluster collision detector: settling
+trim, energy guard, plateau filter, constellation histogram, smoothing
+and peak count).  The fusions eliminate the per-call
+dispatch/marshalling overhead that otherwise dominates sub-100-us
+stages.  A fused entry whose arithmetic depends on how the host's
+numpy was built is registered only when a load-time probe shows it
+matching numpy byte for byte; elsewhere the entry is composed from its
+stages (see :func:`kernel_info`'s ``composed``).
 
 The GEMM-shaped slot combine (:func:`combine_templates`) and
 :func:`bit_window_sums` are backend-independent: they are pure
@@ -207,8 +212,28 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
         set_backend(previous)
 
 
+def _fallback_reason() -> Optional[str]:
+    """Why this process runs on numpy although nobody asked it to."""
+    asked = (
+        not kernels_enabled()
+        or _backend_override == "numpy"
+        or os.environ.get(KERNELS_ENV, "").strip().lower() == "numpy"
+    )
+    if _compiled is not None or asked:
+        return None
+    return "cext unavailable: " + _load_errors.get("cext", "not loaded")
+
+
 def kernel_info() -> Dict[str, object]:
-    """Backend availability / selection summary for perf reports."""
+    """Backend availability / selection summary for perf reports.
+
+    ``fallback_reason`` explains an unrequested numpy fallback;
+    ``composed`` names fused compiled entries a load-time probe left
+    out (their stages are composed instead); ``cache_repairs`` lists
+    cached libraries that failed verification and were rebuilt.
+    """
+    from repro.phy import _kernels_c
+
     _ensure_selected()
     return {
         "enabled": kernels_enabled(),
@@ -216,6 +241,9 @@ def kernel_info() -> Dict[str, object]:
         "compiled_backend": _compiled_name,
         "requested": os.environ.get(KERNELS_ENV),
         "load_errors": dict(_load_errors),
+        "fallback_reason": _fallback_reason(),
+        "composed": dict(_kernels_c.PROBE_FAILURES) if _compiled else {},
+        "cache_repairs": list(_kernels_c.CACHE_REPAIRS),
         "kernels": sorted(_DISPATCHED),
         "compiled_kernels": len(_compiled) if _compiled is not None else 0,
     }
@@ -549,6 +577,72 @@ def _np_cluster_peaks(
     return smoothed, labels.astype(np.int32, copy=False), int(n_peaks), smax
 
 
+def detect_points(
+    iq: np.ndarray, median: Callable[[np.ndarray], float] = _np_median
+) -> Tuple[Optional[int], np.ndarray, float, float]:
+    """The collision detector's stages before its histogram, on numpy.
+
+    Returns ``(verdict, pts, total_var, noise_var)``.  ``verdict`` is
+    the cluster count when the detector stops here — 0 when fewer than
+    8 samples follow the settling trim (both statistics are then NaN),
+    1 when the energy guard finds no modulation — and None when ``pts``
+    go on to the histogram.  ``pts`` is the trimmed capture, or its
+    plateau samples when at least 50 of them survive.
+    """
+    # Drop the filter's settling transient.
+    settle = min(len(iq) // 10, 200)
+    pts = iq[settle:]
+    if len(pts) < 8:
+        return 0, pts, math.nan, math.nan
+    # Modulation-energy guard: a slot with no backscatter is just the
+    # static leak plus noise — its constellation is one noise blob, not
+    # a set of modes.  Compare the total spread against the fast
+    # (sample-to-sample) noise estimated from first differences; only
+    # genuinely modulated captures proceed to peak counting.
+    z = pts - np.mean(pts)
+    total_var = float(np.mean(np.abs(z) ** 2))
+    noise_var = float(np.mean(np.abs(np.diff(z)) ** 2)) / 2.0
+    if noise_var <= 0 or total_var < 12.0 * noise_var:
+        return 1, pts, total_var, noise_var
+    # Drop transition samples (large sample-to-sample movement): the
+    # rate-matched LPF smears level changes into ridges that would
+    # otherwise masquerade as extra constellation modes.
+    step = np.abs(np.diff(pts))
+    plateau = pts[1:][step < 3.0 * median(step)]
+    if len(plateau) >= 50:
+        pts = plateau
+    return None, pts, total_var, noise_var
+
+
+def _compose_iq_clusters(
+    table: Mapping[str, Callable],
+    iq: np.ndarray,
+    bins: int,
+    peak_threshold: float,
+    guard: bool,
+) -> Tuple[int, float, float]:
+    """:func:`iq_clusters` composed from the stages of ``table``."""
+    pts = np.asarray(iq, dtype=complex)
+    total_var = noise_var = math.nan
+    if guard:
+        verdict, pts, total_var, noise_var = detect_points(pts, table["median"])
+        if verdict is not None:
+            return verdict, total_var, noise_var
+    if pts.size == 0:
+        return 0, total_var, noise_var
+    if bins > MAX_HIST_BINS:
+        table = _NUMPY_IMPL
+    hist, _, _ = table["cluster_histogram"](pts, bins)
+    _, _, n_peaks, smax = table["cluster_peaks"](hist, peak_threshold)
+    return (n_peaks if smax > 0 else 1), total_var, noise_var
+
+
+def _np_iq_clusters(
+    iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
+) -> Tuple[int, float, float]:
+    return _compose_iq_clusters(_NUMPY_IMPL, iq, bins, peak_threshold, guard)
+
+
 _NUMPY_IMPL: Dict[str, Callable] = {
     "median": _np_median,
     "mad_spread": _np_mad_spread,
@@ -563,6 +657,7 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "hist2d_counts": _np_hist2d_counts,
     "cluster_histogram": _np_cluster_histogram,
     "cluster_peaks": _np_cluster_peaks,
+    "iq_clusters": _np_iq_clusters,
     "envelope_rc": _np_envelope_rc,
     "sosfilt_complex": _np_sosfilt_complex,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
@@ -824,6 +919,29 @@ def cluster_peaks(
     return _active()["cluster_peaks"](hist, peak_threshold)
 
 
+def iq_clusters(
+    iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
+) -> Tuple[int, float, float]:
+    """Cluster count and energy-guard statistics of one IQ capture.
+
+    Returns ``(n_clusters, total_var, noise_var)``.  With ``guard``,
+    the capture first goes through :func:`detect_points` (settling
+    trim, energy guard, plateau filter; the two statistics are the
+    guard's, NaN where it did not run); without it, every sample is
+    clustered and both statistics are NaN.  The points then go through
+    :func:`cluster_histogram` and :func:`cluster_peaks`: the count is
+    the number of peaks, or 1 when the smoothed histogram is empty.
+    The compiled backend runs all of it in one call; where its
+    load-time probe fails (or for more than :data:`MAX_HIST_BINS`
+    bins) the stages are composed instead.
+    """
+    table = _active()
+    fused = table.get("iq_clusters")
+    if fused is None or bins > MAX_HIST_BINS:
+        return _compose_iq_clusters(table, iq, bins, peak_threshold, guard)
+    return fused(iq, bins, peak_threshold, guard)
+
+
 __all__ = [
     "KERNELS_ENV",
     "kernels_enabled",
@@ -854,4 +972,6 @@ __all__ = [
     "hist2d_counts",
     "cluster_histogram",
     "cluster_peaks",
+    "detect_points",
+    "iq_clusters",
 ]

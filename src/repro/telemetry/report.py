@@ -169,6 +169,12 @@ def render_report(
                 (kernels.get("load_errors") or {}).items()
             ):
                 lines.append(f"  unavailable: {name} ({err})")
+            if kernels.get("fallback_reason"):
+                lines.append(f"  fallback: {kernels['fallback_reason']}")
+            for name, why in sorted((kernels.get("composed") or {}).items()):
+                lines.append(f"  composed: {name} ({why})")
+            for repair in kernels.get("cache_repairs") or ():
+                lines.append(f"  cache repair: {repair}")
         lines += _section("stage timings (wall clock — non-deterministic)")
         stages = (perf.get("process") or {}).get("stages", {})
         if stages:

@@ -120,7 +120,9 @@ class TestScenarioMachinery:
         # "relay_rescue" by tests/relay/test_relay_golden.py,
         # "adaptive_uplink" by tests/phy/test_adaptive_golden.py, the
         # energy and waveform traces by tests/core/test_network_golden.py,
-        # "results_quick" by tests/experiments/test_results_golden.py.
+        # "results_quick" by tests/experiments/test_results_golden.py,
+        # "waveform_steady_clusters" by
+        # tests/core/test_waveform_clusters_golden.py.
         stray = (
             {p.stem for p in GOLDEN_DIR.glob("*.json")}
             - set(SCENARIO_NAMES)
@@ -128,5 +130,6 @@ class TestScenarioMachinery:
             - {"energy_faulted", "energy_sensing", "waveform_fm0",
                "waveform_adaptive"}
             - {"results_quick"}
+            - {"waveform_steady_clusters"}
         )
         assert not stray, f"unexpected golden files: {sorted(stray)}"

@@ -3,10 +3,15 @@
 import numpy as np
 import pytest
 
+from scipy.ndimage import label, maximum_filter, uniform_filter
+
+from repro.phy import kernels
 from repro.phy.iq import (
+    ClusterResult,
     cluster_iq,
     correct_frequency_offset,
     detect_collision,
+    detect_collision_iq,
     downconvert,
     frequency_offset_estimate,
 )
@@ -152,3 +157,133 @@ class TestClusterCounting:
         reals = sorted(c.real for c in result.centers)
         assert reals[0] == pytest.approx(0.0, abs=0.2)
         assert reals[1] == pytest.approx(2.0, abs=0.2)
+
+
+def _oracle(iq, guard, bins=24, peak_threshold=0.15):
+    """``(n_clusters, centers)`` of the collision detector, written
+    directly against numpy and scipy.ndimage."""
+    iq = np.asarray(iq, dtype=complex)
+    if guard:
+        iq = iq[min(len(iq) // 10, 200):]
+        if len(iq) < 8:
+            return 0, []
+        z = iq - np.mean(iq)
+        total_var = float(np.mean(np.abs(z) ** 2))
+        noise_var = float(np.mean(np.abs(np.diff(z)) ** 2)) / 2.0
+        if noise_var <= 0 or total_var < 12.0 * noise_var:
+            return 1, [complex(np.mean(iq))]
+        step = np.abs(np.diff(iq))
+        plateau = iq[1:][step < 3.0 * np.median(step)]
+        if len(plateau) >= 50:
+            iq = plateau
+    if iq.size == 0:
+        return 0, []
+    box = []
+    for axis in (iq.real, iq.imag):
+        lo, hi = np.percentile(axis, [1.0, 99.0])
+        pad = max((hi - lo) * 0.1, 1e-12)
+        box.append([lo - pad, hi + pad])
+    hist, r_edges, i_edges = np.histogram2d(
+        iq.real, iq.imag, bins=bins, range=box
+    )
+    smoothed = uniform_filter(hist, size=3, mode="constant")
+    smax = smoothed.max()
+    if smax <= 0:
+        return 1, [complex(np.mean(iq.real), np.mean(iq.imag))]
+    peaks = (smoothed == maximum_filter(smoothed, size=3, mode="constant")) & (
+        smoothed >= peak_threshold * smax
+    )
+    labels, n_peaks = label(peaks)
+    r_mid = (r_edges[:-1] + r_edges[1:]) / 2.0
+    i_mid = (i_edges[:-1] + i_edges[1:]) / 2.0
+    centers = []
+    for k in range(1, n_peaks + 1):
+        rs, cs = np.nonzero(labels == k)
+        w = smoothed[rs, cs]
+        centers.append(
+            complex(np.average(r_mid[rs], weights=w),
+                    np.average(i_mid[cs], weights=w))
+        )
+    return n_peaks, centers
+
+
+def _detector_inputs():
+    rng = np.random.default_rng(3)
+    for k in range(1, 6):
+        centres = rng.normal(size=k) + 1j * rng.normal(size=k)
+        dwell = np.repeat(rng.integers(0, k, size=140), 7)
+        yield centres[dwell] + 0.01 * (
+            rng.normal(size=dwell.size) + 1j * rng.normal(size=dwell.size)
+        )
+    # Unmodulated: the energy guard's one-centre case.
+    yield complex(0.4, -0.1) + 1e-3 * (
+        rng.normal(size=600) + 1j * rng.normal(size=600)
+    )
+    yield np.full(300, complex(1.0, 2.0))
+    yield rng.normal(size=7) + 1j * rng.normal(size=7)  # too short
+
+
+def _bits(values):
+    return [np.complex128(v).tobytes() for v in values]
+
+
+class TestLazyCenters:
+    """Centres are computed when read, and equal the eager detector's."""
+
+    @pytest.mark.parametrize("backend", ["numpy", "cext"])
+    def test_centers_match_direct_computation(self, backend):
+        kernels.kernel_info()
+        if backend == "cext" and kernels._compiled is None:
+            pytest.skip("compiled kernel backend unavailable")
+        with kernels.use_backend(backend):
+            for iq in _detector_inputs():
+                for guard, detect in ((True, detect_collision_iq),
+                                      (False, cluster_iq)):
+                    want_n, want_centers = _oracle(iq, guard)
+                    result = detect(iq)
+                    assert result.n_clusters == want_n
+                    assert _bits(result.centers) == _bits(want_centers)
+
+    def test_centers_come_from_a_copy_of_the_input(self):
+        iq = next(_detector_inputs())
+        want = _oracle(iq, True)
+        result = detect_collision_iq(iq)
+        iq[:] = 0.0
+        assert (result.n_clusters, _bits(result.centers)) == (
+            want[0], _bits(want[1])
+        )
+
+    def test_eager_construction_still_works(self):
+        result = ClusterResult(3, [1j, 2j, 3j])
+        assert result.collision and result.centers == [1j, 2j, 3j]
+        assert ClusterResult(0).centers == []
+        assert result == ClusterResult(3, (1j, 2j, 3j))
+        assert "n_clusters=3" in repr(result)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"bins": 0}, "bins"),
+        ({"bins": -1}, "bins"),
+        ({"bins": 2.5}, "bins"),
+        ({"bins": True}, "bins"),
+        ({"bins": "24"}, "bins"),
+        ({"peak_threshold": -0.5}, "peak_threshold"),
+        ({"peak_threshold": 1.5}, "peak_threshold"),
+        ({"peak_threshold": float("nan")}, "peak_threshold"),
+        ({"peak_threshold": float("inf")}, "peak_threshold"),
+        ({"peak_threshold": None}, "peak_threshold"),
+    ],
+)
+def test_cluster_iq_rejects_bad_parameters(kwargs, field):
+    with pytest.raises(ValueError, match=field):
+        cluster_iq(np.ones(20, dtype=complex), **kwargs)
+
+
+def test_cluster_iq_accepts_boundary_parameters():
+    iq = next(_detector_inputs())
+    for kwargs in ({"bins": 1}, {"bins": np.int64(24)},
+                   {"peak_threshold": 0}, {"peak_threshold": 1.0},
+                   {"peak_threshold": np.float64(0.5)}):
+        assert cluster_iq(iq, **kwargs).n_clusters >= 1

@@ -64,6 +64,91 @@ def _random_iq(n: int, kind: int) -> np.ndarray:
     return np.full(n, complex(RNG.normal(), RNG.normal()))  # degenerate
 
 
+def _modes(n: int, k: int, rng=RNG) -> np.ndarray:
+    """A k-mode constellation: OOK-like dwell on random centres."""
+    centres = rng.normal(size=k) + 1j * rng.normal(size=k)
+    dwell = np.repeat(rng.integers(0, k, size=n // 8 + 1), 8)[:n]
+    return centres[dwell] + 0.02 * (rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def _with_settle(body: np.ndarray) -> np.ndarray:
+    """Prefix ``body`` with the samples the detector trims as settling."""
+    m = len(body)
+    n = next(n for n in range(m, 2 * m + 20) if n - min(n // 10, 200) == m)
+    lead = RNG.normal(size=n - m) + 1j * RNG.normal(size=n - m)
+    return np.concatenate([lead, body])
+
+
+def _plateau_walk(small: int, large: int) -> np.ndarray:
+    """A walk whose first differences are ``small`` unit steps and
+    ``large`` 10x steps (shuffled): exactly ``small`` samples pass the
+    plateau filter, and the spread clears the energy guard."""
+    sizes = np.array([1.0] * small + [10.0] * large)
+    RNG.shuffle(sizes)
+    angles = np.where(sizes > 1.0, 0.0, RNG.uniform(0, 2 * np.pi, sizes.size))
+    walk = np.concatenate([[0j], np.cumsum(sizes * np.exp(1j * angles))])
+    return _with_settle(walk)
+
+
+def _guard_edge(rng) -> list:
+    """Two captures either side of ``total_var == 12 * noise_var``,
+    found by bisecting the white-noise weight to one ulp."""
+    m = 400
+    slow = np.repeat(rng.choice([0.0, 1.0], size=m // 20), 20) + 0.5j
+    noise = rng.normal(size=m) + 1j * rng.normal(size=m)
+    lead = _with_settle(slow)[: -m]
+
+    def capture(s):
+        return np.concatenate([lead, slow + s * noise])
+
+    def margin(s):
+        _, total, noise_var = _NUMPY_IMPL["iq_clusters"](
+            capture(s), 24, 0.15, True
+        )
+        return total - 12.0 * noise_var
+
+    lo, hi = 0.0, 10.0
+    while True:
+        mid = (lo + hi) / 2.0
+        if mid in (lo, hi):
+            break
+        if margin(mid) > 0:
+            lo = mid
+        else:
+            hi = mid
+    return [capture(lo), capture(hi)]
+
+
+def _detector_battery():
+    """Inputs for the fused collision detector's exactness check."""
+    for n in range(13):  # below and around the 8-sample floor
+        yield _random_iq(n, 0)
+    for n in range(2000, 2011):  # around the 200-sample settle cap
+        yield _modes(n, 1 + n % 8)
+    for n in (6400, 6500, 9000):  # 1%/99% too deep for the one-pass box
+        yield _modes(n, 3)
+    for n in (8, 9, 100, 1000, 2500):  # noise_var == 0
+        yield np.full(n, complex(0.3, -1.2))
+    for trial in range(8):
+        for iq in _guard_edge(np.random.default_rng(trial)):
+            _, total, noise_var = _NUMPY_IMPL["iq_clusters"](
+                iq, 24, 0.15, True
+            )
+            assert abs(total - 12.0 * noise_var) <= 16 * np.spacing(total)
+            yield iq
+    for small in (49, 50, 51):
+        iq = _plateau_walk(small, small - 1)
+        verdict, pts, _, _ = kernels.detect_points(iq)
+        trimmed = len(iq) - min(len(iq) // 10, 200)
+        assert verdict is None
+        assert len(pts) == (small if small >= 50 else trimmed)
+        yield iq
+    for trial in range(120):
+        yield _modes(int(RNG.integers(8, 2600)), 1 + trial % 8)
+    for trial in range(20):
+        yield _random_iq(int(RNG.integers(8, 1500)), trial % 3)
+
+
 class TestCompiledMatchesNumpyBytes:
     """Each compiled kernel vs the fallback, raw-byte equality."""
 
@@ -191,6 +276,29 @@ class TestCompiledMatchesNumpyBytes:
                 _NUMPY_IMPL["hist2d_counts"](x, y, bins, xr, yr),
             )
 
+    def test_hist2d_binning_fix_up(self):
+        # The compiled histogram guesses each bin arithmetically and
+        # walks to the exact searchsorted count.  Probe every edge and
+        # its neighbouring doubles, NaN (sorts last: dropped), the
+        # infinities, the last edge (folds into the last bin) and a
+        # zero-width range.
+        table = _compiled_table()
+        for bins in (1, 2, 7, 24, 64):
+            for lo, hi in ((-1.3, 2.1), (0.0, 1e-300), (0.0, 5e-324),
+                           (5.0, 5.0)):
+                edges = np.linspace(lo, hi, bins + 1)
+                x = np.concatenate([
+                    edges,
+                    np.nextafter(edges, -np.inf),
+                    np.nextafter(edges, np.inf),
+                    [np.nan, np.inf, -np.inf],
+                ])
+                y = RNG.permutation(x)
+                assert _same_bytes(
+                    table["hist2d_counts"](x, y, bins, (lo, hi), (lo, hi)),
+                    _NUMPY_IMPL["hist2d_counts"](x, y, bins, (lo, hi), (lo, hi)),
+                )
+
     def test_cluster_histogram_and_peaks(self):
         table = _compiled_table()
         for trial in range(60):
@@ -208,6 +316,24 @@ class TestCompiledMatchesNumpyBytes:
                 table["cluster_peaks"](hist, thr),
                 _NUMPY_IMPL["cluster_peaks"](hist, thr),
             )
+
+    def test_fused_iq_clusters(self):
+        # Count and guard statistics (total_var, noise_var) must match to
+        # the bit: one ulp can flip ``total_var < 12 * noise_var``.
+        table = _compiled_table()
+        fused = table.get("iq_clusters")
+        if fused is None:
+            pytest.skip("the abs probe left the fused detector out")
+        reference = _NUMPY_IMPL["iq_clusters"]
+        cases = list(_detector_battery())
+        assert len(cases) > 150
+        for iq in cases:
+            for guard in (True, False):
+                for bins, thr in ((24, 0.15), (7, 0.0), (64, 1.0)):
+                    assert _same_bytes(
+                        fused(iq, bins, thr, guard),
+                        reference(iq, bins, thr, guard),
+                    ), (len(iq), guard, bins, thr)
 
     def test_envelope_and_filters(self):
         table = _compiled_table()
@@ -369,3 +495,34 @@ class TestGracefulDegradation:
             warnings.simplefilter("error")
             kernels.backend()
             kernels.median(np.arange(5.0))
+
+    def test_unrequested_fallback_reports_reason(self, monkeypatch,
+                                                 fresh_selection):
+        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+        _block_cext(monkeypatch)
+        assert kernels.kernel_info()["fallback_reason"].startswith(
+            "cext unavailable: OSError"
+        )
+        # A requested numpy backend is no fallback.
+        with kernels.use_kernels(False):
+            assert kernels.kernel_info()["fallback_reason"] is None
+
+    def test_failed_abs_probe_composes_the_detector(self, monkeypatch,
+                                                    fresh_selection):
+        # A host whose numpy computes complex abs differently keeps the
+        # compiled stages but composes the collision detector from them.
+        from repro.phy import _kernels_c
+
+        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+        monkeypatch.setattr(_kernels_c, "_abs_matches_numpy", lambda lib: False)
+        table = _compiled_table()
+        assert "iq_clusters" not in table
+        info = kernels.kernel_info()
+        assert info["backend"] == "cext"
+        assert "iq_clusters" in info["composed"]
+        for iq in _detector_battery():
+            for guard in (True, False):
+                assert _same_bytes(
+                    kernels.iq_clusters(iq, 24, 0.15, guard),
+                    _NUMPY_IMPL["iq_clusters"](iq, 24, 0.15, guard),
+                )
