@@ -4,10 +4,10 @@ JSON document of paper-vs-measured values.
 The CLI prints human tables; CI pipelines and the EXPERIMENTS.md
 curation want structured numbers instead:
 
-    python -m repro.experiments.runner results.json
-    python -m repro.experiments.runner results.json --jobs 4
-    python -m repro.experiments.runner results.json --serial --full
-    python -m repro.experiments.runner results.json --resume --timeout 120
+    python -m repro results --out results.json
+    python -m repro results --out results.json --jobs 4
+    python -m repro results --out results.json --serial --full
+    python -m repro results --out results.json --resume --timeout 120
 
 The experiments are independent of one another, so
 :func:`collect_results` can fan them out over a
@@ -34,12 +34,10 @@ timeout policy, one pool fallback and one telemetry merge.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import pickle
 import signal
-import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -889,131 +887,3 @@ class FleetRunner:
                 "tag_slots": self.n_networks * self.n_slots * n_tags,
             },
         }
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro.experiments.runner",
-        description="Emit the machine-readable results document.",
-    )
-    parser.add_argument(
-        "target", nargs="?", default="results.json", help="output JSON path"
-    )
-    parser.add_argument("--seed", type=int, default=0, help="master RNG seed")
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="run experiments on an N-process pool (default: serial)",
-    )
-    parser.add_argument(
-        "--serial",
-        action="store_true",
-        help="force serial execution (overrides --jobs)",
-    )
-    parser.add_argument(
-        "--full",
-        action="store_true",
-        help="publication-grade trial counts instead of quick CI counts",
-    )
-    parser.add_argument(
-        "--perf",
-        action="store_true",
-        help="embed per-experiment wall times and perf counters",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="S",
-        help="per-experiment wall-clock bound in seconds",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=1,
-        metavar="N",
-        help="extra attempts for a failed or timed-out experiment",
-    )
-    parser.add_argument(
-        "--checkpoint",
-        default=None,
-        metavar="PATH",
-        help="checkpoint file (default: <target>.ckpt)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="preload the checkpoint and run only the missing experiments",
-    )
-    parser.add_argument(
-        "--telemetry",
-        action="store_true",
-        help="collect per-job metrics and embed the merged, signed "
-        "telemetry snapshot",
-    )
-    parser.add_argument(
-        "--telemetry-jsonl",
-        default=None,
-        metavar="PATH",
-        help="also export the merged telemetry snapshot as JSONL "
-        "(implies --telemetry)",
-    )
-    return parser
-
-
-def main(argv: Optional[list] = None) -> int:
-    args = build_parser().parse_args(argv if argv is not None else sys.argv[1:])
-    jobs = 1 if args.serial else (args.jobs if args.jobs is not None else 1)
-    checkpoint = args.checkpoint or f"{args.target}.ckpt"
-    telemetry = args.telemetry or args.telemetry_jsonl is not None
-    try:
-        results = collect_results(
-            seed=args.seed,
-            quick=not args.full,
-            jobs=jobs,
-            perf=args.perf,
-            timeout=args.timeout,
-            max_retries=args.max_retries,
-            checkpoint=checkpoint,
-            resume=args.resume,
-            telemetry=telemetry,
-        )
-    except ResultsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except KeyboardInterrupt:
-        print(
-            f"interrupted; completed experiments are in {checkpoint} "
-            "(rerun with --resume)",
-            file=sys.stderr,
-        )
-        return 130
-    try:
-        with open(args.target, "w") as fh:
-            json.dump(results, fh, indent=2, sort_keys=True)
-    except OSError as exc:
-        print(f"error: cannot write {args.target}: {exc}", file=sys.stderr)
-        return 2
-    if args.telemetry_jsonl is not None:
-        from repro.telemetry import MetricsSnapshot, write_jsonl
-
-        snapshot = MetricsSnapshot.from_jsonable(
-            results["telemetry"]["snapshot"]
-        )
-        try:
-            write_jsonl(snapshot, args.telemetry_jsonl)
-        except OSError as exc:
-            print(
-                f"error: cannot write {args.telemetry_jsonl}: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"wrote {args.telemetry_jsonl}")
-    print(f"wrote {args.target}")
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -16,7 +16,7 @@ and what each reader's receive chain hears from the others.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.channel import acoustics
@@ -184,18 +184,7 @@ class MultiReaderDeployment:
                 ),
                 source=reader,
             )
-            cfg = NetworkConfig(
-                slot_duration_s=base.slot_duration_s,
-                ul_raw_rate_bps=base.ul_raw_rate_bps,
-                dl_raw_rate_bps=base.dl_raw_rate_bps,
-                nack_threshold=base.nack_threshold,
-                enable_empty_flag=base.enable_empty_flag,
-                enable_future_avoidance=base.enable_future_avoidance,
-                enable_beacon_loss_timer=base.enable_beacon_loss_timer,
-                beacon_loss_probability=base.beacon_loss_probability,
-                ideal_channel=base.ideal_channel,
-                seed=base.seed + 104_729 * idx,
-            )
+            cfg = replace(base, seed=base.seed + 104_729 * idx)
             networks[reader] = SlottedNetwork(tags, medium, cfg)
         return networks
 

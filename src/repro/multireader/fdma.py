@@ -22,7 +22,7 @@ reader-conflict graph with these channels, generalising
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.channel.medium import AcousticMedium
@@ -127,18 +127,7 @@ class FdmaNetwork:
         for k, group in enumerate(groups):
             if not group:
                 continue
-            cfg = NetworkConfig(
-                slot_duration_s=base_config.slot_duration_s,
-                ul_raw_rate_bps=base_config.ul_raw_rate_bps,
-                dl_raw_rate_bps=base_config.dl_raw_rate_bps,
-                nack_threshold=base_config.nack_threshold,
-                enable_empty_flag=base_config.enable_empty_flag,
-                enable_future_avoidance=base_config.enable_future_avoidance,
-                enable_beacon_loss_timer=base_config.enable_beacon_loss_timer,
-                beacon_loss_probability=base_config.beacon_loss_probability,
-                ideal_channel=base_config.ideal_channel,
-                seed=base_config.seed + 7919 * k,
-            )
+            cfg = replace(base_config, seed=base_config.seed + 7919 * k)
             self.channels.append(SlottedNetwork(group, self.medium, cfg))
 
     @property

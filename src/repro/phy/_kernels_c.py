@@ -53,9 +53,10 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
   (not ``hypot``).  A loop without FMA rounds differently, so
   :func:`load` probes the replica against ``np.abs`` and leaves the
   fused detector that uses it out of the table on a mismatch
-  (:data:`PROBE_FAILURES`).  On x86-64 the detector runs a copy
-  compiled for FMA where the CPU has it: the same results, with each
-  ``fma()`` one instruction instead of a libm call.
+  (:data:`PROBE_FAILURES`), so the numpy reference detector runs.
+  On x86-64 the detector runs a copy compiled for FMA where the CPU
+  has it: the same results, with each ``fma()`` one instruction
+  instead of a libm call.
 * the 1%/99% histogram box — when both quantiles lie within 64 order
   statistics of the ends, one pass keeps the smallest and largest
   values in sorted buffers; they hold the same order statistics a
@@ -103,6 +104,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro import perf
+from repro.phy.kernels import MAX_HIST_BINS
 
 #: Environment variable overriding where compiled kernels are cached.
 CACHE_DIR_ENV = "REPRO_KERNELS_CACHE"
@@ -110,9 +112,6 @@ CACHE_DIR_ENV = "REPRO_KERNELS_CACHE"
 #: Maximum second-order sections the C filter kernels support (the hot
 #: path uses order-4 Butterworth designs = 2 sections).
 MAX_SOS_SECTIONS = 16
-
-#: Maximum bins-per-axis the 2-D histogram kernel supports.
-MAX_HIST_BINS = 64
 
 _CFLAGS = [
     "-O3",
@@ -122,6 +121,8 @@ _CFLAGS = [
     # Bit-exactness: no FMA contraction, no value-unsafe optimisation.
     "-ffp-contract=off",
     "-fno-fast-math",
+    # Sizes the cluster stage's fixed grids (labels, filter lines).
+    f"-DMAX_HIST_BINS={MAX_HIST_BINS}",
 ]
 
 _C_SOURCE = r"""
@@ -189,19 +190,6 @@ double rk_mad_destroy(double *a, i64 n)
     return 1.4826 * median_inplace(a, n);
 }
 
-double rk_median(const double *x, double *scratch, i64 n)
-{
-    for (i64 i = 0; i < n; i++) scratch[i] = x[i];
-    return median_inplace(scratch, n);
-}
-
-double rk_mad_spread(const double *x, double *scratch, i64 n)
-{
-    double med = rk_median(x, scratch, n);
-    for (i64 i = 0; i < n; i++) scratch[i] = fabs(x[i] - med);
-    return 1.4826 * median_inplace(scratch, n);
-}
-
 /* numpy _lerp: a + (b-a)*t, switching to b - (b-a)*(1-t) at t >= 0.5 */
 static double lerp_np(double a, double b, double t)
 {
@@ -252,26 +240,13 @@ static double quantile_from(double *a, i64 n, i64 done_upto, double q,
     return lerp_np(prev, next, gamma);
 }
 
-static void two_quantiles_destroy(double *a, i64 n, double q0, double q1,
-                                  double *out)
+void rk_two_quantiles_destroy(double *a, i64 n, double q0, double q1,
+                              double *out)
 {
     i64 k = 0;
     out[0] = quantile_from(a, n, 0, q0, &k);
     i64 k2 = 0;
     out[1] = quantile_from(a, n, k, q1, &k2);
-}
-
-void rk_two_quantiles_destroy(double *a, i64 n, double q0, double q1,
-                              double *out)
-{
-    two_quantiles_destroy(a, n, q0, q1, out);
-}
-
-void rk_two_quantiles(const double *x, double *scratch, i64 n,
-                      double q0, double q1, double *out)
-{
-    for (i64 i = 0; i < n; i++) scratch[i] = x[i];
-    two_quantiles_destroy(scratch, n, q0, q1, out);
 }
 
 /* ---- fused projection (ReaderReceiveChain.project) --------------- */
@@ -313,7 +288,7 @@ void rk_project_finish(const double *iq, i64 n, double c_re, double c_im,
     }
     for (i64 i = 0; i < n; i++) scratch[i] = out[i];
     double q[2];
-    two_quantiles_destroy(scratch, n, q0, q1, q);
+    rk_two_quantiles_destroy(scratch, n, q0, q1, q);
     double shift = (q[0] + q[1]) / 2.0;
     for (i64 i = 0; i < n; i++) out[i] = out[i] - shift;
 }
@@ -336,7 +311,8 @@ void rk_schmitt_states(const double *p, i64 n, double hi, double lo,
 double rk_schmitt_full(const double *p, i64 n, double hysteresis,
                        double drift, double *scratch, signed char *out)
 {
-    double spread = rk_mad_spread(p, scratch, n);
+    for (i64 i = 0; i < n; i++) scratch[i] = p[i];
+    double spread = rk_mad_destroy(scratch, n);
     if (spread == 0.0) {
         for (i64 i = 0; i < n; i++) out[i] = 0;
         return spread;
@@ -525,14 +501,14 @@ void rk_iq_hist(const double *iq, i64 n, i64 bins,
     double q[2];
     if (!edge_quantiles(re_buf, n, q0, q1, q)) {
         for (i64 i = 0; i < n; i++) qscratch[i] = re_buf[i];
-        two_quantiles_destroy(qscratch, n, q0, q1, q);
+        rk_two_quantiles_destroy(qscratch, n, q0, q1, q);
     }
     double pad_r = (q[1] - q[0]) * pad_frac;
     if (pad_r < pad_min) pad_r = pad_min;
     double x0 = q[0] - pad_r, x1 = q[1] + pad_r;
     if (!edge_quantiles(im_buf, n, q0, q1, q)) {
         for (i64 i = 0; i < n; i++) qscratch[i] = im_buf[i];
-        two_quantiles_destroy(qscratch, n, q0, q1, q);
+        rk_two_quantiles_destroy(qscratch, n, q0, q1, q);
     }
     double pad_i = (q[1] - q[0]) * pad_frac;
     if (pad_i < pad_min) pad_i = pad_min;
@@ -553,7 +529,7 @@ i64 rk_cluster_peaks(const double *hist, i64 bins, double threshold,
                      double *sm, double *tmp, int *labels,
                      double *out_smax)
 {
-    /* scipy.ndimage replication on a <=64x64 grid:
+    /* scipy.ndimage replication on a <=MAX_HIST_BINS-square grid:
      * uniform_filter(size=3, constant 0) — separable axis-0 then
      * axis-1 passes of scipy's running-sum recurrence
      * ``tmp += line[ll+2] - line[ll-1]; out[ll] = tmp / 3``;
@@ -561,7 +537,7 @@ i64 rk_cluster_peaks(const double *hist, i64 bins, double threshold,
      * label() — 4-connected union-find, components numbered in
      * raster order of first appearance. */
     i64 nb = bins * bins;
-    double line[66];
+    double line[MAX_HIST_BINS + 2];
     line[0] = 0.0;
     line[bins + 1] = 0.0;
     for (i64 c = 0; c < bins; c++) {
@@ -611,7 +587,7 @@ i64 rk_cluster_peaks(const double *hist, i64 bins, double threshold,
         }
     }
     double cut = threshold * smax;
-    int parent[64 * 64 + 1];
+    int parent[MAX_HIST_BINS * MAX_HIST_BINS + 1];
     int nprov = 0;
     for (i64 r = 0; r < bins; r++) {
         for (i64 c = 0; c < bins; c++) {
@@ -640,7 +616,7 @@ i64 rk_cluster_peaks(const double *hist, i64 bins, double threshold,
             }
         }
     }
-    int remap[64 * 64 + 1];
+    int remap[MAX_HIST_BINS * MAX_HIST_BINS + 1];
     for (int i = 0; i <= nprov; i++) remap[i] = 0;
     int nfinal = 0;
     for (i64 i = 0; i < nb; i++) {
@@ -1393,8 +1369,6 @@ def load() -> Dict[str, Callable]:
         x_range: Tuple[float, float],
         y_range: Tuple[float, float],
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if bins > MAX_HIST_BINS:
-            raise ValueError("too many bins for the C histogram kernel")
         xa = np.asarray(x, dtype=np.float64)
         ya = np.asarray(y, dtype=np.float64)
         n = xa.size
@@ -1413,8 +1387,6 @@ def load() -> Dict[str, Callable]:
     def cluster_histogram(
         iq: np.ndarray, bins: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if bins > MAX_HIST_BINS:
-            raise ValueError("too many bins for the C histogram kernel")
         a = np.asarray(iq, dtype=np.complex128)
         n = a.size
         lane = _lane(n)
@@ -1431,8 +1403,6 @@ def load() -> Dict[str, Callable]:
         hist: np.ndarray, peak_threshold: float
     ) -> Tuple[np.ndarray, np.ndarray, int, float]:
         bins = hist.shape[0]
-        if bins > MAX_HIST_BINS:
-            raise ValueError("too many bins for the C cluster kernel")
         h = np.ascontiguousarray(hist, dtype=np.float64)
         nb = bins * bins
         lane = _lane(nb)
@@ -1448,8 +1418,6 @@ def load() -> Dict[str, Callable]:
     def iq_clusters(
         iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
     ) -> Tuple[int, float, float]:
-        if bins > MAX_HIST_BINS:
-            raise ValueError("too many bins for the C cluster kernel")
         a = np.asarray(iq, dtype=np.complex128)
         n = a.size
         lane = _lane(n)
@@ -1525,12 +1493,13 @@ def load() -> Dict[str, Callable]:
     }
     # numpy picks its complex-abs loop by CPU; the fused detector's
     # replica matches the FMA loops only, so it is registered where it
-    # reproduces np.abs on the probe and composed from stages elsewhere.
+    # reproduces np.abs on the probe, and the numpy reference detector
+    # runs elsewhere.
     if _abs_matches_numpy(lib):
         table["iq_clusters"] = iq_clusters
     else:
         PROBE_FAILURES["iq_clusters"] = (
             "np.abs on this host differs from the C replica; "
-            "composing the detector from its stages"
+            "the detector runs its numpy reference"
         )
     return table

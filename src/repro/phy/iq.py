@@ -143,7 +143,9 @@ def _reference_centers(
     pts: np.ndarray, bins: int, peak_threshold: float, guard: bool
 ) -> List[complex]:
     """Cluster centres of :func:`cluster_iq` (``guard=False``) or
-    :func:`detect_collision_iq` (``guard=True``), stage by stage."""
+    :func:`detect_collision_iq` (``guard=True``), stage by stage on the
+    numpy reference (the exactness battery holds the compiled stages
+    byte-equal to it)."""
     if guard:
         verdict, pts, _, _ = kernels.detect_points(pts)
         if verdict == 0:
@@ -152,8 +154,10 @@ def _reference_centers(
             return [complex(np.mean(pts))]
     if pts.size == 0:
         return []
-    hist, r_edges, i_edges = kernels.cluster_histogram(pts, bins)
-    smoothed, labels, n_peaks, smax = kernels.cluster_peaks(hist, peak_threshold)
+    hist, r_edges, i_edges = kernels._np_cluster_histogram(pts, bins)
+    smoothed, labels, n_peaks, smax = kernels._np_cluster_peaks(
+        hist, peak_threshold
+    )
     if smax <= 0:
         return [complex(np.mean(pts.real), np.mean(pts.imag))]
     centers: List[complex] = []

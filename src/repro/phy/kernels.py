@@ -23,13 +23,13 @@ byte-identical slot logs across backends.  Inputs are assumed finite —
 the waveform tier synthesises finite signals; NaN propagation through
 the selection kernels is unspecified.
 
-Selection happens once, lazily, at first kernel use.  The gate mirrors
-the ``REPRO_PHY_FAST`` pattern: ``REPRO_PHY_KERNELS=0`` (or ``false`` /
-``off`` / ``no``) forces the numpy fallback, a backend name
-(``cext`` / ``numpy``) requests that backend, anything else (or
-unset) auto-selects the best available.  When the compiled backend is
-explicitly requested but unavailable, one warning is emitted per
-process and the numpy fallback is used.
+Selection happens once, lazily, at first kernel use, and always tries
+to load the ``cext`` library (so :func:`kernel_info` can report it and
+:func:`set_backend` can force it).  ``REPRO_PHY_KERNELS=numpy`` (or
+``0`` / ``false`` / ``off`` / ``no``, all the same request) runs every
+kernel on numpy; any other value, or none, runs the compiled backend
+when it loaded.  When a value other than a numpy spelling is set but
+the library failed to load, selection warns once and numpy runs.
 
 Beyond the primitive kernels, whole receive-chain stages are fused so
 one Python-level call covers one profiled stage: :func:`project`
@@ -40,20 +40,23 @@ one Python-level call covers one profiled stage: :func:`project`
 trim, energy guard, plateau filter, constellation histogram, smoothing
 and peak count).  The fusions eliminate the per-call
 dispatch/marshalling overhead that otherwise dominates sub-100-us
-stages.  A fused entry whose arithmetic depends on how the host's
-numpy was built is registered only when a load-time probe shows it
-matching numpy byte for byte; elsewhere the entry is composed from its
-stages (see :func:`kernel_info`'s ``composed``).
+stages.  The compiled table also holds each fused entry's stages
+(``median``, ``project_center``, ``cluster_histogram``, ...), which the
+exactness battery compares with their numpy twins.  A fused entry
+whose arithmetic depends on how the host's numpy was built is
+registered only when a load-time probe shows it matching numpy byte
+for byte; elsewhere that entry runs its numpy reference (see
+:func:`kernel_info`'s ``composed``).
 
 The GEMM-shaped slot combine (:func:`combine_templates`) and
 :func:`bit_window_sums` are backend-independent: they are pure
-numpy/BLAS calls whose results are identical under every gate setting.
+numpy/BLAS calls whose results are identical on either backend.
 
 The resolved dispatch table is cached after the first kernel call;
-flipping the gate mid-process goes through :func:`set_kernels` /
-:func:`use_kernels` / :func:`set_backend` (which invalidate the
-cache), not by editing ``os.environ`` afterwards —
-:func:`reset_selection` re-reads the environment.
+switching backends mid-process goes through :func:`set_backend` /
+:func:`use_backend` (which invalidate the cache), not by editing
+``os.environ`` afterwards — :func:`reset_selection` re-reads the
+environment.
 """
 
 from __future__ import annotations
@@ -67,68 +70,38 @@ from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro import perf
-
-#: Environment variable gating/selecting the kernel backend.
+#: Environment variable selecting the kernel backend.
 KERNELS_ENV = "REPRO_PHY_KERNELS"
 
-_FALSE_STRINGS = frozenset({"0", "false", "off", "no"})
+#: ``REPRO_PHY_KERNELS`` values that all ask for the numpy backend.
+_NUMPY_SPELLINGS = frozenset({"0", "false", "off", "no", "numpy"})
 _BACKEND_NAMES = ("cext", "numpy")
 
-_enabled_override: Optional[bool] = None
+#: Bins-per-axis ceiling of the compiled 2-D histogram kernels; larger
+#: requests route to the numpy implementation.
+MAX_HIST_BINS = 64
+
 _backend_override: Optional[str] = None
 
 _select_lock = threading.Lock()
 _selected = False
 _compiled: Optional[Dict[str, Callable]] = None
-_compiled_name: Optional[str] = None
 _load_errors: Dict[str, str] = {}
-_warned = False
 
-#: Cached result of :func:`_active` — invalidated by every override
-#: setter and by :func:`reset_selection`.
+#: Cached result of :func:`_resolve_active` — invalidated by
+#: :func:`set_backend` and by :func:`reset_selection`.
 _active_table: Optional[Mapping[str, Callable]] = None
 
 _tls = threading.local()
 
 
 # ---------------------------------------------------------------------------
-# gate + backend selection (mirrors repro.phy.cache's REPRO_PHY_FAST API)
+# backend selection
 # ---------------------------------------------------------------------------
 
 
-def kernels_enabled() -> bool:
-    """Whether compiled kernels may be used.
-
-    Defaults to on; ``REPRO_PHY_KERNELS=0`` in the environment (or a
-    :func:`set_kernels` / :func:`use_kernels` override) pins every
-    kernel to the numpy fallback.  All backends are bit-exact, so this
-    is an escape hatch and an A/B lever, not a correctness switch.
-    """
-    if _enabled_override is not None:
-        return _enabled_override
-    raw = os.environ.get(KERNELS_ENV)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in _FALSE_STRINGS
-
-
-def set_kernels(enabled: Optional[bool]) -> None:
-    """Override the kernel gate (``None`` restores the env default)."""
-    global _enabled_override, _active_table
-    _enabled_override = enabled
-    _active_table = None
-
-
-@contextmanager
-def use_kernels(enabled: bool) -> Iterator[None]:
-    """Scope a kernel-gate override (tests and parity harnesses)."""
-    previous = _enabled_override
-    set_kernels(enabled)
-    try:
-        yield
-    finally:
-        set_kernels(previous)
+def _requested() -> str:
+    return os.environ.get(KERNELS_ENV, "").strip().lower()
 
 
 def _try_load_cext() -> Optional[Dict[str, Callable]]:
@@ -141,48 +114,51 @@ def _try_load_cext() -> Optional[Dict[str, Callable]]:
     return None
 
 
-def _warn_once(message: str) -> None:
-    global _warned
-    if not _warned:
-        _warned = True
-        warnings.warn(message, RuntimeWarning, stacklevel=3)
-
-
 def _ensure_selected() -> None:
-    """Probe and pin the compiled backend (once per process)."""
-    global _selected, _compiled, _compiled_name
+    """Load the compiled backend (once per process; may fail)."""
+    global _selected, _compiled
     if _selected:
         return
     with _select_lock:
         if _selected:
             return
-        raw = os.environ.get(KERNELS_ENV, "").strip().lower()
-        table = None if raw == "numpy" else _try_load_cext()
-        if table is None and raw and raw not in _FALSE_STRINGS | {"numpy"}:
-            _warn_once(
+        _compiled = _try_load_cext()
+        raw = _requested()
+        if _compiled is None and raw and raw not in _NUMPY_SPELLINGS:
+            warnings.warn(
                 f"REPRO_PHY_KERNELS={raw!r} requested compiled kernels but "
                 f"the cext backend failed to load ({_load_errors}); using "
-                "the numpy fallback"
+                "the numpy fallback",
+                RuntimeWarning,
+                stacklevel=3,
             )
-        _compiled = table
-        _compiled_name = None if table is None else "cext"
         _selected = True
+
+
+def _numpy_requested() -> bool:
+    if _backend_override is not None:
+        return _backend_override == "numpy"
+    return _requested() in _NUMPY_SPELLINGS
+
+
+def _resolve_active() -> Mapping[str, Callable]:
+    if _numpy_requested():
+        return _NUMPY_IMPL
+    _ensure_selected()
+    return _compiled if _compiled is not None else _NUMPY_IMPL
 
 
 def backend() -> str:
     """Name of the backend the dispatch table currently resolves to."""
-    if _backend_override is not None:
-        return _backend_override
-    if not kernels_enabled():
-        return "numpy"
-    _ensure_selected()
-    return _compiled_name if _compiled is not None else "numpy"
+    return "cext" if _resolve_active() is _compiled else "numpy"
 
 
 def set_backend(name: Optional[str]) -> None:
-    """Force a specific backend (tests; ``None`` restores selection).
+    """Force a backend over ``REPRO_PHY_KERNELS``; ``None`` restores it.
 
-    Forcing a compiled backend that is unavailable raises.
+    All backends are bit-exact, so this is an escape hatch and an A/B
+    lever, not a correctness switch.  Forcing ``cext`` when its library
+    did not load raises.
     """
     global _backend_override, _active_table
     _active_table = None
@@ -191,19 +167,18 @@ def set_backend(name: Optional[str]) -> None:
         return
     if name not in _BACKEND_NAMES:
         raise ValueError(f"unknown kernel backend {name!r}")
-    if name != "numpy":
+    if name == "cext":
         _ensure_selected()
-        if _compiled is None or _compiled_name != name:
+        if _compiled is None:
             raise RuntimeError(
-                f"kernel backend {name!r} is not loaded "
-                f"(selected: {_compiled_name!r}, errors: {_load_errors})"
+                f"kernel backend 'cext' is not loaded (errors: {_load_errors})"
             )
     _backend_override = name
 
 
 @contextmanager
 def use_backend(name: Optional[str]) -> Iterator[None]:
-    """Scope a forced backend (parity tests)."""
+    """Scope a forced backend (tests and parity harnesses)."""
     previous = _backend_override
     set_backend(name)
     try:
@@ -212,71 +187,48 @@ def use_backend(name: Optional[str]) -> Iterator[None]:
         set_backend(previous)
 
 
-def _fallback_reason() -> Optional[str]:
-    """Why this process runs on numpy although nobody asked it to."""
-    asked = (
-        not kernels_enabled()
-        or _backend_override == "numpy"
-        or os.environ.get(KERNELS_ENV, "").strip().lower() == "numpy"
-    )
-    if _compiled is not None or asked:
-        return None
-    return "cext unavailable: " + _load_errors.get("cext", "not loaded")
-
-
 def kernel_info() -> Dict[str, object]:
     """Backend availability / selection summary for perf reports.
 
     ``fallback_reason`` explains an unrequested numpy fallback;
     ``composed`` names fused compiled entries a load-time probe left
-    out (their stages are composed instead); ``cache_repairs`` lists
+    out (their numpy reference runs instead); ``cache_repairs`` lists
     cached libraries that failed verification and were rebuilt.
     """
     from repro.phy import _kernels_c
 
     _ensure_selected()
+    fallback_reason = None
+    if _compiled is None and not _numpy_requested():
+        fallback_reason = "cext unavailable: " + _load_errors.get(
+            "cext", "not loaded"
+        )
     return {
-        "enabled": kernels_enabled(),
         "backend": backend(),
-        "compiled_backend": _compiled_name,
         "requested": os.environ.get(KERNELS_ENV),
         "load_errors": dict(_load_errors),
-        "fallback_reason": _fallback_reason(),
+        "fallback_reason": fallback_reason,
         "composed": dict(_kernels_c.PROBE_FAILURES) if _compiled else {},
         "cache_repairs": list(_kernels_c.CACHE_REPAIRS),
-        "kernels": sorted(_DISPATCHED),
+        "kernels": sorted(_NUMPY_IMPL),
         "compiled_kernels": len(_compiled) if _compiled is not None else 0,
     }
 
 
 def reset_selection() -> None:
-    """Drop the pinned backend so the next use re-probes (tests only)."""
-    global _selected, _compiled, _compiled_name, _warned, _active_table
+    """Drop the loaded backend so the next use re-probes (tests only)."""
+    global _selected, _compiled, _active_table
     with _select_lock:
         _selected = False
         _compiled = None
-        _compiled_name = None
         _load_errors.clear()
-        _warned = False
         _active_table = None
-
-
-def _resolve_active() -> Mapping[str, Callable]:
-    if _backend_override is not None:
-        if _backend_override == "numpy":
-            return _NUMPY_IMPL
-        _ensure_selected()
-        return _compiled if _compiled is not None else _NUMPY_IMPL
-    if not kernels_enabled():
-        return _NUMPY_IMPL
-    _ensure_selected()
-    return _compiled if _compiled is not None else _NUMPY_IMPL
 
 
 def _active() -> Mapping[str, Callable]:
     # Re-resolving costs ~1 us of env/flag checks per kernel call — at
     # ~15 calls per slot that is real time, so the resolution is cached
-    # and invalidated by the override setters / reset_selection().
+    # and invalidated by set_backend() / reset_selection().
     table = _active_table
     if table is None:
         table = _resolve_active()
@@ -578,7 +530,7 @@ def _np_cluster_peaks(
 
 
 def detect_points(
-    iq: np.ndarray, median: Callable[[np.ndarray], float] = _np_median
+    iq: np.ndarray,
 ) -> Tuple[Optional[int], np.ndarray, float, float]:
     """The collision detector's stages before its histogram, on numpy.
 
@@ -608,45 +560,43 @@ def detect_points(
     # rate-matched LPF smears level changes into ridges that would
     # otherwise masquerade as extra constellation modes.
     step = np.abs(np.diff(pts))
-    plateau = pts[1:][step < 3.0 * median(step)]
+    plateau = pts[1:][step < 3.0 * _np_median(step)]
     if len(plateau) >= 50:
         pts = plateau
     return None, pts, total_var, noise_var
 
 
-def _compose_iq_clusters(
-    table: Mapping[str, Callable],
-    iq: np.ndarray,
-    bins: int,
-    peak_threshold: float,
-    guard: bool,
+def _np_iq_clusters(
+    iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
 ) -> Tuple[int, float, float]:
-    """:func:`iq_clusters` composed from the stages of ``table``."""
     pts = np.asarray(iq, dtype=complex)
     total_var = noise_var = math.nan
     if guard:
-        verdict, pts, total_var, noise_var = detect_points(pts, table["median"])
+        verdict, pts, total_var, noise_var = detect_points(pts)
         if verdict is not None:
             return verdict, total_var, noise_var
     if pts.size == 0:
         return 0, total_var, noise_var
-    if bins > MAX_HIST_BINS:
-        table = _NUMPY_IMPL
-    hist, _, _ = table["cluster_histogram"](pts, bins)
-    _, _, n_peaks, smax = table["cluster_peaks"](hist, peak_threshold)
+    hist, _, _ = _np_cluster_histogram(pts, bins)
+    _, _, n_peaks, smax = _np_cluster_peaks(hist, peak_threshold)
     return (n_peaks if smax > 0 else 1), total_var, noise_var
 
 
-def _np_iq_clusters(
-    iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
-) -> Tuple[int, float, float]:
-    return _compose_iq_clusters(_NUMPY_IMPL, iq, bins, peak_threshold, guard)
+def _np_project(iq: np.ndarray) -> np.ndarray:
+    c_re, c_im, m_re, m_im = _np_project_center(iq)
+    second_moment = m_re + 1j * m_im
+    theta = 0.5 * np.angle(second_moment) if second_moment != 0 else 0.0
+    rot = np.exp(-1j * theta)
+    return _np_project_finish(
+        iq, c_re, c_im, rot.real, rot.imag, 10.0 / 100.0, 90.0 / 100.0
+    )
 
 
 _NUMPY_IMPL: Dict[str, Callable] = {
     "median": _np_median,
     "mad_spread": _np_mad_spread,
     "two_quantiles": _np_two_quantiles,
+    "project": _np_project,
     "project_center": _np_project_center,
     "project_finish": _np_project_finish,
     "schmitt_states": _np_schmitt_states,
@@ -663,92 +613,28 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
 }
 
-_DISPATCHED = frozenset(_NUMPY_IMPL)
-
 
 # ---------------------------------------------------------------------------
 # dispatched kernels
 # ---------------------------------------------------------------------------
 
 
-def median(x: np.ndarray) -> float:
-    """``float(np.median(x))`` for finite 1-D data."""
-    return _active()["median"](x)
-
-
-def mad_spread(x: np.ndarray) -> float:
-    """``1.4826 * median(|x - median(x)|)`` (the Schmitt spread)."""
-    return _active()["mad_spread"](x)
-
-
-def two_quantiles(x: np.ndarray, q0: float, q1: float) -> Tuple[float, float]:
-    """``np.quantile(x, [q0, q1])`` (linear method), ``q0 <= q1``."""
-    return _active()["two_quantiles"](x, q0, q1)
-
-
-def two_percentiles(
-    x: np.ndarray, p0: float, p1: float
-) -> Tuple[float, float]:
-    """``np.percentile(x, [p0, p1])`` — quantiles scaled from percent."""
-    return _active()["two_quantiles"](x, p0 / 100.0, p1 / 100.0)
-
-
-def project_center(iq: np.ndarray) -> Tuple[float, float, float, float]:
-    """``(c_re, c_im, m_re, m_im)``: component-wise median centre of a
-    complex constellation plus the medians of ``(iq - centre)**2``."""
-    return _active()["project_center"](iq)
-
-
-def project_finish(
-    iq: np.ndarray,
-    c_re: float,
-    c_im: float,
-    rot_re: float,
-    rot_im: float,
-    q0: float,
-    q1: float,
-) -> np.ndarray:
-    """``real((iq - centre) * rot)`` recentred between its ``q0``/``q1``
-    quantiles (the OOK decision-axis projection)."""
-    return _active()["project_finish"](iq, c_re, c_im, rot_re, rot_im, q0, q1)
-
-
 def project(iq: np.ndarray) -> np.ndarray:
     """Full modulation-axis projection of a complex baseband.
 
-    Fuses the two compiled halves of
-    :meth:`repro.phy.reader_dsp.ReaderReceiveChain.project` around the
-    scalar angle/phasor step, which stays in numpy: ``np.angle`` /
-    ``np.exp`` may route through SIMD code paths a C replica could
-    diverge from by an ulp, and at scalar size they cost nothing.
+    The two halves of
+    :meth:`repro.phy.reader_dsp.ReaderReceiveChain.project` — the
+    median centre plus second moment, and the rotate-project-recentre
+    step — around the scalar angle/phasor step, which stays in numpy on
+    both backends: ``np.angle`` / ``np.exp`` may route through SIMD code
+    paths a C replica could diverge from by an ulp, and at scalar size
+    they cost nothing.
     """
     if len(iq) == 0:
         # An empty capture projects to an empty axis on every backend
         # (the quantile re-centre is undefined over zero samples).
         return np.empty(0, dtype=np.float64)
-    table = _active()
-    fused = table.get("project")
-    if fused is not None:
-        # The C backend composes both halves around one input copy.
-        return fused(iq)
-    c_re, c_im, m_re, m_im = table["project_center"](iq)
-    second_moment = m_re + 1j * m_im
-    theta = 0.5 * np.angle(second_moment) if second_moment != 0 else 0.0
-    rot = np.exp(-1j * theta)
-    return table["project_finish"](
-        iq, c_re, c_im, rot.real, rot.imag, 10.0 / 100.0, 90.0 / 100.0
-    )
-
-
-def schmitt_states(
-    projected: np.ndarray, hi: float, lo: float, initial: int
-) -> np.ndarray:
-    """Hysteresis state track (int8) with the given initial state.
-
-    Forcing order matches the vectorised reference: the low threshold
-    wins if a sample satisfies both (possible only when ``hi <= lo``).
-    """
-    return _active()["schmitt_states"](projected, hi, lo, initial)
+    return _active()["project"](iq)
 
 
 def schmitt_full(
@@ -798,10 +684,6 @@ def mix_sosfilt_decimate(
 # ---------------------------------------------------------------------------
 # structural kernels
 # ---------------------------------------------------------------------------
-
-#: Bins-per-axis ceiling of the compiled 2-D histogram kernels; larger
-#: requests route to the numpy implementation.
-MAX_HIST_BINS = 64
 
 
 def bit_grid(
@@ -871,54 +753,6 @@ def combine_templates(
     out_iq += np.dot(coefs, stack)
 
 
-def hist2d_counts(
-    x: np.ndarray,
-    y: np.ndarray,
-    bins: int,
-    x_range: Tuple[float, float],
-    y_range: Tuple[float, float],
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``np.histogram2d`` with scalar ``bins`` + explicit ``range``.
-
-    Replays ``histogramdd``'s exact binning: ``linspace`` edges,
-    right-side ``searchsorted`` with the last-edge fixup, outliers
-    dropped — minus its generic-dispatch overhead.
-    """
-    if bins > MAX_HIST_BINS:
-        return _np_hist2d_counts(x, y, bins, x_range, y_range)
-    return _active()["hist2d_counts"](x, y, bins, x_range, y_range)
-
-
-def cluster_histogram(
-    iq: np.ndarray, bins: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Robust constellation histogram: 1st/99th-percentile box, 10%
-    padding (floor 1e-12), then :func:`hist2d_counts` over the padded
-    range.  ``iq`` must be non-empty (the cluster detector's contract).
-    """
-    if bins > MAX_HIST_BINS:
-        return _np_cluster_histogram(iq, bins)
-    return _active()["cluster_histogram"](iq, bins)
-
-
-def cluster_peaks(
-    hist: np.ndarray, peak_threshold: float
-) -> Tuple[np.ndarray, np.ndarray, int, float]:
-    """Density-peak detection on a square histogram.
-
-    Returns ``(smoothed, labels, n_peaks, smax)``: the 3x3
-    box-smoothed grid (``scipy.ndimage.uniform_filter`` semantics,
-    constant-0 border), int32 component labels of the local maxima at
-    or above ``peak_threshold * smax`` (4-connected, numbered in
-    raster order of first appearance, exactly ``scipy.ndimage.label``),
-    the component count, and the smoothed grid's maximum.  When
-    ``smax <= 0`` the labels are all zero and ``n_peaks`` is 0.
-    """
-    if hist.shape[0] > MAX_HIST_BINS:
-        return _np_cluster_peaks(hist, peak_threshold)
-    return _active()["cluster_peaks"](hist, peak_threshold)
-
-
 def iq_clusters(
     iq: np.ndarray, bins: int, peak_threshold: float, guard: bool
 ) -> Tuple[int, float, float]:
@@ -928,38 +762,30 @@ def iq_clusters(
     the capture first goes through :func:`detect_points` (settling
     trim, energy guard, plateau filter; the two statistics are the
     guard's, NaN where it did not run); without it, every sample is
-    clustered and both statistics are NaN.  The points then go through
-    :func:`cluster_histogram` and :func:`cluster_peaks`: the count is
-    the number of peaks, or 1 when the smoothed histogram is empty.
-    The compiled backend runs all of it in one call; where its
-    load-time probe fails (or for more than :data:`MAX_HIST_BINS`
-    bins) the stages are composed instead.
+    clustered and both statistics are NaN.  The points are then
+    histogrammed over their 1st/99th-percentile box padded by 10%
+    (floor 1e-12), box-smoothed (3x3, ``scipy.ndimage`` semantics), and
+    the local maxima at or above ``peak_threshold`` of the smoothed
+    maximum are labelled (4-connected): the count is the number of
+    labelled peaks, or 1 when the smoothed histogram is empty.  The
+    compiled backend runs all of it in one call; where its load-time
+    probe left it out, or for more than :data:`MAX_HIST_BINS` bins, the
+    numpy reference runs.
     """
     table = _active()
-    fused = table.get("iq_clusters")
-    if fused is None or bins > MAX_HIST_BINS:
-        return _compose_iq_clusters(table, iq, bins, peak_threshold, guard)
-    return fused(iq, bins, peak_threshold, guard)
+    if bins > MAX_HIST_BINS or "iq_clusters" not in table:
+        table = _NUMPY_IMPL
+    return table["iq_clusters"](iq, bins, peak_threshold, guard)
 
 
 __all__ = [
     "KERNELS_ENV",
-    "kernels_enabled",
-    "set_kernels",
-    "use_kernels",
     "backend",
     "set_backend",
     "use_backend",
     "kernel_info",
     "reset_selection",
-    "median",
-    "mad_spread",
-    "two_quantiles",
-    "two_percentiles",
     "project",
-    "project_center",
-    "project_finish",
-    "schmitt_states",
     "schmitt_full",
     "hysteresis_slice",
     "fm0_pairs",
@@ -969,9 +795,6 @@ __all__ = [
     "bit_grid",
     "bit_window_sums",
     "combine_templates",
-    "hist2d_counts",
-    "cluster_histogram",
-    "cluster_peaks",
     "detect_points",
     "iq_clusters",
 ]

@@ -125,17 +125,12 @@ class BackscatterUplink:
             from repro.faults.injectors import flip_bits
 
             data_bits = flip_bits(data_bits, bit_flips)
-        if modulation == "fm0_ook":
-            # The legacy line: byte-identical to the pre-registry path.
-            raw = phy_cache.fm0_raw(data_bits)
-            levels = raw_bits_to_levels(raw, raw_rate_bps, self.sample_rate_hz)
-        else:
-            from repro.phy.modulation import get_modulation
+        from repro.phy.modulation import get_modulation
 
-            mod = get_modulation(modulation)
-            levels = mod.unit_profile(
-                mod.line_encode(data_bits), raw_rate_bps, self.sample_rate_hz
-            )
+        mod = get_modulation(modulation)
+        levels = mod.unit_profile(
+            mod.line_encode(data_bits), raw_rate_bps, self.sample_rate_hz
+        )
         lo = self.pzt.absorptive_coefficient / self.pzt.reflective_coefficient
         n_lead = int(round(lead_in_s * self.sample_rate_hz))
         n_tail = int(round(tail_s * self.sample_rate_hz))

@@ -33,6 +33,7 @@ cycle-free.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
 
@@ -61,10 +62,31 @@ class LinkConfig:
     on-air bit rate, so the delivered data rate is
     ``bitrate_bps * modulation.data_bits_per_raw_bit``.  Ordered and
     hashable so configs can key dictionaries and sort deterministically.
+
+    ``modulation`` must be a non-empty string and ``bitrate_bps`` a
+    finite real number > 0 (numpy scalars included, ``bool`` not);
+    otherwise construction raises a ``ValueError`` naming the field.
+    The name is not looked up in the registry here: the built-in modes
+    build their configs while the registry is still loading.
     """
 
     modulation: str
     bitrate_bps: float
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.modulation, str) or not self.modulation:
+            raise ValueError(
+                f"modulation must be a non-empty string, got {self.modulation!r}"
+            )
+        rate = self.bitrate_bps
+        if (
+            isinstance(rate, bool)
+            or not isinstance(rate, numbers.Real)
+            or not (math.isfinite(rate) and rate > 0)
+        ):
+            raise ValueError(
+                f"bitrate_bps must be positive and finite, got {rate!r}"
+            )
 
     @property
     def label(self) -> str:

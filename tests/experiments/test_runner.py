@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.experiments.runner import collect_results, main
+from repro.experiments.runner import collect_results
 
 
 class TestCollectResults:
@@ -45,9 +45,10 @@ class TestCollectResults:
         assert meds["c5"] > meds["c1"]
 
     def test_main_writes_file(self, tmp_path, medium, monkeypatch):
-        # main() builds its own medium; patch collect_results to reuse
-        # the session fixture and keep the test fast.
+        # `repro results` builds its own medium; patch collect_results
+        # to reuse the session fixture and keep the test fast.
         import repro.experiments.runner as runner_mod
+        from repro.cli import main
 
         monkeypatch.setattr(
             runner_mod,
@@ -55,7 +56,7 @@ class TestCollectResults:
             lambda **kwargs: collect_results(medium, quick=True),
         )
         target = tmp_path / "out.json"
-        assert main([str(target)]) == 0
+        assert main(["results", "--serial", "--out", str(target)]) == 0
         data = json.loads(target.read_text())
         assert data["table2_sustainable"] is True
 

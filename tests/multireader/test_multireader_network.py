@@ -3,15 +3,20 @@ contract (byte-identical slot logs across seeds, topologies, and fault
 schedules), frequency-space division beating the shared carrier,
 overlap-zone handoff, and reader-tier fault injection."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.multireader import (
     CarrierPlan,
+    FdmaNetwork,
+    MultiReaderDeployment,
     MultiReaderFaultEvent,
     MultiReaderFaultSchedule,
     MultiReaderNetwork,
+    assign_channels,
     deployment_for,
 )
 
@@ -291,3 +296,58 @@ class TestParking:
             net.park_tag("ghost")
         with pytest.raises(KeyError):
             net.unpark_tag("ghost")
+
+
+def _non_default_config() -> NetworkConfig:
+    """A config whose every field differs from its default."""
+    config = NetworkConfig(
+        slot_duration_s=0.3,
+        ul_raw_rate_bps=187.5,
+        dl_raw_rate_bps=125.0,
+        nack_threshold=5,
+        enable_empty_flag=False,
+        enable_future_avoidance=False,
+        enable_beacon_loss_timer=False,
+        beacon_loss_probability=0.01,
+        ideal_channel=True,
+        seed=11,
+    )
+    default = NetworkConfig()
+    for field in dataclasses.fields(NetworkConfig):
+        assert getattr(config, field.name) != getattr(default, field.name), (
+            f"give {field.name} a non-default value here"
+        )
+    return config
+
+
+class TestCellConfigs:
+    """Every per-cell or per-channel network gets the whole caller
+    config, with only its seed offset applied."""
+
+    def test_fdma_channels(self, medium):
+        config = _non_default_config()
+        net = FdmaNetwork(SATURATED_PERIODS, medium=medium, config=config)
+        groups = assign_channels(SATURATED_PERIODS, net.plan.n_channels)
+        used = [k for k, group in enumerate(groups) if group]
+        assert len(net.channels) == len(used) > 1
+        for k, channel in zip(used, net.channels):
+            assert channel.config == dataclasses.replace(
+                config, seed=11 + 7919 * k
+            )
+
+    @pytest.mark.parametrize("owner", ["deployment", "multireader"])
+    def test_reader_cells(self, owner):
+        config = _non_default_config()
+        deployment = MultiReaderDeployment()
+        if owner == "deployment":
+            cells = deployment.build_networks(SATURATED_PERIODS, config)
+        else:
+            cells = MultiReaderNetwork(
+                SATURATED_PERIODS, deployment, config=config
+            ).cells
+        assert len(cells) > 1
+        for idx, reader in enumerate(deployment.readers):
+            if reader in cells:
+                assert cells[reader].config == dataclasses.replace(
+                    config, seed=11 + 104_729 * idx
+                )

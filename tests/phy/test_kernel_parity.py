@@ -99,10 +99,10 @@ class TestSlotLogsByteIdentical:
     def test_kernels_on_matches_off(self, modulation, scenario, seed):
         if kernels.backend() == "numpy":  # pragma: no cover
             pytest.skip("no compiled backend: both legs would be numpy")
-        with kernels.use_kernels(True):
+        with kernels.use_backend("cext"):
             on = _signature(_run(scenario, seed, modulation))
         phy_cache.clear_caches()
-        with kernels.use_kernels(False):
+        with kernels.use_backend("numpy"):
             off = _signature(_run(scenario, seed, modulation))
         assert on == off
 
@@ -131,9 +131,9 @@ class TestReferencePathParity:
         if kernels.backend() == "numpy":  # pragma: no cover
             pytest.skip("no compiled backend: both legs would be numpy")
         with phy_cache.fast_path(False):
-            with kernels.use_kernels(True):
+            with kernels.use_backend("cext"):
                 on = _signature(_run("dense", seed, "fm0_ook"))
             phy_cache.clear_caches()
-            with kernels.use_kernels(False):
+            with kernels.use_backend("numpy"):
                 off = _signature(_run("dense", seed, "fm0_ook"))
         assert on == off

@@ -10,10 +10,10 @@ half-to-even rounding, and the FMA-contracted complex multiply of the
 projection stage), and this battery drives both backends over random
 and adversarial inputs and compares raw bytes.
 
-Also covered: the ``REPRO_PHY_KERNELS`` gate / backend-override API,
-``kernel_info`` diagnostics, the warn-once contract for a
-requested-but-unavailable compiled backend, and clean numpy fallback
-when it cannot be built.
+Also covered: the ``REPRO_PHY_KERNELS`` variable and the
+``set_backend`` / ``use_backend`` override, ``kernel_info``
+diagnostics, the warn-once contract for a requested-but-unavailable
+compiled backend, and clean numpy fallback when it cannot be built.
 """
 
 import warnings
@@ -369,25 +369,28 @@ class TestDispatchedWrappers:
 
     def test_wrappers_match_numpy(self):
         iq = _random_iq(700, 1)
-        p = np.real(iq)
-        assert _same_bytes(kernels.median(p), _NUMPY_IMPL["median"](p))
-        assert _same_bytes(
-            kernels.two_percentiles(p, 1.0, 99.0),
-            _NUMPY_IMPL["two_quantiles"](p, 0.01, 0.99),
-        )
-        with kernels.use_kernels(False):
+        with kernels.use_backend("numpy"):
             want = kernels.project(iq)
-        assert _same_bytes(kernels.project(iq), want)
-        with kernels.use_kernels(False):
             want_s = kernels.schmitt_full(want, 0.3, 0.0)
+        assert _same_bytes(kernels.project(iq), want)
         assert _same_bytes(kernels.schmitt_full(want, 0.3, 0.0), want_s)
+        for guard in (True, False):
+            assert _same_bytes(
+                kernels.iq_clusters(iq, 24, 0.15, guard),
+                _NUMPY_IMPL["iq_clusters"](iq, 24, 0.15, guard),
+            )
 
     def test_oversize_bins_route_to_numpy(self):
         iq = _random_iq(300, 0)
         big = kernels.MAX_HIST_BINS + 8
-        hist, xe, ye = kernels.cluster_histogram(iq, big)
+        for guard in (True, False):
+            assert _same_bytes(
+                kernels.iq_clusters(iq, big, 0.15, guard),
+                _NUMPY_IMPL["iq_clusters"](iq, big, 0.15, guard),
+            )
+        hist, xe, ye = _NUMPY_IMPL["cluster_histogram"](iq, big)
         assert hist.shape == (big, big)
-        smoothed, labels, n_peaks, smax = kernels.cluster_peaks(hist, 0.15)
+        smoothed, labels, n_peaks, smax = _NUMPY_IMPL["cluster_peaks"](hist, 0.15)
         assert labels.shape == (big, big)
         assert labels.dtype == np.int32
         assert n_peaks >= 1
@@ -406,23 +409,23 @@ class TestSelectionApi:
         assert kernels.backend() in ("cext", "numpy")
 
     def test_gate_forces_numpy(self):
-        # The ambient default may itself be off (e.g. the CI
+        # The ambient default may itself be numpy (e.g. the CI
         # REPRO_PHY_KERNELS=0 leg) — the scope must restore it either way.
-        ambient = kernels.kernels_enabled()
-        with kernels.use_kernels(False):
+        ambient = kernels.backend()
+        with kernels.use_backend("numpy"):
             assert kernels.backend() == "numpy"
-            assert not kernels.kernels_enabled()
-        assert kernels.kernels_enabled() == ambient
+        assert kernels.backend() == ambient
 
     def test_env_escape_hatch(self, monkeypatch):
         monkeypatch.setenv(kernels.KERNELS_ENV, "0")
-        assert not kernels.kernels_enabled()
         assert kernels.backend() == "numpy"
         monkeypatch.setenv(kernels.KERNELS_ENV, "1")
-        assert kernels.kernels_enabled()
+        loaded = kernels.kernel_info()["compiled_kernels"] > 0
+        assert kernels.backend() == ("cext" if loaded else "numpy")
         monkeypatch.setenv(kernels.KERNELS_ENV, "0")
-        with kernels.use_kernels(True):  # override beats env
-            assert kernels.kernels_enabled()
+        if loaded:
+            with kernels.use_backend("cext"):  # override beats env
+                assert kernels.backend() == "cext"
 
     def test_kernel_info_shape(self):
         info = kernels.kernel_info()
@@ -430,7 +433,7 @@ class TestSelectionApi:
         assert set(info["kernels"]) == set(_NUMPY_IMPL)
         assert isinstance(info["load_errors"], dict)
         assert info["compiled_kernels"] >= 0
-        if info["compiled_backend"] is None:
+        if "cext" in info["load_errors"]:
             assert info["compiled_kernels"] == 0
 
     def test_forcing_numpy_backend(self):
@@ -461,6 +464,22 @@ def _block_cext(monkeypatch):
     monkeypatch.setattr(_kernels_c, "load", no_compiler)
 
 
+def _selection_under(monkeypatch, value):
+    """``kernel_info()`` (minus the raw ``requested`` text) and the
+    outcome of forcing ``cext``, on a fresh selection with
+    ``REPRO_PHY_KERNELS=value``."""
+    monkeypatch.setenv(kernels.KERNELS_ENV, value)
+    kernels.reset_selection()
+    info = kernels.kernel_info()
+    del info["requested"]
+    try:
+        with kernels.use_backend("cext"):
+            forced = kernels.backend()
+    except RuntimeError:
+        forced = "RuntimeError"
+    return info, forced
+
+
 class TestGracefulDegradation:
     @pytest.fixture
     def fresh_selection(self):
@@ -480,7 +499,7 @@ class TestGracefulDegradation:
             name = kernels.backend()
         assert name == "numpy"
         info = kernels.kernel_info()
-        assert info["compiled_backend"] is None
+        assert info["compiled_kernels"] == 0
         # The probe failure is recorded for diagnostics.
         assert "cext" in info["load_errors"]
 
@@ -494,7 +513,7 @@ class TestGracefulDegradation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             kernels.backend()
-            kernels.median(np.arange(5.0))
+            kernels.schmitt_full(np.arange(5.0), 0.3, 0.0)
 
     def test_unrequested_fallback_reports_reason(self, monkeypatch,
                                                  fresh_selection):
@@ -504,13 +523,31 @@ class TestGracefulDegradation:
             "cext unavailable: OSError"
         )
         # A requested numpy backend is no fallback.
-        with kernels.use_kernels(False):
+        with kernels.use_backend("numpy"):
             assert kernels.kernel_info()["fallback_reason"] is None
 
-    def test_failed_abs_probe_composes_the_detector(self, monkeypatch,
-                                                    fresh_selection):
+    @pytest.mark.parametrize(
+        "spelling", ["0", "false", "off", "no", "numpy", " NumPy "]
+    )
+    def test_numpy_spellings_are_one_request(self, monkeypatch,
+                                             fresh_selection, spelling):
+        # Every numpy spelling runs numpy and still loads the library,
+        # so kernel_info() reports it and set_backend("cext") can force
+        # it (the kernels-off CI leg runs the exactness battery on it).
+        want = _selection_under(monkeypatch, "0")
+        got = _selection_under(monkeypatch, spelling)
+        assert got == want
+        info, forced = got
+        assert info["backend"] == "numpy"
+        assert info["fallback_reason"] is None
+        loaded = "cext" not in info["load_errors"]
+        assert forced == ("cext" if loaded else "RuntimeError")
+
+    def test_failed_abs_probe_falls_back_to_numpy_detector(
+        self, monkeypatch, fresh_selection
+    ):
         # A host whose numpy computes complex abs differently keeps the
-        # compiled stages but composes the collision detector from them.
+        # other compiled kernels but runs the numpy collision detector.
         from repro.phy import _kernels_c
 
         monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)

@@ -222,3 +222,33 @@ def test_registry_surface():
         assert mod.frame_raw_bits(32) >= 32
     with pytest.raises(KeyError):
         get_modulation("qam4096")
+
+
+@pytest.mark.parametrize(
+    "modulation, bitrate, field",
+    [
+        ("fm0_ook", math.nan, "bitrate_bps"),
+        ("cook", 0.0, "bitrate_bps"),
+        ("fm0_ook", -375.0, "bitrate_bps"),
+        ("fsk", math.inf, "bitrate_bps"),
+        ("fm0_ook", True, "bitrate_bps"),
+        ("fm0_ook", "375", "bitrate_bps"),
+        ("fm0_ook", None, "bitrate_bps"),
+        ("", 375.0, "modulation"),
+        (None, 375.0, "modulation"),
+        (b"fm0_ook", 375.0, "modulation"),
+    ],
+)
+def test_link_config_rejects_invalid_fields(modulation, bitrate, field):
+    """An invalid config fails at construction, naming the field, not
+    later deep in the link budget (NaN success, ZeroDivisionError)."""
+    with pytest.raises(ValueError, match=field):
+        LinkConfig(modulation, bitrate)
+
+
+@pytest.mark.parametrize("bitrate", [375.0, 750, np.float64(1500.0), np.int64(125)])
+def test_link_config_accepts_real_rates(bitrate):
+    config = LinkConfig("fm0_ook", bitrate)
+    assert config.bitrate_bps == bitrate
+    # Not looked up at construction: unknown names fail on use only.
+    assert LinkConfig("qam4096", bitrate).modulation == "qam4096"

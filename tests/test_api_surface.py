@@ -89,6 +89,21 @@ def test_version_string():
         ("repro.phy.fsk", "_OFFSET_STEPS"),
         ("repro.app", "FleetResultBuffer"),
         ("repro.app.shm", "FleetResultBuffer"),
+        ("repro.phy.kernels", "kernels_enabled"),
+        ("repro.phy.kernels", "set_kernels"),
+        ("repro.phy.kernels", "use_kernels"),
+        ("repro.phy.kernels", "median"),
+        ("repro.phy.kernels", "mad_spread"),
+        ("repro.phy.kernels", "two_quantiles"),
+        ("repro.phy.kernels", "two_percentiles"),
+        ("repro.phy.kernels", "project_center"),
+        ("repro.phy.kernels", "project_finish"),
+        ("repro.phy.kernels", "schmitt_states"),
+        ("repro.phy.kernels", "hist2d_counts"),
+        ("repro.phy.kernels", "cluster_histogram"),
+        ("repro.phy.kernels", "cluster_peaks"),
+        ("repro.experiments.runner", "main"),
+        ("repro.experiments.runner", "build_parser"),
     ],
 )
 def test_removed_surface_stays_gone(module, attribute):
@@ -96,8 +111,9 @@ def test_removed_surface_stays_gone(module, attribute):
     removed in 1.11.0; the scalar oracles moved to tests/phy/oracles.py
     and the demodulators' private scan constants folded into
     ``repro.phy.modulation`` in 1.12.0; the fleet runner's shared-memory
-    result buffer went in 1.14.0.  Nothing may quietly reintroduce
-    them."""
+    result buffer went in 1.14.0; the second kernel switch, the kernel
+    trampolines no caller used and the runner module's own CLI went in
+    1.17.0.  Nothing may quietly reintroduce them."""
     owner = importlib.import_module(module)
     *path, name = attribute.split(".")
     for part in path:

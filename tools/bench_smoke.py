@@ -305,7 +305,7 @@ def kernels_overhead_check() -> bool:
     periods = {"tag5": 4, "tag8": 4, "tag9": 8}
 
     best = float("inf")
-    with kernels.use_kernels(False):
+    with kernels.use_backend("numpy"):
         for _ in range(KERNELS_OFF_REPEATS):
             phy_cache.clear_caches()
             with phy_cache.fast_path(True):
