@@ -84,6 +84,21 @@ def derive_beacon_loss(
     return medium.beacon_loss_probability(name, config.dl_raw_rate_bps)
 
 
+def _check_plan_modulations(plan: "Mapping[str, LinkConfig]") -> None:
+    """Raise a ``ValueError`` naming the tag and the modulation when an
+    uplink plan names a modulation the registry does not hold (it would
+    otherwise fail at that tag's first transmission)."""
+    from repro.phy.modulation import modulation_names
+
+    known = modulation_names()
+    for tag, link in sorted(plan.items()):
+        if link.modulation not in known:
+            raise ValueError(
+                f"uplink_plan[{tag!r}] names unknown modulation "
+                f"{link.modulation!r}; registered: {', '.join(known)}"
+            )
+
+
 def ideal_observation(transmitters: Sequence[str]) -> SlotObservation:
     """Ideal-channel arbitration: a lone transmitter always decodes,
     and any overlap is always detected as a collision."""
@@ -162,6 +177,7 @@ class SlottedNetwork:
         self._uplink_plan: "Optional[Dict[str, LinkConfig]]" = None
         if uplink_plan is not None:
             self._uplink_plan = dict(uplink_plan)
+            _check_plan_modulations(self._uplink_plan)
         elif rate_controller is not None:
             self._uplink_plan = {}
         self._quality_cache: Dict[str, float] = {}

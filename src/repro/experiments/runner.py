@@ -715,7 +715,7 @@ def _run_fleet_shard(
     :data:`FLEET_ROW_COLUMNS` row per network."""
     from repro.fleet import FleetEngine, FleetSpec
 
-    specs = [FleetSpec(name=n, seed=int(s)) for n, s in zip(names, seeds)]
+    specs = [FleetSpec(name=n, seed=s) for n, s in zip(names, seeds)]
     engine = FleetEngine(dict(tag_periods), specs, config=config, energy=energy)
     for _ in range(n_slots):
         engine.step_all()
@@ -760,8 +760,10 @@ class FleetRunner:
             raise ResultsError("fleet sweep needs a positive slot count")
         if shard_size <= 0:
             raise ResultsError("shard size must be positive")
+        from repro.fleet.state import fleet_seed
+
         self.tag_periods = dict(tag_periods)
-        self.seeds = [int(s) for s in seeds]
+        self.seeds = [fleet_seed(s) for s in seeds]
         self.n_slots = int(n_slots)
         self.config = config
         self.energy = bool(energy)

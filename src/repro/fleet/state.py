@@ -11,6 +11,7 @@ the same sorted-name order the sequential simulator assigns tids.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -39,16 +40,35 @@ class FleetSpec:
     faults: "Optional[FaultSchedule]" = None
     supervisor_factory: "Optional[Callable[[SlottedNetwork], NetworkSupervisor]]" = None
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"name must be a non-empty string, got {self.name!r}")
+        object.__setattr__(self, "seed", fleet_seed(self.seed))
+
     @property
     def vectorizable(self) -> bool:
         """Whether this network can ride the batched kernels."""
         return self.faults is None and self.supervisor_factory is None
 
 
+def fleet_seed(seed) -> int:
+    """``seed`` as a plain ``int``, or a ``ValueError`` naming it.
+
+    Any integer passes, numpy's included; a float or a bool does not:
+    ``int()`` would truncate it into another network's seed.
+    """
+    if not isinstance(seed, bool):
+        try:
+            return operator.index(seed)
+        except TypeError:
+            pass
+    raise ValueError(f"seed must be an integer, got {seed!r}")
+
+
 def specs_for_seeds(seeds, prefix: str = "net") -> list:
     """Convenience: one plain :class:`FleetSpec` per seed, named
     ``<prefix><index>`` in the given order."""
-    return [FleetSpec(name=f"{prefix}{i}", seed=int(s)) for i, s in enumerate(seeds)]
+    return [FleetSpec(name=f"{prefix}{i}", seed=s) for i, s in enumerate(seeds)]
 
 
 @dataclass

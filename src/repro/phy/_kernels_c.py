@@ -54,9 +54,21 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
   :func:`load` probes the replica against ``np.abs`` and leaves the
   fused detector that uses it out of the table on a mismatch
   (:data:`PROBE_FAILURES`), so the numpy reference detector runs.
-  On x86-64 the detector runs a copy compiled for FMA where the CPU
-  has it: the same results, with each ``fma()`` one instruction
-  instead of a libm call.
+* complex ``np.exp`` — numpy's complex loop agrees with the C
+  library's ``cexp`` byte for byte on this build, so the FM0 chain
+  calls ``cexp`` after replaying the argument's arithmetic: for the
+  de-rotation ramp
+  ``np.exp(c * np.arange(n) / fs)``, the contracted multiply of ``c``
+  by ``(k + 0j)`` and numpy's Smith division by ``(fs + 0j)``
+  (multiplication by ``1 / fs``); for the bit-phase phasors
+  ``np.exp(2j * pi * phases)``, the contracted multiply by
+  ``(phase + 0j)``.  A numpy with its own complex ``exp``, or another
+  C library, may differ, so :func:`load` probes both against
+  ``np.exp`` and leaves the chain out on a mismatch, as for ``abs``.
+* ``np.add.reduceat`` — each segment is its first element plus the
+  pairwise sum of the rest (``a[lo] + pairwise_sum(a[lo+1:hi])``),
+  not one pairwise sum; numpy's float remainder ``t % spb`` is
+  ``fmod`` for the positive operands the bit-phase step feeds it.
 * the 1%/99% histogram box — when both quantiles lie within 64 order
   statistics of the ends, one pass keeps the smallest and largest
   values in sorted buffers; they hold the same order statistics a
@@ -66,11 +78,17 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
 
 Floating-point contraction and fast-math are disabled explicitly
 (``-ffp-contract=off -fno-fast-math``): an FMA would change results.
-Transcendental steps that numpy may route through SIMD code paths
-(vectorised ``exp`` / ``cos`` / ``sin``, the de-rotation in
-``correct_frequency_offset``) are deliberately *not* ported — the
-fused projection kernel receives the rotation phasor precomputed by
-numpy scalar calls instead.
+The kernels that call ``fma()`` (projection, FM0 chain, collision
+detector) are exported through ``FMA_ENTRY``: on x86-64 they run a
+copy compiled for FMA where the CPU has it — the same results, with
+each ``fma()`` one instruction instead of a libm call.
+
+Transcendentals are ported only where numpy provably calls the same
+function: complex ``exp`` (``cexp``, probed at load, see above).
+``np.angle`` is not: numpy's SIMD ``arctan2`` differs from libm's
+``atan2`` in the last bit on some inputs, so the three scalar angle
+steps of the receive chain (offset, projection axis, bit-grid phase)
+run in numpy between C calls, on both backends.
 
 ctypes call overhead is kept off the hot path by a per-thread buffer
 "lane": inputs are copied into preallocated scratch arrays whose C
@@ -93,6 +111,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import math
 import os
 import shutil
 import subprocess
@@ -104,7 +123,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro import perf
-from repro.phy.kernels import MAX_HIST_BINS
+from repro.phy.kernels import MAX_HIST_BINS, _axis_rotation, _bit_grid_offset
 
 #: Environment variable overriding where compiled kernels are cached.
 CACHE_DIR_ENV = "REPRO_KERNELS_CACHE"
@@ -129,9 +148,29 @@ _C_SOURCE = r"""
 /* repro.phy.kernels C backend — bit-exact replicas of numpy/scipy hot
  * loops.  See _kernels_c.py for the equivalence notes. */
 
+#include <complex.h>
 #include <math.h>
 
 typedef long long i64;
+
+/* FMA_ENTRY(ret, name, params, args) exports rk_<name>, running the
+ * always-inline body <name>.  On x86-64 it runs a copy compiled for FMA
+ * where the CPU has it: the same results (fma() rounds once either
+ * way), with each fma() one instruction instead of a libm call (the
+ * baseline ISA has none). */
+#if defined(__x86_64__) && defined(__GNUC__)
+#define FMA_ENTRY(ret, name, params, args)                              \
+    __attribute__((target("fma"))) static ret name##_fma params         \
+    { return name args; }                                               \
+    ret rk_##name params                                                \
+    {                                                                   \
+        if (__builtin_cpu_supports("fma")) return name##_fma args;      \
+        return name args;                                               \
+    }
+#else
+#define FMA_ENTRY(ret, name, params, args)                              \
+    ret rk_##name params { return name args; }
+#endif
 
 /* ---- order statistics (value-identical to np.partition) ---------- */
 
@@ -251,8 +290,17 @@ void rk_two_quantiles_destroy(double *a, i64 n, double q0, double q1,
 
 /* ---- fused projection (ReaderReceiveChain.project) --------------- */
 
-void rk_project_center(const double *iq, i64 n, double *scratch,
-                       double *out4)
+/* numpy's complex multiply a * b, FMA-contracted as its SIMD loop
+ * computes it. */
+static inline __attribute__((always_inline)) void
+cmul_np(double ar, double ai, double br, double bi, double *re, double *im)
+{
+    *re = fma(ar, br, -(ai * bi));
+    *im = fma(ar, bi, ai * br);
+}
+
+static inline __attribute__((always_inline)) i64
+project_center(const double *iq, i64 n, double *scratch, double *out4)
 {
     for (i64 i = 0; i < n; i++) scratch[i] = iq[2 * i];
     double c_re = median_inplace(scratch, n);
@@ -273,11 +321,17 @@ void rk_project_center(const double *iq, i64 n, double *scratch,
     }
     double m_im = median_inplace(scratch, n);
     out4[0] = c_re; out4[1] = c_im; out4[2] = m_re; out4[3] = m_im;
+    return 0;
 }
 
-void rk_project_finish(const double *iq, i64 n, double c_re, double c_im,
-                       double rot_re, double rot_im, double q0, double q1,
-                       double *scratch, double *out)
+FMA_ENTRY(i64, project_center,
+          (const double *iq, i64 n, double *scratch, double *out4),
+          (iq, n, scratch, out4))
+
+static inline __attribute__((always_inline)) i64
+project_finish(const double *iq, i64 n, double c_re, double c_im,
+               double rot_re, double rot_im, double q0, double q1,
+               double *scratch, double *out)
 {
     /* projected = real((iq - center) * rot), with numpy's contracted
      * real part: fma(zr, rot_re, -(zi * rot_im)). */
@@ -291,7 +345,13 @@ void rk_project_finish(const double *iq, i64 n, double c_re, double c_im,
     rk_two_quantiles_destroy(scratch, n, q0, q1, q);
     double shift = (q[0] + q[1]) / 2.0;
     for (i64 i = 0; i < n; i++) out[i] = out[i] - shift;
+    return 0;
 }
+
+FMA_ENTRY(i64, project_finish,
+          (const double *iq, i64 n, double c_re, double c_im, double rot_re,
+           double rot_im, double q0, double q1, double *scratch, double *out),
+          (iq, n, c_re, c_im, rot_re, rot_im, q0, q1, scratch, out))
 
 /* ---- compare-only loops ------------------------------------------ */
 
@@ -311,6 +371,7 @@ void rk_schmitt_states(const double *p, i64 n, double hi, double lo,
 double rk_schmitt_full(const double *p, i64 n, double hysteresis,
                        double drift, double *scratch, signed char *out)
 {
+    if (n == 0) return 0.0;
     for (i64 i = 0; i < n; i++) scratch[i] = p[i];
     double spread = rk_mad_destroy(scratch, n);
     if (spread == 0.0) {
@@ -793,33 +854,164 @@ iq_clusters(const double *iq, i64 n, i64 guard, i64 bins,
     return smax <= 0 ? 1 : peaks;
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define IQ_FMA_VARIANT 1
-/* The same arithmetic with each fma() one instruction instead of a
- * libm call (the baseline ISA has no FMA): a fifth of the kernel. */
-__attribute__((target("fma"))) static i64
-iq_clusters_fma(const double *iq, i64 n, i64 guard, i64 bins,
-                double threshold, double *fa, double *fb, double *fc,
-                double *plateau, double *hist, double *xe, double *ye,
-                double *grid, int *labels, double *stats)
-{
-    return iq_clusters(iq, n, guard, bins, threshold, fa, fb, fc, plateau,
-                       hist, xe, ye, grid, labels, stats);
-}
-#endif
+/* The abs replica's fma() is a fifth of the detector. */
+FMA_ENTRY(i64, iq_clusters,
+          (const double *iq, i64 n, i64 guard, i64 bins, double threshold,
+           double *fa, double *fb, double *fc, double *plateau, double *hist,
+           double *xe, double *ye, double *grid, int *labels, double *stats),
+          (iq, n, guard, bins, threshold, fa, fb, fc, plateau, hist, xe, ye,
+           grid, labels, stats))
 
-i64 rk_iq_clusters(const double *iq, i64 n, i64 guard, i64 bins,
-                   double threshold, double *fa, double *fb, double *fc,
-                   double *plateau, double *hist, double *xe, double *ye,
-                   double *grid, int *labels, double *stats)
+/* ---- fused FM0 chain (ReaderReceiveChain.decode_baseband) -------- */
+
+/* Four calls, split where np.angle turns a complex sum into a phase:
+ * numpy's SIMD arctan2 differs from libm's atan2 on some inputs, so
+ * those three scalar steps stay numpy. */
+
+/* Sample k's de-rotation phasor as correct_frequency_offset computes
+ * np.exp(c * k / fs) for the Python complex c = -2j * pi * offset:
+ * numpy's contracted multiply of c by (k + 0j), its Smith division by
+ * (fs + 0j) (rat = 0 / fs, scl = 1 / (fs + 0 * rat)), then cexp. */
+static inline __attribute__((always_inline)) void
+ramp_phasor(double c_re, double c_im, double rat, double scl, i64 k,
+            double *out)
 {
-#ifdef IQ_FMA_VARIANT
-    if (__builtin_cpu_supports("fma"))
-        return iq_clusters_fma(iq, n, guard, bins, threshold, fa, fb, fc,
-                               plateau, hist, xe, ye, grid, labels, stats);
-#endif
-    return iq_clusters(iq, n, guard, bins, threshold, fa, fb, fc, plateau,
-                       hist, xe, ye, grid, labels, stats);
+    double tr, ti;
+    cmul_np(c_re, c_im, (double)k, 0.0, &tr, &ti);
+    double complex e =
+        cexp(CMPLX((tr + ti * rat) * scl, (ti - tr * rat) * scl));
+    out[0] = creal(e);
+    out[1] = cimag(e);
+}
+
+/* np.exp(d * phase) for the Python complex d = 2j * pi: numpy's
+ * contracted multiply of d by (phase + 0j), then cexp. */
+static inline __attribute__((always_inline)) void
+unit_phasor(double d_re, double d_im, double phase, double *out)
+{
+    double ar, ai;
+    cmul_np(d_re, d_im, phase, 0.0, &ar, &ai);
+    double complex e = cexp(CMPLX(ar, ai));
+    out[0] = creal(e);
+    out[1] = cimag(e);
+}
+
+/* The loader compares these two with np.exp before it registers the
+ * chain. */
+void rk_ramp(i64 n, double c_re, double c_im, double fs, double *out)
+{
+    double rat = 0.0 / fs, scl = 1.0 / (fs + 0.0 * rat);
+    for (i64 k = 0; k < n; k++)
+        ramp_phasor(c_re, c_im, rat, scl, k, out + 2 * k);
+}
+
+void rk_unit_phasors(const double *phase, i64 n, double d_re, double d_im,
+                     double *out)
+{
+    for (i64 i = 0; i < n; i++) unit_phasor(d_re, d_im, phase[i], out + 2 * i);
+}
+
+/* 1. np.sum(iq[1:] * np.conj(iq[:-1])) for n >= 2, the offset
+ * estimate's phasor sum: numpy's pairwise complex sum added to the
+ * reduction's 0 identity.  rot holds n - 1 complex values. */
+static inline __attribute__((always_inline)) i64
+fm0_offset_sum(const double *iq, i64 n, double *rot, double *out2)
+{
+    for (i64 i = 0; i + 1 < n; i++)
+        cmul_np(iq[2 * i + 2], iq[2 * i + 3], iq[2 * i], -iq[2 * i + 1],
+                &rot[2 * i], &rot[2 * i + 1]);
+    double sr, si;
+    pairwise_csum(rot, 2 * (n - 1), &sr, &si);
+    out2[0] = 0.0 + sr;
+    out2[1] = 0.0 + si;
+    return n - 1;
+}
+
+FMA_ENTRY(i64, fm0_offset_sum,
+          (const double *iq, i64 n, double *rot, double *out2),
+          (iq, n, rot, out2))
+
+/* 2. out <- iq times the de-rotation ramp (n complex), then the
+ * projection centre of out (out4 as project_center's). */
+static inline __attribute__((always_inline)) i64
+fm0_derotate(const double *iq, i64 n, double c_re, double c_im, double fs,
+             double *out, double *scratch, double *out4)
+{
+    double rat = 0.0 / fs, scl = 1.0 / (fs + 0.0 * rat);
+    for (i64 k = 0; k < n; k++) {
+        double e[2];
+        ramp_phasor(c_re, c_im, rat, scl, k, e);
+        cmul_np(iq[2 * k], iq[2 * k + 1], e[0], e[1], &out[2 * k],
+                &out[2 * k + 1]);
+    }
+    return project_center(out, n, scratch, out4);
+}
+
+FMA_ENTRY(i64, fm0_derotate,
+          (const double *iq, i64 n, double c_re, double c_im, double fs,
+           double *out, double *scratch, double *out4),
+          (iq, n, c_re, c_im, fs, out, scratch, out4))
+
+/* 3. Rotate-project and re-centre into projected, slice it into binary
+ * (the MAD Schmitt trigger), and average the phasors of its
+ * transitions' bit phases: np.mean(np.exp(d * ((t % spb) / spb))) over
+ * every t whose state differs from the one before (numpy's float
+ * remainder is fmod here: t and spb are positive).  Returns the
+ * transition count; out2 <- the mean phasor when there is one. */
+static inline __attribute__((always_inline)) i64
+fm0_slice(const double *iq, i64 n, double c_re, double c_im, double rot_re,
+          double rot_im, double hysteresis, double drift, double spb,
+          double d_re, double d_im, double *scratch, double *phasors,
+          double *projected, signed char *binary, double *out2)
+{
+    project_finish(iq, n, c_re, c_im, rot_re, rot_im, 10.0 / 100.0,
+                   90.0 / 100.0, scratch, projected);
+    rk_schmitt_full(projected, n, hysteresis, drift, scratch, binary);
+    i64 m = 0;
+    for (i64 t = 1; t < n; t++) {
+        if (binary[t] == binary[t - 1]) continue;
+        unit_phasor(d_re, d_im, fmod((double)t, spb) / spb, phasors + 2 * m);
+        m++;
+    }
+    if (m) complex_mean(phasors, m, &out2[0], &out2[1]);
+    return m;
+}
+
+FMA_ENTRY(i64, fm0_slice,
+          (const double *iq, i64 n, double c_re, double c_im, double rot_re,
+           double rot_im, double hysteresis, double drift, double spb,
+           double d_re, double d_im, double *scratch, double *phasors,
+           double *projected, signed char *binary, double *out2),
+          (iq, n, c_re, c_im, rot_re, rot_im, hysteresis, drift, spb, d_re,
+           d_im, scratch, phasors, projected, binary, out2))
+
+/* 4. The bit grid over projected, each window's sum in np.add.reduceat
+ * order (a[lo] + pairwise_sum(a[lo+1:hi])), the raw bits (sum > 0),
+ * and the FM0 pairs of both half-bit alignments: raw[start:] for start
+ * 0 and 1, trimmed to an even length.  Returns the raw-bit count;
+ * viol2[start] <- that alignment's violation count where it has a
+ * pair. */
+i64 rk_fm0_bits(const double *projected, i64 n, double spb,
+                double grid_offset, double margin, i64 *lo_idx,
+                i64 *hi_idx, unsigned char *raw, unsigned char *bits0,
+                unsigned char *bits1, unsigned char *viol, double *viol2)
+{
+    i64 count = rk_bit_grid(n, spb, grid_offset, margin, lo_idx, hi_idx);
+    for (i64 k = 0; k < count; k++) {
+        const double *w = projected + lo_idx[k];
+        double sum = w[0] + pairwise_sum(w + 1, hi_idx[k] - lo_idx[k] - 1);
+        raw[k] = sum > 0.0;
+    }
+    unsigned char *bits[2] = {bits0, bits1};
+    for (i64 start = 0; start < 2; start++) {
+        i64 pairs = (count - start) / 2;
+        if (pairs < 1) continue;
+        rk_fm0_pairs(raw + start, pairs, 1, bits[start], viol);
+        i64 v = 0;
+        for (i64 i = 0; i < pairs; i++) v += viol[i];
+        viol2[start] = (double)v;
+    }
+    return count;
 }
 
 /* ---- IIR filters (scipy DF2T, same op order) --------------------- */
@@ -1063,6 +1255,29 @@ def _abs_matches_numpy(lib: ctypes.CDLL) -> bool:
     return got.tobytes() == np.abs(probe).tobytes()
 
 
+def _exp_matches_numpy(lib: ctypes.CDLL) -> bool:
+    """Whether the FM0 chain's C de-rotation ramps and bit-phase phasors
+    are byte-identical to ``np.exp`` on probe offsets and phases."""
+    rng = np.random.default_rng(0xE4)
+    n = 2048
+    got = np.empty(n, dtype=np.complex128)
+    for fs in (4504.504504504504, 9009.0, 1125.0, 48000.0):
+        for offset in (0.0, *rng.uniform(-fs / 2, fs / 2, size=3)):
+            c = -2j * math.pi * float(offset)
+            lib.rk_ramp(n, c.real, c.imag, fs, got.ctypes.data)
+            if got.tobytes() != np.exp(c * np.arange(n) / fs).tobytes():
+                return False
+    phases = np.concatenate(
+        [rng.random(4096), [0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0), 5e-324]]
+    )
+    turn = 2j * math.pi
+    got = np.empty(phases.size, dtype=np.complex128)
+    lib.rk_unit_phasors(
+        phases.ctypes.data, phases.size, turn.real, turn.imag, got.ctypes.data
+    )
+    return got.tobytes() == np.exp(turn * phases).tobytes()
+
+
 _tls = threading.local()
 
 
@@ -1167,9 +1382,9 @@ def load() -> Dict[str, Callable]:
     lib.rk_mad_destroy.argtypes = [ptr, i64]
     lib.rk_two_quantiles_destroy.restype = None
     lib.rk_two_quantiles_destroy.argtypes = [ptr, i64, f64, f64, ptr]
-    lib.rk_project_center.restype = None
+    lib.rk_project_center.restype = i64
     lib.rk_project_center.argtypes = [ptr, i64, ptr, ptr]
-    lib.rk_project_finish.restype = None
+    lib.rk_project_finish.restype = i64
     lib.rk_project_finish.argtypes = [
         ptr, i64, f64, f64, f64, f64, f64, f64, ptr, ptr
     ]
@@ -1200,6 +1415,23 @@ def load() -> Dict[str, Callable]:
         ptr, i64, i64, i64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr,
         ptr,
     ]
+    lib.rk_ramp.restype = None
+    lib.rk_ramp.argtypes = [i64, f64, f64, f64, ptr]
+    lib.rk_unit_phasors.restype = None
+    lib.rk_unit_phasors.argtypes = [ptr, i64, f64, f64, ptr]
+    lib.rk_fm0_offset_sum.restype = i64
+    lib.rk_fm0_offset_sum.argtypes = [ptr, i64, ptr, ptr]
+    lib.rk_fm0_derotate.restype = i64
+    lib.rk_fm0_derotate.argtypes = [ptr, i64, f64, f64, f64, ptr, ptr, ptr]
+    lib.rk_fm0_slice.restype = i64
+    lib.rk_fm0_slice.argtypes = [
+        ptr, i64, f64, f64, f64, f64, f64, f64, f64, f64, f64, ptr, ptr, ptr,
+        ptr, ptr,
+    ]
+    lib.rk_fm0_bits.restype = i64
+    lib.rk_fm0_bits.argtypes = [
+        ptr, i64, f64, f64, f64, ptr, ptr, ptr, ptr, ptr, ptr, ptr
+    ]
     lib.rk_envelope_rc.restype = None
     lib.rk_envelope_rc.argtypes = [ptr, i64, f64, ptr]
     lib.rk_sosfilt_cplx.restype = ctypes.c_int
@@ -1221,6 +1453,10 @@ def load() -> Dict[str, Callable]:
     c_iq_hist = lib.rk_iq_hist
     c_peaks = lib.rk_cluster_peaks
     c_iq_clusters = lib.rk_iq_clusters
+    c_offset_sum = lib.rk_fm0_offset_sum
+    c_derotate = lib.rk_fm0_derotate
+    c_slice = lib.rk_fm0_slice
+    c_bits = lib.rk_fm0_bits
     c_env = lib.rk_envelope_rc
     c_sos = lib.rk_sosfilt_cplx
     c_mix = lib.rk_mix_sosfilt_dec
@@ -1296,14 +1532,65 @@ def load() -> Dict[str, Callable]:
         np.copyto(lane.ca[:n], a)
         c_center(lane.pca, n, lane.pfb, lane.pout16)
         out = lane.out16
-        second_moment = out[2] + 1j * out[3]
-        theta = 0.5 * np.angle(second_moment) if second_moment != 0 else 0.0
-        rot = np.exp(-1j * theta)
+        rot_re, rot_im = _axis_rotation(out[2], out[3])
         c_finish(
-            lane.pca, n, out[0], out[1], rot.real, rot.imag,
+            lane.pca, n, out[0], out[1], rot_re, rot_im,
             10.0 / 100.0, 90.0 / 100.0, lane.pfb, lane.pfa,
         )
         return lane.fa[:n].copy()
+
+    turn = 2j * math.pi  # the bit-phase phasor's Python complex factor
+
+    def fm0_chain(
+        iq: np.ndarray,
+        baseband_rate_hz: float,
+        raw_rate_bps: float,
+        hysteresis: float,
+        drift: float,
+    ):
+        # Four C calls around the three scalar np.angle steps, which
+        # stay numpy (see kernels.fm0_chain); iq is a non-empty
+        # complex128 array.  Scalars come back through out16 and are
+        # read as Python floats: the arithmetic on them is then Python's,
+        # as in the reference.
+        n = iq.size
+        fs = baseband_rate_hz
+        spb = fs / raw_rate_bps
+        lane = _lane(max(n, int(n / spb) + 2))
+        np.copyto(lane.ca[:n], iq)
+        out = lane.out16
+        offset = 0.0
+        if n >= 2:
+            c_offset_sum(lane.pca, n, lane.pcb, lane.pout16)
+            # frequency_offset_estimate's scalar tail
+            angle = np.angle(complex(*out[:2].tolist()))
+            offset = float(angle * fs / (2 * math.pi))
+        c = -2j * math.pi * offset
+        c_derotate(lane.pca, n, c.real, c.imag, fs, lane.pcc, lane.pfb,
+                   lane.pout16)
+        baseband = lane.cc[:n].copy()
+        c_re, c_im, m_re, m_im = out[:4].tolist()
+        rot_re, rot_im = _axis_rotation(m_re, m_im)
+        if not c_slice(
+            lane.pcc, n, c_re, c_im, rot_re, rot_im, hysteresis, drift, spb,
+            turn.real, turn.imag, lane.pfb, lane.pcb, lane.pfa, lane.pi8,
+            lane.pout16,
+        ):
+            return baseband, offset, np.empty(0, dtype=np.uint8), ()
+        grid_offset = _bit_grid_offset(complex(*out[:2].tolist()), spb)
+        count = c_bits(
+            lane.pfa, n, spb, grid_offset, 0.1 * spb, lane.pia, lane.pib,
+            lane.pu8a, lane.pu8b, lane.pu8c, lane.pi8, lane.pout16,
+        )
+        violations = out[:2].tolist()
+        alignments = []
+        for start, bits in ((0, lane.u8b), (1, lane.u8c)):
+            pairs = (count - start) // 2
+            if pairs > 0:
+                alignments.append(
+                    (start, bits[:pairs].copy(), int(violations[start]))
+                )
+        return baseband, offset, lane.u8a[:count].copy(), tuple(alignments)
 
     def schmitt_states(
         projected: np.ndarray, hi: float, lo: float, initial: int
@@ -1501,5 +1788,15 @@ def load() -> Dict[str, Callable]:
         PROBE_FAILURES["iq_clusters"] = (
             "np.abs on this host differs from the C replica; "
             "the detector runs its numpy reference"
+        )
+    # numpy's complex exp may not be the C library's cexp the chain
+    # calls, so the chain is registered where its ramps and phasors
+    # reproduce np.exp on the probe, like the detector above.
+    if _exp_matches_numpy(lib):
+        table["fm0_chain"] = fm0_chain
+    else:
+        PROBE_FAILURES["fm0_chain"] = (
+            "np.exp on this host differs from the C ramp and phasors; "
+            "the FM0 chain runs its numpy reference"
         )
     return table

@@ -32,10 +32,13 @@ when it loaded.  When a value other than a numpy spelling is set but
 the library failed to load, selection warns once and numpy runs.
 
 Beyond the primitive kernels, whole receive-chain stages are fused so
-one Python-level call covers one profiled stage: :func:`project`
-(constellation centring + axis rotation + re-centring),
-:func:`schmitt_full` (spread + thresholds + state track),
-:func:`bit_grid` (integrate-and-dump windows), and
+one Python-level call covers one profiled stage or more:
+:func:`fm0_chain` (the FM0 decoder from offset calibration to both FM0
+alignments' pairs: offset estimate and de-rotation, projection,
+Schmitt slicing, bit grid and window sums), :func:`project`
+(constellation centring + axis rotation + re-centring, for the
+non-FM0 demodulators), :func:`schmitt_full` (spread + thresholds +
+state track), :func:`bit_grid` (integrate-and-dump windows), and
 :func:`iq_clusters` (the whole IQ-cluster collision detector: settling
 trim, energy guard, plateau filter, constellation histogram, smoothing
 and peak count).  The fusions eliminate the per-call
@@ -43,14 +46,16 @@ dispatch/marshalling overhead that otherwise dominates sub-100-us
 stages.  The compiled table also holds each fused entry's stages
 (``median``, ``project_center``, ``cluster_histogram``, ...), which the
 exactness battery compares with their numpy twins.  A fused entry
-whose arithmetic depends on how the host's numpy was built is
+whose arithmetic depends on how the host's numpy was built
+(``iq_clusters`` on ``np.abs``, ``fm0_chain`` on ``np.exp``) is
 registered only when a load-time probe shows it matching numpy byte
 for byte; elsewhere that entry runs its numpy reference (see
 :func:`kernel_info`'s ``composed``).
 
-The GEMM-shaped slot combine (:func:`combine_templates`) and
-:func:`bit_window_sums` are backend-independent: they are pure
-numpy/BLAS calls whose results are identical on either backend.
+The GEMM-shaped slot combine (:func:`combine_templates`),
+:func:`bit_window_sums` and :func:`raw_bit_sums` are
+backend-independent: they are pure numpy/BLAS calls whose results are
+identical on either backend.
 
 The resolved dispatch table is cached after the first kernel call;
 switching backends mid-process goes through :func:`set_backend` /
@@ -80,6 +85,15 @@ _BACKEND_NAMES = ("cext", "numpy")
 #: Bins-per-axis ceiling of the compiled 2-D histogram kernels; larger
 #: requests route to the numpy implementation.
 MAX_HIST_BINS = 64
+
+#: Longest capture the compiled FM0 chain takes; longer ones route to
+#: the numpy reference.  From 256 KiB up numpy elides temporaries: it
+#: evaluates ``a * tmp`` in place as ``tmp * a``, and its FMA-contracted
+#: complex multiply rounds the swapped product's imaginary part
+#: differently.  The chain replays the unswapped order of
+#: ``correct_frequency_offset`` (``iq * np.exp(...)``) and of the offset
+#: estimate, whose temporaries hold one complex128 per sample.
+MAX_CHAIN_SAMPLES = 256 * 1024 // 16 - 1
 
 _backend_override: Optional[str] = None
 
@@ -444,6 +458,8 @@ def _np_schmitt_full(
     projected: np.ndarray, hysteresis: float, drift: float
 ) -> np.ndarray:
     p = np.asarray(projected, dtype=np.float64)
+    if p.size == 0:
+        return np.zeros(0, dtype=np.int8)
     spread = _np_mad_spread(p)
     if spread == 0.0:
         return np.zeros(p.size, dtype=np.int8)
@@ -582,14 +598,87 @@ def _np_iq_clusters(
     return (n_peaks if smax > 0 else 1), total_var, noise_var
 
 
-def _np_project(iq: np.ndarray) -> np.ndarray:
-    c_re, c_im, m_re, m_im = _np_project_center(iq)
+def _axis_rotation(m_re: float, m_im: float) -> Tuple[float, float]:
+    """The unit phasor turning the modulation axis onto the real one:
+    ``exp(-i theta)``, ``theta`` half the second moment's angle (0 for a
+    zero moment).  Scalar numpy on every backend."""
     second_moment = m_re + 1j * m_im
     theta = 0.5 * np.angle(second_moment) if second_moment != 0 else 0.0
     rot = np.exp(-1j * theta)
+    return rot.real, rot.imag
+
+
+def _bit_grid_offset(mean_phasor: complex, samples_per_bit: float) -> float:
+    """Bit-grid phase in samples from the transitions' mean unit phasor
+    (their circular mean).  Scalar numpy on every backend."""
+    angle = np.angle(mean_phasor)
+    return (angle / (2 * math.pi)) % 1.0 * samples_per_bit
+
+
+def _np_project(iq: np.ndarray) -> np.ndarray:
+    c_re, c_im, m_re, m_im = _np_project_center(iq)
+    rot_re, rot_im = _axis_rotation(m_re, m_im)
     return _np_project_finish(
-        iq, c_re, c_im, rot.real, rot.imag, 10.0 / 100.0, 90.0 / 100.0
+        iq, c_re, c_im, rot_re, rot_im, 10.0 / 100.0, 90.0 / 100.0
     )
+
+
+def raw_bit_sums(
+    projected: np.ndarray, binary: np.ndarray, samples_per_bit: float
+) -> Optional[np.ndarray]:
+    """Per-bit matched-filter sums of a sliced projection, or ``None``
+    when no bit grid can be established (no slicer transitions / no
+    full windows).
+
+    Bit-grid phase is estimated from the circular mean of the slicer's
+    transition positions modulo the bit period; each sum integrates
+    the projected signal over the central 80% of its bit (one
+    ``np.add.reduceat``, see :func:`bit_window_sums`) — the
+    matched-filter step that buys back the per-sample noise.  The raw
+    bit is the sign of the sum.  Numpy on every backend: the compiled
+    :func:`fm0_chain` runs its own copy of this stage.
+    """
+    transitions = np.flatnonzero(np.diff(binary) != 0) + 1
+    if transitions.size == 0:
+        return None
+    phases = (transitions % samples_per_bit) / samples_per_bit
+    grid_offset = _bit_grid_offset(
+        np.mean(np.exp(2j * math.pi * phases)), samples_per_bit
+    )
+    lo_idx, hi_idx = _np_bit_grid(
+        len(projected), samples_per_bit, grid_offset, 0.1 * samples_per_bit
+    )
+    if lo_idx.size == 0:
+        return None
+    return bit_window_sums(projected, lo_idx, hi_idx)
+
+
+def _np_fm0_chain(
+    iq: np.ndarray,
+    baseband_rate_hz: float,
+    raw_rate_bps: float,
+    hysteresis: float,
+    drift: float,
+):
+    """:func:`fm0_chain` stage by stage: the semantics reference."""
+    from repro.phy.iq import correct_frequency_offset, frequency_offset_estimate
+
+    offset = frequency_offset_estimate(iq, baseband_rate_hz)
+    baseband = correct_frequency_offset(iq, offset, baseband_rate_hz)
+    projected = _np_project(baseband)
+    binary = _np_schmitt_full(projected, hysteresis, drift)
+    sums = raw_bit_sums(projected, binary, baseband_rate_hz / raw_rate_bps)
+    # bool -> uint8 is a view.
+    raw = (
+        np.empty(0, dtype=np.uint8) if sums is None else (sums > 0).view(np.uint8)
+    )
+    alignments = []
+    for start in (0, 1):
+        pairs = (raw.size - start) // 2
+        if pairs > 0:
+            bits, viol = _np_fm0_pairs(raw[start : start + 2 * pairs])
+            alignments.append((start, bits, int(viol.sum())))
+    return baseband, offset, raw, tuple(alignments)
 
 
 _NUMPY_IMPL: Dict[str, Callable] = {
@@ -608,6 +697,7 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "cluster_histogram": _np_cluster_histogram,
     "cluster_peaks": _np_cluster_peaks,
     "iq_clusters": _np_iq_clusters,
+    "fm0_chain": _np_fm0_chain,
     "envelope_rc": _np_envelope_rc,
     "sosfilt_complex": _np_sosfilt_complex,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
@@ -646,6 +736,48 @@ def schmitt_full(
     same degenerate-slot contract as the receive chain's ``schmitt``.
     """
     return _active()["schmitt_full"](projected, hysteresis, drift)
+
+
+def fm0_chain(
+    iq: np.ndarray,
+    baseband_rate_hz: float,
+    raw_rate_bps: float,
+    hysteresis: float,
+    drift: float,
+) -> Tuple[np.ndarray, float, np.ndarray, Tuple[Tuple[int, np.ndarray, int], ...]]:
+    """The reader's FM0 receive chain on one uncalibrated capture.
+
+    Returns ``(baseband, offset_hz, raw_bits, alignments)``: the
+    offset-corrected baseband, the estimated carrier offset, the raw
+    bits (uint8 signs of the per-bit matched-filter sums), and one
+    ``(start, bits, violations)`` per FM0 half-bit alignment that holds
+    a pair — ``bits`` decodes ``raw_bits[start:]`` trimmed to an even
+    length, with ``violations`` FM0 boundary violations.
+
+    The numpy reference runs the stages one by one: the offset
+    estimate and de-rotation of :mod:`repro.phy.iq`, :func:`project`,
+    :func:`schmitt_full`, :func:`raw_bit_sums` and :func:`fm0_pairs`.
+    The compiled entry runs them as four C calls around the three
+    scalar ``np.angle`` steps (offset, projection axis, bit-grid
+    phase), which stay numpy on both backends: numpy's SIMD
+    ``arctan2`` and libm's ``atan2`` disagree on some inputs.  It
+    replays numpy's complex ``exp`` with the C library's ``cexp``, so
+    it is registered only where a load-time probe shows the two
+    agreeing; elsewhere the reference runs and :func:`kernel_info`'s
+    ``composed`` names it.  Captures longer than
+    :data:`MAX_CHAIN_SAMPLES` run the reference too.
+    """
+    if baseband_rate_hz <= 0 or raw_rate_bps <= 0:
+        raise ValueError("baseband and bit rates must be positive")
+    iq = np.asarray(iq, dtype=np.complex128)
+    if iq.size == 0:
+        # An empty capture yields the empty outcome on every backend
+        # (the projection is undefined over zero samples).
+        return iq.copy(), 0.0, np.empty(0, dtype=np.uint8), ()
+    table = _active()
+    if iq.size > MAX_CHAIN_SAMPLES or "fm0_chain" not in table:
+        table = _NUMPY_IMPL
+    return table["fm0_chain"](iq, baseband_rate_hz, raw_rate_bps, hysteresis, drift)
 
 
 def hysteresis_slice(env: np.ndarray, hi: float, lo: float) -> np.ndarray:
@@ -789,11 +921,13 @@ __all__ = [
     "schmitt_full",
     "hysteresis_slice",
     "fm0_pairs",
+    "fm0_chain",
     "envelope_rc",
     "sosfilt_complex",
     "mix_sosfilt_decimate",
     "bit_grid",
     "bit_window_sums",
+    "raw_bit_sums",
     "combine_templates",
     "detect_points",
     "iq_clusters",

@@ -213,29 +213,16 @@ class ReaderReceiveChain:
         slicer's transition positions modulo the bit period; each sum
         integrates the projected signal over the central 80% of its
         bit — the matched-filter step that buys back the per-sample
-        noise.  The raw bit is the sign of the sum.
+        noise (:func:`repro.phy.kernels.raw_bit_sums`).  The raw bit is
+        the sign of the sum.
         """
         if raw_rate_bps <= 0:
             raise ValueError("bit rate must be positive")
-        samples_per_bit = baseband_rate_hz / raw_rate_bps
-        transitions = np.flatnonzero(np.diff(binary) != 0) + 1
-        if transitions.size == 0:
-            return None
-        phases = (transitions % samples_per_bit) / samples_per_bit
-        angle = np.angle(np.mean(np.exp(2j * math.pi * phases)))
-        grid_offset = (angle / (2 * math.pi)) % 1.0 * samples_per_bit
-        margin = 0.1 * samples_per_bit
-        lo_idx, hi_idx = kernels.bit_grid(
-            len(projected), samples_per_bit, grid_offset, margin
+        if baseband_rate_hz <= 0:
+            raise ValueError("baseband rate must be positive")
+        return kernels.raw_bit_sums(
+            projected, binary, baseband_rate_hz / raw_rate_bps
         )
-        if lo_idx.size == 0:
-            return None
-        # One reduceat over interleaved [lo0, hi0, lo1, hi1, ...] sums
-        # every bit's central window in a single ufunc call.  Summation
-        # order within a window may differ from a per-slice
-        # np.add.reduce by ulp-level reassociation; the decision is the
-        # sign of a matched-filter sum, far from that scale.
-        return kernels.bit_window_sums(projected, lo_idx, hi_idx)
 
     def sample_raw_bits(
         self,
@@ -272,43 +259,37 @@ class ReaderReceiveChain:
     ) -> DecodeOutcome:
         """Run the chain from an uncalibrated baseband (the output of
         :meth:`raw_baseband`) — lets a caller that also runs collision
-        detection reuse one downconversion per capture."""
-        baseband_rate = baseband_rate_hz
-        offset = frequency_offset_estimate(iq, baseband_rate)
-        iq = correct_frequency_offset(iq, offset, baseband_rate)
-        projected = self.project(iq)
-        binary = self.schmitt(projected)
-        sums = self._raw_bit_sums(projected, binary, raw_rate_bps, baseband_rate)
+        detection reuse one downconversion per capture.
 
-        # bool -> uint8 is a view (same byte values as the list
-        # round-trip sample_raw_bits would have produced).
-        raw_arr = (
-            np.empty(0, dtype=np.uint8)
-            if sums is None
-            else (sums > 0).view(np.uint8)
+        Offset calibration, projection, slicing, raw-bit sampling and
+        FM0 pair decoding run as one :func:`repro.phy.kernels.fm0_chain`
+        call (the stages :meth:`to_baseband`, :meth:`project`,
+        :meth:`schmitt` and :meth:`_raw_bit_sums` run one at a time);
+        framing and the choice between the two FM0 alignments stay
+        here.
+        """
+        baseband, offset, raw, alignments = kernels.fm0_chain(
+            iq,
+            baseband_rate_hz,
+            raw_rate_bps,
+            self.schmitt_hysteresis,
+            self.threshold_drift,
         )
         best_packets: List[UplinkPacket] = []
-        best_candidate: Optional[np.ndarray] = None
+        best_span = (0, 0)
         best_violations = math.inf
-        for start in (0, 1):
-            candidate = raw_arr[start:]
-            if len(candidate) < 2:
-                continue
-            if len(candidate) % 2:
-                candidate = candidate[:-1]
-            bits_arr, viol_arr = kernels.fm0_pairs(candidate)
-            packets = find_ul_frames(bits_arr)
-            violations = int(viol_arr.sum())
+        for start, bits, violations in alignments:
+            packets = find_ul_frames(bits)
             if len(packets) > len(best_packets) or (
                 len(packets) == len(best_packets) and violations < best_violations
             ):
                 best_packets = packets
-                best_candidate = candidate
+                best_span = (start, start + 2 * len(bits))
                 best_violations = violations
         return DecodeOutcome(
             packets=best_packets,
-            raw_bits=[] if best_candidate is None else best_candidate.tolist(),
-            baseband=iq,
+            raw_bits=raw[best_span[0] : best_span[1]].tolist(),
+            baseband=baseband,
             frequency_offset_hz=offset,
         )
 

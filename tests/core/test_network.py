@@ -168,6 +168,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=field):
             NetworkConfig(**{field: value})
 
+    def test_unknown_plan_modulation_rejected_at_construction(self):
+        from repro.phy.modulation import LinkConfig
+
+        with pytest.raises(ValueError, match="'tag5'.*'qam4096'"):
+            SlottedNetwork(
+                {"tag5": 4, "tag8": 4},
+                uplink_plan={"tag5": LinkConfig("qam4096", 375.0)},
+            )
+
     def test_config_boundaries_accepted(self):
         NetworkConfig(beacon_loss_probability=0.0, nack_threshold=1)
         NetworkConfig(beacon_loss_probability=1.0, slot_duration_s=1e-3)

@@ -7,6 +7,7 @@ import pytest
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.core.state_machine import TagState
 from repro.core.waveform_network import WaveformNetwork, stable_name_hash
+from repro.phy.modulation import LinkConfig
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +20,18 @@ def converged_net(medium):
     t = net.run_until_converged(streak=16, max_slots=400)
     assert t is not None
     return net
+
+
+class TestValidation:
+    def test_unknown_plan_modulation_rejected_at_construction(self, medium):
+        # Caught when the network is built, not at the tag's first
+        # transmission.
+        with pytest.raises(ValueError, match="'tag5'.*'qam4096'"):
+            WaveformNetwork(
+                {"tag5": 4, "tag8": 4},
+                medium=medium,
+                uplink_plan={"tag5": LinkConfig("qam4096", 375.0)},
+            )
 
 
 class TestConvergenceThroughRealDsp:

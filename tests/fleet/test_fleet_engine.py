@@ -6,6 +6,7 @@ from fleet.oracles import summary_from_records
 
 from repro.core.energy_network import EnergyAwareNetwork
 from repro.core.network import NetworkConfig, SlottedNetwork
+from repro.experiments.runner import FleetRunner
 from repro.fleet import (
     FleetEngine,
     FleetSpec,
@@ -167,6 +168,27 @@ class TestFleetEngineValidation:
                 PERIODS,
                 [FleetSpec(name="a", seed=0), FleetSpec(name="a", seed=1)],
             )
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda: FleetSpec(name="a", seed=1.5), "seed"),
+            (lambda: FleetSpec(name="a", seed=True), "seed"),
+            (lambda: FleetSpec(name="a", seed=np.float64(2.0)), "seed"),
+            (lambda: FleetSpec(name="a", seed="3"), "seed"),
+            (lambda: FleetSpec(name="", seed=1), "name"),
+            (lambda: specs_for_seeds([0, 1.5]), "seed"),
+            (lambda: FleetRunner(PERIODS, [0, False], 8), "seed"),
+        ],
+        ids=["float", "bool", "numpy-float", "str", "empty-name",
+             "specs_for_seeds", "runner"],
+    )
+    def test_rejects_seeds_that_would_alias_and_empty_names(self, build, field):
+        # int() would have run 1.5 and True as seed 1.
+        with pytest.raises(ValueError, match=field):
+            build()
+        spec = FleetSpec(name="a", seed=np.int64(-3))
+        assert spec.seed == -3 and type(spec.seed) is int
 
     def test_rejects_empty_fleet(self):
         with pytest.raises(ValueError):

@@ -13,16 +13,23 @@ and adversarial inputs and compares raw bytes.
 Also covered: the ``REPRO_PHY_KERNELS`` variable and the
 ``set_backend`` / ``use_backend`` override, ``kernel_info``
 diagnostics, the warn-once contract for a requested-but-unavailable
-compiled backend, and clean numpy fallback when it cannot be built.
+compiled backend, clean numpy fallback when it cannot be built, and
+the fused entries a failed load-time probe leaves out.
 """
 
+import functools
 import warnings
 
 import numpy as np
 import pytest
 
+from repro.core.network import NetworkConfig
+from repro.core.waveform_network import WaveformNetwork
 from repro.phy import kernels
 from repro.phy.kernels import _NUMPY_IMPL
+from repro.phy.modem import BackscatterUplink
+from repro.phy.packets import UplinkPacket
+from repro.phy.reader_dsp import ReaderReceiveChain
 
 RNG = np.random.default_rng(0xC0FFEE)
 
@@ -147,6 +154,145 @@ def _detector_battery():
         yield _modes(int(RNG.integers(8, 2600)), 1 + trial % 8)
     for trial in range(20):
         yield _random_iq(int(RNG.integers(8, 1500)), trial % 3)
+
+
+#: The eight-tag topology of the ``waveform_steady`` benchmark.
+STEADY_PERIODS = {
+    "tag1": 4,
+    "tag4": 4,
+    "tag5": 8,
+    "tag8": 8,
+    "tag9": 16,
+    "tag11": 16,
+    "tag12": 32,
+    "tag3": 32,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _steady_captures(seed: int, slots: int = 48) -> tuple:
+    """``(iq, baseband_rate_hz, raw_rate_bps)`` for every capture a
+    ``waveform_steady``-topology run hands to ``decode_baseband``."""
+    captured = []
+    decode = ReaderReceiveChain.decode_baseband
+
+    def record(self, iq, baseband_rate_hz, raw_rate_bps):
+        captured.append((iq.copy(), baseband_rate_hz, raw_rate_bps))
+        return decode(self, iq, baseband_rate_hz, raw_rate_bps)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ReaderReceiveChain, "decode_baseband", record)
+        WaveformNetwork(STEADY_PERIODS, config=NetworkConfig(seed=seed)).run(slots)
+    return tuple(captured)
+
+
+def _uplink_capture(rate: float, rng) -> np.ndarray:
+    """One clean packet at ``rate`` bps on the passband, with noise."""
+    uplink = BackscatterUplink()
+    comp = uplink.tag_component(
+        UplinkPacket(7, 3210).to_bits(), rate, 0.01, phase_rad=0.7,
+        lead_in_s=0.03,
+    )
+    return uplink.capture([comp], 1e-13, rng, extra_samples=2000)
+
+
+def _raw_bits(iq, fs, rate, hysteresis=0.3, drift=0.0) -> np.ndarray:
+    return _NUMPY_IMPL["fm0_chain"](iq, fs, rate, hysteresis, drift)[2]
+
+
+def _reduceat_order_capture() -> np.ndarray:
+    """A capture at 4.5 kHz whose 375-bps bit windows (samples 12k+1 ..
+    12k+10) pin the order of each window's sum.
+
+    Real-valued, with the median and the 10%/90% quantiles at 0 and
+    -1/+1, so the chain neither rotates nor shifts it: the projection
+    is the capture itself.  Bits are 12 samples of -1/+1; the trailing
+    zeros centre the median and hold the slicer.  One window holds
+    values whose sum is positive in ``np.add.reduceat``'s order
+    (``a[lo] + pairwise_sum(a[lo+1:hi])``) but not as one pairwise sum.
+    """
+    bits = np.array([0, 1, 1, 0, 1, 0, 0, 1] * 6)
+    x = np.repeat(np.where(bits == 1, 1.0, -1.0), 12)
+    x[13:23] = [0.07, -0.07, -0.05, 0.33, 0.25, -0.25, 0.05, 0.4, -0.4, -0.33]
+    window = x[13:23]
+    assert np.add.reduceat(window, [0])[0] > 0 >= np.sum(window)
+    return np.concatenate([x, np.zeros(24)]) + 0j
+
+
+def _chain_battery():
+    """``(iq, baseband_rate_hz, raw_rate_bps, hysteresis, drift)`` inputs
+    for the fused FM0 chain's exactness check."""
+    rng = np.random.default_rng(0xF30)
+    for seed in (0, 1, 2):
+        for k, (iq, fs, rate) in enumerate(_steady_captures(seed)):
+            yield iq, fs, rate, 0.3, 0.0
+            if k % 3 == 0:
+                yield iq, fs, rate, 0.3, 0.35
+                yield iq, fs, rate, 0.3, -0.35
+    iq, fs, rate = _steady_captures(0)[-1]
+    assert _raw_bits(iq, fs, rate).size > 50
+    for n in (0, 1, 2):
+        yield _random_iq(n, 0), fs, rate, 0.3, 0.0
+    flat = np.full(700, 0.8 + 0j)  # no offset to remove: zero spread
+    assert _raw_bits(flat, fs, rate).size == 0
+    yield flat, fs, rate, 0.3, 0.0
+    # A constant off the real axis: the estimate's rounding leaves a
+    # slow rotation behind, which the slicer then sees.
+    yield np.full(700, complex(0.3, -1.2)), fs, rate, 0.3, 0.0
+    # A ramp whose top stays under the drifted upper threshold: spread,
+    # but no transitions.
+    ramp = np.linspace(0.1, 1.0, 700) + 0j
+    assert _raw_bits(ramp, fs, rate, 0.9, 0.99).size == 0
+    yield ramp, fs, rate, 0.9, 0.99
+    # Transitions, but shorter than one bit: no full window.
+    short = iq[len(iq) // 2 : len(iq) // 2 + 9]
+    corrected = _NUMPY_IMPL["fm0_chain"](short, fs, rate, 0.3, 0.0)[0]
+    sliced = _NUMPY_IMPL["schmitt_full"](_NUMPY_IMPL["project"](corrected), 0.3, 0.0)
+    assert np.any(np.diff(sliced))
+    assert _raw_bits(short, fs, rate).size == 0
+    yield short, fs, rate, 0.3, 0.0
+    ordered = _reduceat_order_capture()
+    assert _raw_bits(ordered, 4500.0, 375.0)[1] == 1
+    yield ordered, 4500.0, 375.0, 0.3, 0.0
+    # Truncations give odd and even raw-bit counts.
+    counts = set()
+    for n in range(len(iq) - 30, len(iq)):
+        counts.add(_raw_bits(iq[:n], fs, rate).size % 2)
+        yield iq[:n], fs, rate, 0.3, 0.0
+    assert counts == {0, 1}
+    chain = ReaderReceiveChain()
+    for rate in (375.0, 750.0):
+        bb, bb_fs = chain.raw_baseband(_uplink_capture(rate, rng), rate)
+        yield bb, bb_fs, rate, 0.3, 0.0
+        # A bit rate the decimation was not matched to: a fractional
+        # number of samples per bit.
+        yield bb, bb_fs, rate * 1.07, 0.3, 0.0
+        yield bb, bb_fs, bb_fs / 7.5, 0.3, 0.0
+    # Either side of the longest capture the compiled chain takes.
+    for n in (kernels.MAX_CHAIN_SAMPLES, kernels.MAX_CHAIN_SAMPLES + 1):
+        yield _random_iq(n, 1), fs, rate, 0.3, 0.0
+    for trial in range(40):
+        n = int(RNG.integers(3, 3000))
+        yield (
+            _random_iq(n, trial % 3), float(RNG.uniform(1000.0, 20000.0)),
+            float(RNG.uniform(100.0, 2000.0)), float(RNG.uniform(0.0, 0.9)),
+            float(RNG.uniform(-0.5, 0.5)),
+        )
+
+
+def _outcome(chain, backend, *args) -> tuple:
+    """Every ``DecodeOutcome`` field of one decode, as comparable bytes."""
+    with kernels.use_backend(backend):
+        out = chain.decode_baseband(*args)
+    return (
+        out.packets,
+        out.raw_bits,
+        out.baseband.dtype,
+        out.baseband.shape,
+        out.baseband.tobytes(),
+        type(out.frequency_offset_hz),
+        np.float64(out.frequency_offset_hz).tobytes(),
+    )
 
 
 class TestCompiledMatchesNumpyBytes:
@@ -335,6 +481,49 @@ class TestCompiledMatchesNumpyBytes:
                         reference(iq, bins, thr, guard),
                     ), (len(iq), guard, bins, thr)
 
+    def test_fused_fm0_chain(self):
+        # Offset, baseband, raw bits and both FM0 alignments must match
+        # to the bit, and so must every field of the decode built on
+        # them.
+        table = _compiled_table()
+        fused = table.get("fm0_chain")
+        if fused is None:
+            pytest.skip("the exp probe left the fused FM0 chain out")
+        reference = _NUMPY_IMPL["fm0_chain"]
+        cases = list(_chain_battery())
+        assert len(cases) > 250
+        decoded = 0
+        for iq, fs, rate, hyst, drift in cases:
+            if 0 < len(iq) <= kernels.MAX_CHAIN_SAMPLES:
+                assert _same_bytes(
+                    fused(iq, fs, rate, hyst, drift),
+                    reference(iq, fs, rate, hyst, drift),
+                ), (len(iq), fs, rate, hyst, drift)
+            chain = ReaderReceiveChain(
+                schmitt_hysteresis=hyst, threshold_drift=drift
+            )
+            want = _outcome(chain, "numpy", iq, fs, rate)
+            assert _outcome(chain, "cext", iq, fs, rate) == want
+            decoded += len(want[0])
+        assert decoded > 50
+
+    def test_passband_decode_matches_across_backends(self):
+        _compiled_table()
+        chain = ReaderReceiveChain()
+        rng = np.random.default_rng(0xDEC)
+        for rate in (375.0, 750.0):
+            capture = _uplink_capture(rate, rng)
+            outcomes = []
+            for backend in ("numpy", "cext"):
+                with kernels.use_backend(backend):
+                    out = chain.decode(capture, rate)
+                outcomes.append((
+                    out.packets, out.raw_bits, out.baseband.tobytes(),
+                    np.float64(out.frequency_offset_hz).tobytes(),
+                ))
+            assert outcomes[0] == outcomes[1]
+            assert UplinkPacket(7, 3210) in outcomes[0][0]
+
     def test_envelope_and_filters(self):
         table = _compiled_table()
         from scipy.signal import butter
@@ -402,6 +591,19 @@ class TestDispatchedWrappers:
         assert lo.size == 0 and hi.size == 0
         bits, viol = kernels.fm0_pairs(np.empty(0, dtype=np.uint8))
         assert bits.size == 0 and viol.size == 0
+        for backend in ("numpy", kernels.backend()):
+            with kernels.use_backend(backend):
+                assert kernels.schmitt_full(np.empty(0), 0.3, 0.0).size == 0
+                baseband, offset, raw, alignments = kernels.fm0_chain(
+                    np.empty(0, dtype=complex), 4500.0, 375.0, 0.3, 0.0
+                )
+            assert baseband.dtype == np.complex128 and baseband.size == 0
+            assert offset == 0.0 and raw.size == 0 and alignments == ()
+
+    @pytest.mark.parametrize("rates", [(0.0, 375.0), (4500.0, 0.0), (-1.0, 1.0)])
+    def test_fm0_chain_rejects_non_positive_rates(self, rates):
+        with pytest.raises(ValueError, match="must be positive"):
+            kernels.fm0_chain(_random_iq(50, 0), *rates, 0.3, 0.0)
 
 
 class TestSelectionApi:
@@ -562,4 +764,26 @@ class TestGracefulDegradation:
                 assert _same_bytes(
                     kernels.iq_clusters(iq, 24, 0.15, guard),
                     _NUMPY_IMPL["iq_clusters"](iq, 24, 0.15, guard),
+                )
+
+    def test_failed_exp_probe_falls_back_to_numpy_chain(
+        self, monkeypatch, fresh_selection
+    ):
+        # A host whose numpy computes complex exp differently keeps the
+        # other compiled kernels but runs the numpy FM0 chain.
+        from repro.phy import _kernels_c
+
+        monkeypatch.delenv(kernels.KERNELS_ENV, raising=False)
+        monkeypatch.setattr(_kernels_c, "_exp_matches_numpy", lambda lib: False)
+        table = _compiled_table()
+        assert "fm0_chain" not in table
+        assert "project" in table
+        info = kernels.kernel_info()
+        assert info["backend"] == "cext"
+        assert "fm0_chain" in info["composed"]
+        for iq, fs, rate, hyst, drift in _chain_battery():
+            if len(iq):
+                assert _same_bytes(
+                    kernels.fm0_chain(iq, fs, rate, hyst, drift),
+                    _NUMPY_IMPL["fm0_chain"](iq, fs, rate, hyst, drift),
                 )

@@ -103,6 +103,12 @@ class TestBlocks:
         out = chain.schmitt(np.zeros(100))
         assert list(np.unique(out)) == [0]
 
+    @pytest.mark.parametrize("rates", [(0.0, 4500.0), (375.0, 0.0)])
+    def test_sample_raw_bits_rejects_non_positive_rates(self, chain, rates):
+        p = np.sin(np.arange(200) / 3.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            chain.sample_raw_bits(p, (p > 0).astype(np.int8), *rates)
+
     def test_sample_raw_bits_empty_without_transitions(self, chain):
         flat = np.ones(1000)
         assert chain.sample_raw_bits(flat, flat.astype(np.int8), 375.0, 4500.0) == []
