@@ -47,6 +47,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.channel.medium import AcousticMedium
+from repro.sim.random import as_index
 
 #: Counts used by ``quick`` runs (CI) vs publication-grade runs.
 QUICK_TRIALS, FULL_TRIALS = 5, 10
@@ -756,18 +757,19 @@ class FleetRunner:
             raise ResultsError("fleet sweep needs at least one tag")
         if not seeds:
             raise ResultsError("fleet sweep needs at least one seed")
+        n_slots = as_index(n_slots, "n_slots", ResultsError)
         if n_slots <= 0:
             raise ResultsError("fleet sweep needs a positive slot count")
+        shard_size = as_index(shard_size, "shard_size", ResultsError)
         if shard_size <= 0:
             raise ResultsError("shard size must be positive")
-        from repro.fleet.state import fleet_seed
 
         self.tag_periods = dict(tag_periods)
-        self.seeds = [fleet_seed(s) for s in seeds]
-        self.n_slots = int(n_slots)
+        self.seeds = [as_index(s, "seed") for s in seeds]
+        self.n_slots = n_slots
         self.config = config
         self.energy = bool(energy)
-        self.shard_size = int(shard_size)
+        self.shard_size = shard_size
         width = max(4, len(str(len(self.seeds) - 1)))
         self.names = [f"net{i:0{width}d}" for i in range(len(self.seeds))]
 

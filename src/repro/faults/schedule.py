@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.sim.random import RandomStreams
+from repro.sim.random import RandomStreams, as_index
 
 #: Channel-layer faults (mutate the acoustic medium / link budgets).
 CHANNEL_KINDS: Tuple[str, ...] = ("noise_burst", "attenuation", "junction_loss")
@@ -305,8 +305,15 @@ class FaultSchedule:
 
         Every draw comes from one named stream of
         :class:`~repro.sim.random.RandomStreams`, so ``generate(s, ...)``
-        is a pure function of its arguments.
+        is a pure function of its arguments.  ``seed`` and the four
+        counts must be integers: a float or a bool would truncate into
+        another schedule.
         """
+        seed = as_index(seed, "seed")
+        n_slots = as_index(n_slots, "n_slots")
+        n_faults = as_index(n_faults, "n_faults")
+        max_duration = as_index(max_duration, "max_duration")
+        start_slot = as_index(start_slot, "start_slot")
         if n_slots < 1:
             raise ValueError("n_slots must be >= 1")
         if not 0 <= start_slot < n_slots:

@@ -11,11 +11,12 @@ the same sorted-name order the sequential simulator assigns tids.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
+
+from repro.sim.random import as_index
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.network import SlottedNetwork
@@ -43,26 +44,12 @@ class FleetSpec:
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
-        object.__setattr__(self, "seed", fleet_seed(self.seed))
+        object.__setattr__(self, "seed", as_index(self.seed, "seed"))
 
     @property
     def vectorizable(self) -> bool:
         """Whether this network can ride the batched kernels."""
         return self.faults is None and self.supervisor_factory is None
-
-
-def fleet_seed(seed) -> int:
-    """``seed`` as a plain ``int``, or a ``ValueError`` naming it.
-
-    Any integer passes, numpy's included; a float or a bool does not:
-    ``int()`` would truncate it into another network's seed.
-    """
-    if not isinstance(seed, bool):
-        try:
-            return operator.index(seed)
-        except TypeError:
-            pass
-    raise ValueError(f"seed must be an integer, got {seed!r}")
 
 
 def specs_for_seeds(seeds, prefix: str = "net") -> list:

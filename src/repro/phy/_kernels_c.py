@@ -19,13 +19,35 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
 
 * ``sosfilt`` — scipy's direct-form-II-transposed recurrence is
   replayed per sample / per section with the same operation order.
+  On complex data scipy casts the sections to complex, so each real
+  coefficient multiplies as ``c + 0j``; those ``0.0`` terms only decide
+  the sign of a zero while the filter state is still zero.  The
+  receiver-noise kernel replays them.  The mixer kernel leaves them
+  out, so on input that starts with exact zeros it can differ from
+  scipy in the sign of a zero output.
 * real × complex mixing — numpy promotes the real operand, so the
   product is ``(re = x*lo_re - 0.0*lo_im, im = x*lo_im + 0.0*lo_re)``
   including the sign-of-zero semantics of the ``0.0`` terms.
-* ``np.median`` / ``np.percentile`` — selection by value via
-  quickselect (any algorithm placing the k-th order statistic is
-  value-identical to ``np.partition``), with numpy's exact virtual
-  index ``(n - 1) * q`` and ``_lerp`` evaluation order.
+* ``np.median`` / ``np.percentile`` — selection by value (any exact
+  selection is value-identical to ``np.partition``), with numpy's
+  virtual index ``(n - 1) * q`` and ``_lerp`` evaluation order.  The
+  one selection routine, ``select_k``, samples every eighth value,
+  brackets the wanted order statistic between two of the sample's
+  order statistics, and makes one branch-free pass that counts the
+  values below the bracket and gathers those inside it; it then
+  selects among the gathered values only, or among all of them when
+  the bracket missed, with a branch-free Lomuto quickselect (median of
+  three pseudo-random pivots; a pivot equal to the range's floor
+  strips its ties in one pass).  Every step of that quickselect
+  shrinks its range, so it ends on NaN too.  Where several tied
+  ``+0.0`` / ``-0.0`` could land at the wanted rank, which one does
+  depends on the partition, so every median and quantile adds
+  ``0.0`` on both backends: a zero result is ``+0.0``.
+* ``(re + 1j * im) * scale`` — the receiver-noise build: ``1j * im``
+  is numpy's contracted multiply of ``(0 + 1j)`` by ``(im + 0j)``,
+  ``re + ...`` promotes ``re`` to ``re + 0j``, and the scale multiplies
+  as ``scale + 0j`` in the contracted loop, all replayed with their
+  signed zeros inside the filter recurrence.
 * complex x complex multiply (``z ** 2``, ``z * rot``) — numpy's
   SIMD loop is FMA-contracted: ``re = fma(ar, br, -(ai*bi))`` and
   ``im = fma(ar, bi, ai*br)`` (verified element-wise against this
@@ -97,13 +119,13 @@ are copied out with one ``ndarray.copy``.  That turns the ~8 us of
 per-call ``ctypes.data_as`` + allocation bookkeeping into ~1 us.
 
 Inputs are assumed finite (the waveform tier synthesises finite
-signals); NaN propagation through the selection kernels is undefined,
-matching the documented contract in :mod:`repro.phy.kernels`.  One
-further caveat: partition order among *equal-comparing* elements is
-implementation-defined, so selection over mixed ``+0.0``/``-0.0`` ties
-may differ from numpy only in the sign of a zero result — unreachable
-from the receive chain, which feeds these kernels abs-derived or
-continuous data.
+signals); what the selection kernels return for NaN input is
+unspecified, matching the documented contract in
+:mod:`repro.phy.kernels`, but every entry returns.  Mixed
+``+0.0``/``-0.0`` ties are reachable from the receive chain:
+``project_center``'s centre sample makes ``z.real`` exactly ``+0.0``,
+so ``(z**2).imag`` holds signed zeros next to its median.  The ``+ 0.0``
+on every median and quantile is what keeps those byte-identical.
 """
 
 from __future__ import annotations
@@ -174,59 +196,179 @@ typedef long long i64;
 
 /* ---- order statistics (value-identical to np.partition) ---------- */
 
-static void kth_smallest(double *a, i64 lo, i64 hi, i64 k)
+/* Branch-free Lomuto partitions of a[0..n): part_lt gathers the values
+ * below piv at the front, part_le the values not above it (NaN counts
+ * as not above).  Each returns the size of the front part.  The swap
+ * is unconditional and the count adds the comparison, so neither loop
+ * branches on the data. */
+static i64 part_lt(double *a, i64 n, double piv)
 {
-    while (lo < hi) {
-        i64 mid = lo + (hi - lo) / 2;
-        double p0 = a[lo], p1 = a[mid], p2 = a[hi];
-        double piv;
-        if (p0 < p1) {
-            if (p1 < p2) piv = p1;
-            else if (p0 < p2) piv = p2;
-            else piv = p0;
-        } else {
-            if (p0 < p2) piv = p0;
-            else if (p1 < p2) piv = p2;
-            else piv = p1;
-        }
-        i64 i = lo - 1, j = hi + 1;
-        for (;;) {
-            do { i++; } while (a[i] < piv);
-            do { j--; } while (a[j] > piv);
-            if (i >= j) break;
-            double t = a[i]; a[i] = a[j]; a[j] = t;
-        }
-        if (k <= j) hi = j; else lo = j + 1;
+    i64 s = 0;
+    for (i64 i = 0; i < n; i++) {
+        double v = a[i];
+        a[i] = a[s];
+        a[s] = v;
+        s += v < piv;
     }
+    return s;
 }
 
-static double median_inplace(double *a, i64 n)
+static i64 part_le(double *a, i64 n, double piv)
 {
+    i64 s = 0;
+    for (i64 i = 0; i < n; i++) {
+        double v = a[i];
+        a[i] = a[s];
+        a[s] = v;
+        s += !(piv < v);
+    }
+    return s;
+}
+
+/* A pseudo-random index in [0, m) from the xorshift state *r. */
+static inline i64 rand_below(unsigned long long *r, i64 m)
+{
+    unsigned long long x = *r;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *r = x;
+    return (i64)(((x >> 32) * (unsigned long long)m) >> 32);
+}
+
+static inline double med3(double a, double b, double c)
+{
+    double lo = a < b ? a : b, hi = a < b ? b : a;
+    return c < lo ? lo : (hi < c ? hi : c);
+}
+
+/* x(k), the k-th smallest of a[0..n) by value (0 <= k < n), leaving
+ * every value right of position k >= x(k).  Each pivot is the median
+ * of three pseudo-random picks.  A pivot no larger than the range's
+ * floor (a previous pivot that no value in the range is below) strips
+ * every value equal to it instead, so ties cost one pass.  A step that
+ * moves neither end of [lo, hi) sets the floor to the range's minimum
+ * (or NaN), and the step after it moves one, so the loop ends on any
+ * input. */
+static double lomuto_select(double *a, i64 n, i64 k)
+{
+    unsigned long long r = 0x9E3779B97F4A7C15ull ^ (unsigned long long)n;
+    i64 lo = 0, hi = n;
+    int floored = 0;
+    double floor_v = 0.0;
+    while (hi - lo > 1) {
+        i64 m = hi - lo;
+        double p0 = a[lo + rand_below(&r, m)];
+        double p1 = a[lo + rand_below(&r, m)];
+        double piv = med3(p0, p1, a[lo + rand_below(&r, m)]);
+        if (floored && !(floor_v < piv)) {
+            i64 t = lo + part_le(a + lo, m, piv);
+            if (k < t) return piv;
+            lo = t;
+            continue;
+        }
+        i64 s = lo + part_lt(a + lo, m, piv);
+        if (k < s) {
+            hi = s;
+        } else {
+            lo = s;
+            floor_v = piv;
+            floored = 1;
+        }
+    }
+    return a[lo];
+}
+
+/* x(k), and x(k + 1) into *next unless next is NULL, of a[0..n). */
+static double select_in(double *a, i64 n, i64 k, double *next)
+{
+    double v = lomuto_select(a, n, k);
+    if (next) {
+        double m = a[k + 1];
+        for (i64 i = k + 2; i < n; i++) m = a[i] < m ? a[i] : m;
+        *next = m;
+    }
+    return v;
+}
+
+/* Inputs shorter than this are selected from whole. */
+#define SAMPLE_MIN 128
+#define SAMPLE_STRIDE 8
+
+/* x(k) of the n values at x (0 <= k < n), and x(k + 1) into *next
+ * unless next is NULL (then k + 1 < n); x is only read, work holds n
+ * doubles.  Every eighth value is sampled, and two of the sample's
+ * order statistics, three standard deviations of the sample rank
+ * either side of x(k)'s expected one, bracket x(k).  One branch-free
+ * pass counts the values below the bracket and gathers those inside
+ * it; when the ranks wanted lie among the gathered values, only they
+ * are selected from.  Otherwise (or for a short input) every value
+ * is. */
+static double select_k(const double *x, i64 n, i64 k, double *next,
+                       double *work)
+{
+    i64 top = next ? k + 1 : k;
+    if (n >= SAMPLE_MIN) {
+        i64 m = n / SAMPLE_STRIDE;
+        for (i64 j = 0; j < m; j++)
+            work[j] = x[j * SAMPLE_STRIDE + SAMPLE_STRIDE / 2];
+        double p = ((double)k + 0.5) / (double)n;
+        double spread = 3.0 * sqrt((double)m * p * (1.0 - p)) + 2.0;
+        i64 r_lo = (i64)floor(p * (double)m - spread);
+        i64 r_hi = (i64)ceil(p * (double)m + spread) + (top - k);
+        double lo = -INFINITY, hi = INFINITY;
+        if (r_lo >= 0)
+            lo = lomuto_select(work, m, r_lo);
+        else
+            r_lo = -1;
+        if (r_hi < m)
+            hi = lomuto_select(work + r_lo + 1, m - r_lo - 1, r_hi - r_lo - 1);
+        i64 below = 0, count = 0;
+        for (i64 i = 0; i < n; i++) {
+            double v = x[i];
+            work[count] = v;
+            below += v < lo;
+            count += (v >= lo) & (v <= hi);
+        }
+        if (k >= below && top < below + count) {
+            if (lo == hi) {
+                /* every gathered value equals lo */
+                if (next) *next = lo;
+                return lo;
+            }
+            return select_in(work, count, k - below, next);
+        }
+    }
+    for (i64 i = 0; i < n; i++) work[i] = x[i];
+    return select_in(work, n, k, next);
+}
+
+/* np.median of the n values at x (read only; work holds n doubles),
+ * plus 0.0: a zero median is +0.0 whichever signed zero the partition
+ * placed.  Even n: the mean of the two middle order statistics,
+ * (part[h-1] + part[h]) / 2. */
+static double median_of(const double *x, i64 n, double *work)
+{
+    if (n == 0) return NAN;
     i64 h = n / 2;
-    kth_smallest(a, 0, n - 1, h);
-    if (n & 1)
-        return a[h];
-    /* np.median (even n): mean of the two middle order statistics,
-     * lower-half max first — (part[h-1] + part[h]) / 2. */
-    double upper = a[h];
-    double lower = a[0];
-    for (i64 i = 1; i < h; i++)
-        if (a[i] > lower) lower = a[i];
-    return (lower + upper) / 2.0;
+    if (n & 1) return select_k(x, n, h, 0, work) + 0.0;
+    double upper;
+    double lower = select_k(x, n, h - 1, &upper, work);
+    return (lower + upper) / 2.0 + 0.0;
 }
 
-double rk_median_destroy(double *a, i64 n)
+double rk_median(const double *x, i64 n, double *work)
 {
-    return median_inplace(a, n);
+    return median_of(x, n, work);
 }
 
-double rk_mad_destroy(double *a, i64 n)
+/* 1.4826 * median(|x - median(x)|); scratch holds 2n doubles. */
+double rk_mad(const double *x, i64 n, double *scratch)
 {
-    /* partition permutes but preserves the multiset, so |a - med| over
-     * the permuted buffer has the same order statistics. */
-    double med = median_inplace(a, n);
-    for (i64 i = 0; i < n; i++) a[i] = fabs(a[i] - med);
-    return 1.4826 * median_inplace(a, n);
+    double *dev = scratch, *work = scratch + n;
+    double med = median_of(x, n, work);
+    for (i64 i = 0; i < n; i++) dev[i] = fabs(x[i] - med);
+    return 1.4826 * median_of(dev, n, work);
 }
 
 /* numpy _lerp: a + (b-a)*t, switching to b - (b-a)*(1-t) at t >= 0.5 */
@@ -256,36 +398,23 @@ static double quantile_index(i64 n, double q, i64 *jp, i64 *jn)
     return virt - fl;
 }
 
-static double quantile_from(double *a, i64 n, i64 done_upto, double q,
-                            i64 *last_k)
+/* np.quantile(x, q) ('linear') of the n > 0 values at x (read only;
+ * work holds n doubles), plus 0.0 as for median_of. */
+static double quantile_of(const double *x, i64 n, double q, double *work)
 {
     i64 jp, jn;
     double gamma = quantile_index(n, q, &jp, &jn);
-    i64 lo = done_upto;
-    if (jp > lo) { kth_smallest(a, lo, n - 1, jp); lo = jp; }
-    else if (jp < lo) { /* already ordered below lo */ }
-    else { kth_smallest(a, lo, n - 1, jp); }
-    double prev = a[jp];
     double next;
-    if (jn == jp) {
-        next = prev;
-    } else {
-        /* min of the tail right of jp */
-        next = a[jp + 1];
-        for (i64 i = jp + 2; i < n; i++)
-            if (a[i] < next) next = a[i];
-    }
-    *last_k = jp;
-    return lerp_np(prev, next, gamma);
+    double prev = select_k(x, n, jp, jn == jp ? 0 : &next, work);
+    if (jn == jp) next = prev;
+    return lerp_np(prev, next, gamma) + 0.0;
 }
 
-void rk_two_quantiles_destroy(double *a, i64 n, double q0, double q1,
-                              double *out)
+void rk_two_quantiles(const double *x, i64 n, double q0, double q1,
+                      double *work, double *out)
 {
-    i64 k = 0;
-    out[0] = quantile_from(a, n, 0, q0, &k);
-    i64 k2 = 0;
-    out[1] = quantile_from(a, n, k, q1, &k2);
+    out[0] = quantile_of(x, n, q0, work);
+    out[1] = quantile_of(x, n, q1, work);
 }
 
 /* ---- fused projection (ReaderReceiveChain.project) --------------- */
@@ -299,27 +428,29 @@ cmul_np(double ar, double ai, double br, double bi, double *re, double *im)
     *im = fma(ar, bi, ai * br);
 }
 
+/* scratch holds 2n doubles. */
 static inline __attribute__((always_inline)) i64
 project_center(const double *iq, i64 n, double *scratch, double *out4)
 {
-    for (i64 i = 0; i < n; i++) scratch[i] = iq[2 * i];
-    double c_re = median_inplace(scratch, n);
-    for (i64 i = 0; i < n; i++) scratch[i] = iq[2 * i + 1];
-    double c_im = median_inplace(scratch, n);
+    double *vals = scratch, *work = scratch + n;
+    for (i64 i = 0; i < n; i++) vals[i] = iq[2 * i];
+    double c_re = median_of(vals, n, work);
+    for (i64 i = 0; i < n; i++) vals[i] = iq[2 * i + 1];
+    double c_im = median_of(vals, n, work);
     /* z = iq - center; z**2 via numpy's FMA-contracted complex
      * multiply: re = fma(zr, zr, -(zi*zi)), im = fma(zr, zi, zi*zr). */
     for (i64 i = 0; i < n; i++) {
         double zr = iq[2 * i] - c_re;
         double zi = iq[2 * i + 1] - c_im;
-        scratch[i] = fma(zr, zr, -(zi * zi));
+        vals[i] = fma(zr, zr, -(zi * zi));
     }
-    double m_re = median_inplace(scratch, n);
+    double m_re = median_of(vals, n, work);
     for (i64 i = 0; i < n; i++) {
         double zr = iq[2 * i] - c_re;
         double zi = iq[2 * i + 1] - c_im;
-        scratch[i] = fma(zr, zi, zi * zr);
+        vals[i] = fma(zr, zi, zi * zr);
     }
-    double m_im = median_inplace(scratch, n);
+    double m_im = median_of(vals, n, work);
     out4[0] = c_re; out4[1] = c_im; out4[2] = m_re; out4[3] = m_im;
     return 0;
 }
@@ -340,9 +471,8 @@ project_finish(const double *iq, i64 n, double c_re, double c_im,
         double zi = iq[2 * i + 1] - c_im;
         out[i] = fma(zr, rot_re, -(zi * rot_im));
     }
-    for (i64 i = 0; i < n; i++) scratch[i] = out[i];
     double q[2];
-    rk_two_quantiles_destroy(scratch, n, q0, q1, q);
+    rk_two_quantiles(out, n, q0, q1, scratch, q);
     double shift = (q[0] + q[1]) / 2.0;
     for (i64 i = 0; i < n; i++) out[i] = out[i] - shift;
     return 0;
@@ -368,12 +498,12 @@ void rk_schmitt_states(const double *p, i64 n, double hi, double lo,
     }
 }
 
+/* scratch holds 2n doubles. */
 double rk_schmitt_full(const double *p, i64 n, double hysteresis,
                        double drift, double *scratch, signed char *out)
 {
     if (n == 0) return 0.0;
-    for (i64 i = 0; i < n; i++) scratch[i] = p[i];
-    double spread = rk_mad_destroy(scratch, n);
+    double spread = rk_mad(p, n, scratch);
     if (spread == 0.0) {
         for (i64 i = 0; i < n; i++) out[i] = 0;
         return spread;
@@ -545,8 +675,8 @@ static int edge_quantiles(const double *x, i64 n, double q0, double q1,
             hi[j] = v;
         }
     }
-    out[0] = lerp_np(lo[jp0], lo[jn0], g0);
-    out[1] = lerp_np(hi[n - 1 - jp1], hi[n - 1 - jn1], g1);
+    out[0] = lerp_np(lo[jp0], lo[jn0], g0) + 0.0;
+    out[1] = lerp_np(hi[n - 1 - jp1], hi[n - 1 - jn1], g1) + 0.0;
     return 1;
 }
 
@@ -560,17 +690,13 @@ void rk_iq_hist(const double *iq, i64 n, i64 bins,
         im_buf[i] = iq[2 * i + 1];
     }
     double q[2];
-    if (!edge_quantiles(re_buf, n, q0, q1, q)) {
-        for (i64 i = 0; i < n; i++) qscratch[i] = re_buf[i];
-        rk_two_quantiles_destroy(qscratch, n, q0, q1, q);
-    }
+    if (!edge_quantiles(re_buf, n, q0, q1, q))
+        rk_two_quantiles(re_buf, n, q0, q1, qscratch, q);
     double pad_r = (q[1] - q[0]) * pad_frac;
     if (pad_r < pad_min) pad_r = pad_min;
     double x0 = q[0] - pad_r, x1 = q[1] + pad_r;
-    if (!edge_quantiles(im_buf, n, q0, q1, q)) {
-        for (i64 i = 0; i < n; i++) qscratch[i] = im_buf[i];
-        rk_two_quantiles_destroy(qscratch, n, q0, q1, q);
-    }
+    if (!edge_quantiles(im_buf, n, q0, q1, q))
+        rk_two_quantiles(im_buf, n, q0, q1, qscratch, q);
     double pad_i = (q[1] - q[0]) * pad_frac;
     if (pad_i < pad_min) pad_i = pad_min;
     double y0 = q[0] - pad_i, y1 = q[1] + pad_i;
@@ -825,13 +951,10 @@ iq_clusters(const double *iq, i64 n, i64 guard, i64 bins,
         stats[1] = noise_var;
         if (noise_var <= 0 || total_var < 12.0 * noise_var) return 1;
         /* Plateau filter: keep iq[1:] where |diff(iq)| < 3 * median. */
-        for (i64 i = 0; i + 1 < m; i++) {
-            double s = cabs_np(p[2 * i + 2] - p[2 * i],
-                               p[2 * i + 3] - p[2 * i + 1]);
-            fb[i] = s;
-            fc[i] = s;
-        }
-        double cut = 3.0 * median_inplace(fc, m - 1);
+        for (i64 i = 0; i + 1 < m; i++)
+            fb[i] = cabs_np(p[2 * i + 2] - p[2 * i],
+                            p[2 * i + 3] - p[2 * i + 1]);
+        double cut = 3.0 * median_of(fb, m - 1, fc);
         i64 k = 0;
         for (i64 i = 0; i + 1 < m; i++) {
             if (fb[i] < cut) {
@@ -1058,11 +1181,52 @@ static int sosfilt_cplx(const double *sos, i64 n_sections,
     return 0;
 }
 
-int rk_sosfilt_cplx(const double *sos, i64 n_sections,
-                    const double *xin, i64 n, double *out)
+/* ---- receiver noise (modem.receiver_noise_baseband) -------------- */
+
+/* out <- sosfilt(sos, (d[:n] + 1j * d[n:]) * scale) for the 2n draws
+ * d, as numpy and scipy compute it.  The complex build: 1j * im is
+ * numpy's contracted multiply of (0 + 1j) by (im + 0j), re + that
+ * promotes re to (re + 0j), and the scale multiplies as (scale + 0j).
+ * scipy casts the sections to complex, so its DF2T recurrence copies
+ * each input as 1 * x and multiplies by every real coefficient c as by
+ * (c + 0j), uncontracted: the 0.0 terms below, which decide the sign
+ * of a zero while the filter state is still zero. */
+static inline __attribute__((always_inline)) i64
+receiver_noise(const double *d, i64 n, double scale, const double *sos,
+               i64 n_sections, double *out)
 {
-    return sosfilt_cplx(sos, n_sections, xin, n, 1, out);
+    if (n_sections > 16) return 1;
+    double z0r[16], z0i[16], z1r[16], z1i[16];
+    for (i64 s = 0; s < n_sections; s++)
+        z0r[s] = z0i[s] = z1r[s] = z1i[s] = 0.0;
+    for (i64 i = 0; i < n; i++) {
+        double tr, ti, br, bi;
+        cmul_np(0.0, 1.0, d[n + i], 0.0, &tr, &ti);
+        cmul_np(d[i] + tr, 0.0 + ti, scale, 0.0, &br, &bi);
+        double xr = 1.0 * br - 0.0 * bi, xi = 1.0 * bi + 0.0 * br;
+        for (i64 s = 0; s < n_sections; s++) {
+            const double *c = sos + 6 * s;
+            double yr = (c[0] * xr - 0.0 * xi) + z0r[s];
+            double yi = (c[0] * xi + 0.0 * xr) + z0i[s];
+            z0r[s] = ((c[1] * xr - 0.0 * xi) - (c[4] * yr - 0.0 * yi))
+                     + z1r[s];
+            z0i[s] = ((c[1] * xi + 0.0 * xr) - (c[4] * yi + 0.0 * yr))
+                     + z1i[s];
+            z1r[s] = (c[2] * xr - 0.0 * xi) - (c[5] * yr - 0.0 * yi);
+            z1i[s] = (c[2] * xi + 0.0 * xr) - (c[5] * yi + 0.0 * yr);
+            xr = yr;
+            xi = yi;
+        }
+        out[2 * i] = xr;
+        out[2 * i + 1] = xi;
+    }
+    return 0;
 }
+
+FMA_ENTRY(i64, receiver_noise,
+          (const double *d, i64 n, double scale, const double *sos,
+           i64 n_sections, double *out),
+          (d, n, scale, sos, n_sections, out))
 
 int rk_mix_sosfilt_dec(const double *x, const double *lo, i64 n,
                        const double *sos, i64 n_sections, i64 dec,
@@ -1295,7 +1459,7 @@ class _Lane:
     __slots__ = (
         "cap",
         "fa", "pfa",        # float64 input/output lane
-        "fb", "pfb",        # float64 scratch (destroyed by kernels)
+        "fb", "pfb",        # float64 scratch, 2 * cap (destroyed by kernels)
         "fc", "pfc",        # float64 secondary output lane
         "i8", "pi8",        # int8 output lane
         "u8a", "pu8a",      # uint8 input lane
@@ -1318,7 +1482,7 @@ class _Lane:
         self.cap = cap
         self.fa = np.empty(cap)
         self.pfa = self.fa.ctypes.data
-        self.fb = np.empty(cap)
+        self.fb = np.empty(2 * cap)
         self.pfb = self.fb.ctypes.data
         self.fc = np.empty(cap)
         self.pfc = self.fc.ctypes.data
@@ -1376,12 +1540,12 @@ def load() -> Dict[str, Callable]:
     f64 = ctypes.c_double
     ptr = ctypes.c_void_p
 
-    lib.rk_median_destroy.restype = f64
-    lib.rk_median_destroy.argtypes = [ptr, i64]
-    lib.rk_mad_destroy.restype = f64
-    lib.rk_mad_destroy.argtypes = [ptr, i64]
-    lib.rk_two_quantiles_destroy.restype = None
-    lib.rk_two_quantiles_destroy.argtypes = [ptr, i64, f64, f64, ptr]
+    lib.rk_median.restype = f64
+    lib.rk_median.argtypes = [ptr, i64, ptr]
+    lib.rk_mad.restype = f64
+    lib.rk_mad.argtypes = [ptr, i64, ptr]
+    lib.rk_two_quantiles.restype = None
+    lib.rk_two_quantiles.argtypes = [ptr, i64, f64, f64, ptr, ptr]
     lib.rk_project_center.restype = i64
     lib.rk_project_center.argtypes = [ptr, i64, ptr, ptr]
     lib.rk_project_finish.restype = i64
@@ -1434,14 +1598,14 @@ def load() -> Dict[str, Callable]:
     ]
     lib.rk_envelope_rc.restype = None
     lib.rk_envelope_rc.argtypes = [ptr, i64, f64, ptr]
-    lib.rk_sosfilt_cplx.restype = ctypes.c_int
-    lib.rk_sosfilt_cplx.argtypes = [ptr, i64, ptr, i64, ptr]
+    lib.rk_receiver_noise.restype = i64
+    lib.rk_receiver_noise.argtypes = [ptr, i64, f64, ptr, i64, ptr]
     lib.rk_mix_sosfilt_dec.restype = ctypes.c_int
     lib.rk_mix_sosfilt_dec.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
 
-    c_median = lib.rk_median_destroy
-    c_mad = lib.rk_mad_destroy
-    c_two_q = lib.rk_two_quantiles_destroy
+    c_median = lib.rk_median
+    c_mad = lib.rk_mad
+    c_two_q = lib.rk_two_quantiles
     c_center = lib.rk_project_center
     c_finish = lib.rk_project_finish
     c_states = lib.rk_schmitt_states
@@ -1458,7 +1622,7 @@ def load() -> Dict[str, Callable]:
     c_slice = lib.rk_fm0_slice
     c_bits = lib.rk_fm0_bits
     c_env = lib.rk_envelope_rc
-    c_sos = lib.rk_sosfilt_cplx
+    c_noise = lib.rk_receiver_noise
     c_mix = lib.rk_mix_sosfilt_dec
 
     def median(x: np.ndarray) -> float:
@@ -1467,8 +1631,8 @@ def load() -> Dict[str, Callable]:
         if n == 0:
             return float(np.median(a))
         lane = _lane(n)
-        np.copyto(lane.fb[:n], a)
-        return c_median(lane.pfb, n)
+        np.copyto(lane.fa[:n], a)
+        return c_median(lane.pfa, n, lane.pfb)
 
     def mad_spread(x: np.ndarray) -> float:
         a = np.asarray(x, dtype=np.float64)
@@ -1476,8 +1640,8 @@ def load() -> Dict[str, Callable]:
         if n == 0:
             return 1.4826 * float(np.median(np.abs(a - np.median(a))))
         lane = _lane(n)
-        np.copyto(lane.fb[:n], a)
-        return c_mad(lane.pfb, n)
+        np.copyto(lane.fa[:n], a)
+        return c_mad(lane.pfa, n, lane.pfb)
 
     def two_quantiles(
         x: np.ndarray, q0: float, q1: float
@@ -1488,8 +1652,8 @@ def load() -> Dict[str, Callable]:
             lo, hi = np.quantile(a, [q0, q1])
             return float(lo), float(hi)
         lane = _lane(n)
-        np.copyto(lane.fb[:n], a)
-        c_two_q(lane.pfb, n, q0, q1, lane.pout16)
+        np.copyto(lane.fa[:n], a)
+        c_two_q(lane.pfa, n, q0, q1, lane.pfb, lane.pout16)
         out = lane.out16
         return out[0], out[1]
 
@@ -1726,16 +1890,18 @@ def load() -> Dict[str, Callable]:
         c_env(lane.pfa, n, alpha, lane.pfc)
         return lane.fc[:n].copy()
 
-    def sosfilt_complex(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+    def receiver_noise(
+        draws: np.ndarray, scale: float, sos: np.ndarray
+    ) -> np.ndarray:
+        d = np.asarray(draws, dtype=np.float64)
         s = np.ascontiguousarray(sos, dtype=np.float64)
-        a = np.asarray(x, dtype=np.complex128)
         if s.shape[0] > MAX_SOS_SECTIONS:
             raise ValueError("too many SOS sections for the C kernel")
-        n = a.size
+        n = d.size // 2
         lane = _lane(n)
-        np.copyto(lane.ca[:n], a)
+        np.copyto(lane.fb[: 2 * n], d)
         np.copyto(lane.fa[: s.size], s.reshape(-1))
-        c_sos(lane.pfa, s.shape[0], lane.pca, n, lane.pcc)
+        c_noise(lane.pfb, n, scale, lane.pfa, s.shape[0], lane.pcc)
         return lane.cc[:n].copy()
 
     def mix_sosfilt_decimate(
@@ -1775,7 +1941,7 @@ def load() -> Dict[str, Callable]:
         "bit_grid": bit_grid,
         "hist2d_counts": hist2d_counts,
         "envelope_rc": envelope_rc,
-        "sosfilt_complex": sosfilt_complex,
+        "receiver_noise": receiver_noise,
         "mix_sosfilt_decimate": mix_sosfilt_decimate,
     }
     # numpy picks its complex-abs loop by CPU; the fused detector's

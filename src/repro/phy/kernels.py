@@ -4,8 +4,9 @@ The DSP-in-the-loop waveform tier spends its residual per-slot time in
 a handful of numpy-bound inner loops: the order statistics inside
 :meth:`ReaderReceiveChain.project` / ``schmitt``, the per-bit sampling
 grid, FM0 pair decoding, envelope detection, the receive-filter
-recurrences, and the per-tag template combine.  This module routes each
-of those through one of two interchangeable backends:
+recurrences, the receiver-noise synthesis, and the per-tag template
+combine.  This module routes each of those through one of two
+interchangeable backends:
 
 * ``cext`` — a small C translation unit compiled once per process
   family with the system compiler and loaded via ctypes
@@ -15,13 +16,17 @@ of those through one of two interchangeable backends:
   statistics use in-place ``ndarray.partition`` (value-identical to
   ``np.median`` / ``np.percentile`` but without their dispatch
   overhead), so even the fallback is faster than the pre-kernel code.
+  Every median and quantile, on either backend, adds ``0.0`` to its
+  result: a zero is then ``+0.0`` whichever tied signed zero the
+  partition placed, so the result depends only on the values.
 
 Every backend is **bit-exact** against the numpy expressions the call
 sites used before (see the equivalence notes in
 :mod:`repro.phy._kernels_c`); the kernels-on/off parity suite pins
 byte-identical slot logs across backends.  Inputs are assumed finite —
-the waveform tier synthesises finite signals; NaN propagation through
-the selection kernels is unspecified.
+the waveform tier synthesises finite signals; what the selection
+kernels return for NaN input is unspecified, but every entry
+returns.
 
 Selection happens once, lazily, at first kernel use, and always tries
 to load the ``cext`` library (so :func:`kernel_info` can report it and
@@ -38,10 +43,10 @@ alignments' pairs: offset estimate and de-rotation, projection,
 Schmitt slicing, bit grid and window sums), :func:`project`
 (constellation centring + axis rotation + re-centring, for the
 non-FM0 demodulators), :func:`schmitt_full` (spread + thresholds +
-state track), :func:`bit_grid` (integrate-and-dump windows), and
-:func:`iq_clusters` (the whole IQ-cluster collision detector: settling
-trim, energy guard, plateau filter, constellation histogram, smoothing
-and peak count).  The fusions eliminate the per-call
+state track), :func:`iq_clusters` (the whole IQ-cluster collision
+detector: settling trim, energy guard, plateau filter, constellation
+histogram, smoothing and peak count), and :func:`receiver_noise` (the
+complex noise build and its filter).  The fusions eliminate the per-call
 dispatch/marshalling overhead that otherwise dominates sub-100-us
 stages.  The compiled table also holds each fused entry's stages
 (``median``, ``project_center``, ``cluster_histogram``, ...), which the
@@ -268,15 +273,18 @@ def _median_of(buf: np.ndarray) -> float:
 
     Value-identical to ``np.median`` on finite data: partition places
     the same order statistics, and the even-length mean replays
-    ``(part[h-1] + part[h]) / 2``.
+    ``(part[h-1] + part[h]) / 2``.  Plus ``0.0``: which of several tied
+    ``+0.0`` / ``-0.0`` lands at the middle depends on how the
+    partition runs, so a zero median is always ``+0.0``.  The result
+    then depends only on the values, on either backend.
     """
     n = buf.size
     h = n >> 1
     if n & 1:
         buf.partition(h)
-        return float(buf[h])
+        return float(buf[h]) + 0.0
     buf.partition([h - 1, h])
-    return float((buf[h - 1] + buf[h]) / 2.0)
+    return float((buf[h - 1] + buf[h]) / 2.0) + 0.0
 
 
 def _np_median(x: np.ndarray) -> float:
@@ -308,7 +316,9 @@ def _lerp_np(a: float, b: float, t: float) -> float:
 def _np_two_quantiles(
     x: np.ndarray, q0: float, q1: float
 ) -> Tuple[float, float]:
-    """``np.quantile(x, [q0, q1], method="linear")`` via one partition."""
+    """``np.quantile(x, [q0, q1], method="linear")`` via one partition,
+    each plus ``0.0`` (a zero quantile is ``+0.0``, as for
+    :func:`_median_of`)."""
     a = np.asarray(x, dtype=np.float64)
     n = a.size
     if n == 0:
@@ -337,7 +347,7 @@ def _np_two_quantiles(
         kths.extend((jp, jn))
     buf.partition(sorted(set(kths)))
     for jp, jn, gamma in spans:
-        results.append(_lerp_np(float(buf[jp]), float(buf[jn]), gamma))
+        results.append(_lerp_np(float(buf[jp]), float(buf[jn]), gamma) + 0.0)
     return results[0], results[1]
 
 
@@ -395,10 +405,16 @@ def _np_envelope_rc(waveform: np.ndarray, alpha: float) -> np.ndarray:
     return out * (math.pi / 2.0)
 
 
-def _np_sosfilt_complex(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _np_receiver_noise(
+    draws: np.ndarray, scale: float, sos: np.ndarray
+) -> np.ndarray:
     from scipy.signal import sosfilt
 
-    return sosfilt(sos, x)
+    n = draws.size // 2
+    if n == 0:
+        # sosfilt cannot reshape an empty signal.
+        return np.empty(0, dtype=np.complex128)
+    return sosfilt(sos, (draws[:n] + 1j * draws[n:]) * scale)
 
 
 def _mix_scratch(n: int) -> np.ndarray:
@@ -476,6 +492,17 @@ def _np_bit_grid(
     grid_offset: float,
     margin: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrate-and-dump bit grid: ``(lo_idx, hi_idx)`` window edges.
+
+    Replays the sequential ``start += samples_per_bit`` left fold
+    (every ``start`` bit-identical to the loop's), rounds window edges
+    with ``np.rint`` semantics (half-to-even), preserves the loop's
+    association ``(start + samples_per_bit) - margin`` for the upper
+    edge, and drops empty windows (``hi <= lo``).  No windows for a
+    non-positive ``samples_per_bit``.
+    """
+    if samples_per_bit <= 0:
+        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
     count = int(n_samples / samples_per_bit) + 2
     if count <= 0:
         return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
@@ -699,7 +726,7 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "iq_clusters": _np_iq_clusters,
     "fm0_chain": _np_fm0_chain,
     "envelope_rc": _np_envelope_rc,
-    "sosfilt_complex": _np_sosfilt_complex,
+    "receiver_noise": _np_receiver_noise,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
 }
 
@@ -801,9 +828,18 @@ def envelope_rc(waveform: np.ndarray, alpha: float) -> np.ndarray:
     return _active()["envelope_rc"](waveform, alpha)
 
 
-def sosfilt_complex(sos: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``scipy.signal.sosfilt`` on complex data, zero initial state."""
-    return _active()["sosfilt_complex"](sos, x)
+def receiver_noise(
+    draws: np.ndarray, scale: float, sos: np.ndarray
+) -> np.ndarray:
+    """Filtered complex receiver noise from ``2 * n`` standard normals.
+
+    ``scipy.signal.sosfilt(sos, (draws[:n] + 1j * draws[n:]) * scale)``,
+    empty for ``n == 0``.  The compiled backend builds each complex
+    sample inside the filter recurrence, replaying numpy's promotion,
+    its contracted multiply and scipy's complex arithmetic down to the
+    sign of a zero.
+    """
+    return _active()["receiver_noise"](draws, scale, sos)
 
 
 def mix_sosfilt_decimate(
@@ -816,25 +852,6 @@ def mix_sosfilt_decimate(
 # ---------------------------------------------------------------------------
 # structural kernels
 # ---------------------------------------------------------------------------
-
-
-def bit_grid(
-    n_samples: int,
-    samples_per_bit: float,
-    grid_offset: float,
-    margin: float,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Integrate-and-dump bit grid: ``(lo_idx, hi_idx)`` window edges.
-
-    Replays the sequential ``start += samples_per_bit`` left fold
-    (every ``start`` bit-identical to the loop's), rounds window edges
-    with ``np.rint`` semantics (half-to-even), preserves the loop's
-    association ``(start + samples_per_bit) - margin`` for the upper
-    edge, and drops empty windows (``hi <= lo``).
-    """
-    if samples_per_bit <= 0:
-        return np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp)
-    return _active()["bit_grid"](n_samples, samples_per_bit, grid_offset, margin)
 
 
 def bit_window_sums(
@@ -923,9 +940,8 @@ __all__ = [
     "fm0_pairs",
     "fm0_chain",
     "envelope_rc",
-    "sosfilt_complex",
+    "receiver_noise",
     "mix_sosfilt_decimate",
-    "bit_grid",
     "bit_window_sums",
     "raw_bit_sums",
     "combine_templates",

@@ -27,6 +27,7 @@ from repro.channel import acoustics
 from repro.channel.pzt import PZTTransducer
 from repro.phy import cache as phy_cache
 from repro.phy import kernels
+from repro.sim.random import as_index
 
 
 def raw_bits_to_levels(
@@ -229,18 +230,33 @@ def receiver_noise_baseband(
     fast path and the reference synthesis path — the two paths share
     one draw, which is what keeps their decode outcomes byte-identical
     in the differential suite.
+
+    One draw of ``2 * n_out`` standard normals, real parts first: the
+    same values, and the same generator state after, as drawing the
+    real and the imaginary parts in turn.  :func:`kernels.receiver_noise`
+    builds and filters the complex samples in one call.
     """
+    n_out = as_index(n_out, "n_out")
     if n_out < 0:
         raise ValueError("sample count must be non-negative")
+    decimation = as_index(decimation, "decimation")
     if decimation < 1:
         raise ValueError("decimation must be >= 1")
+    if not (math.isfinite(noise_psd_v2_per_hz) and noise_psd_v2_per_hz >= 0.0):
+        raise ValueError(
+            "noise_psd_v2_per_hz must be finite and non-negative, "
+            f"got {noise_psd_v2_per_hz!r}"
+        )
+    if not (math.isfinite(sample_rate_hz) and sample_rate_hz > 0.0):
+        raise ValueError(
+            f"sample_rate_hz must be positive and finite, got {sample_rate_hz!r}"
+        )
     sigma = math.sqrt(noise_psd_v2_per_hz * sample_rate_hz / 2.0)
     scale = sigma / math.sqrt(2.0 * decimation)
-    noise = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
-    noise *= scale
+    draws = rng.standard_normal(2 * n_out)
     baseband_rate = sample_rate_hz / decimation
     sos = phy_cache.butter_lowpass_sos(4, cutoff_hz / (baseband_rate / 2.0))
-    return kernels.sosfilt_complex(sos, noise)
+    return kernels.receiver_noise(draws, scale, sos)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from typing import Callable, Dict, TypeVar
+import operator
+from typing import Callable, Dict, Type, TypeVar
 
 import numpy as np
 
@@ -28,6 +29,21 @@ UNIFORM_BLOCK = 512
 #: Picks fetched per refill of a :class:`BufferedPicker`: offsets are
 #: only re-drawn on migrations, so a small block lasts a long time.
 PICK_BLOCK = 64
+
+
+def as_index(value, name: str, error: Type[Exception] = ValueError) -> int:
+    """``value`` as a plain ``int``, or ``error`` naming ``name``.
+
+    Any integer passes, numpy's included; a float or a bool does not:
+    ``int()`` would truncate a size or seed into another one (``0.5``
+    into seed 0, ``True`` into one fault).
+    """
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
 
 
 class RandomStreams:

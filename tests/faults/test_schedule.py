@@ -172,3 +172,32 @@ class TestGenerate:
         with pytest.raises(ValueError, match="start_slot"):
             FaultSchedule.generate(seed=0, n_slots=10, tags=["tag1"],
                                    start_slot=10)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("seed", 0.5),
+            ("seed", True),
+            ("seed", "3"),
+            ("n_slots", 10.5),
+            ("n_faults", True),
+            ("n_faults", 2.0),
+            ("max_duration", 2.5),
+            ("start_slot", 1.5),
+        ],
+    )
+    def test_generate_rejects_non_integer_sizes_and_seeds(self, field, value):
+        # int() would truncate each into another schedule: seed 0.5 into
+        # seed 0's, n_faults=True into one fault.
+        args = dict(seed=0, n_slots=10, n_faults=3, max_duration=2, start_slot=0)
+        args[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            FaultSchedule.generate(tags=["tag1"], **args)
+
+    def test_generate_takes_numpy_integers(self):
+        import numpy as np
+
+        a = FaultSchedule.generate(seed=np.int64(4), n_slots=np.int32(50),
+                                   tags=["tag1"], n_faults=np.uint8(5))
+        assert a == FaultSchedule.generate(seed=4, n_slots=50, tags=["tag1"],
+                                           n_faults=5)

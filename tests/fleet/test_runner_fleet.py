@@ -225,6 +225,23 @@ class TestValidation:
         with pytest.raises(ResultsError):
             FleetRunner(PERIODS, SEEDS, SLOTS, shard_size=0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n_slots", 16.5),
+            ("n_slots", True),
+            ("shard_size", 1.5),
+            ("shard_size", False),
+            ("shard_size", "4"),
+        ],
+    )
+    def test_rejects_non_integer_sizes(self, field, value):
+        # int() would run 16 slots for 16.5 and shards of one for 1.5.
+        args = dict(n_slots=SLOTS, shard_size=4)
+        args[field] = value
+        with pytest.raises(ResultsError, match=f"{field} must be an integer"):
+            FleetRunner(PERIODS, SEEDS, **args)
+
     def test_document_shape(self, reference_doc):
         assert reference_doc["schema"] == "fleet-sweep/1"
         assert reference_doc["n_networks"] == len(SEEDS)

@@ -18,16 +18,26 @@ the fused entries a failed load-time probe leaves out.
 """
 
 import functools
+import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.signal import butter, sosfilt
 
 from repro.core.network import NetworkConfig
 from repro.core.waveform_network import WaveformNetwork
+from repro.phy import cache as phy_cache
 from repro.phy import kernels
 from repro.phy.kernels import _NUMPY_IMPL
-from repro.phy.modem import BackscatterUplink
+from repro.phy.modem import BackscatterUplink, receiver_noise_baseband
 from repro.phy.packets import UplinkPacket
 from repro.phy.reader_dsp import ReaderReceiveChain
 
@@ -304,12 +314,10 @@ class TestCompiledMatchesNumpyBytes:
             n = int(RNG.integers(1, 2000))
             x = RNG.normal(size=n) * 10.0 ** RNG.integers(-6, 7)
             if trial % 5 == 0:
-                # Exact ties, kept non-negative: partition order among
-                # equal-comparing elements is implementation-defined,
-                # so mixed ±0.0 ties may legitimately differ in the
-                # sign of a zero result (the pipeline feeds these
-                # kernels abs-derived or continuous data).
-                x = np.round(np.abs(x) * 10.0)
+                # Exact ties, signed zeros among them: a zero result is
+                # +0.0 on both backends, whichever zero the partition
+                # placed.
+                x = np.round(x * 10.0)
             assert _same_bytes(table["median"](x), _NUMPY_IMPL["median"](x))
             assert _same_bytes(
                 table["mad_spread"](x), _NUMPY_IMPL["mad_spread"](x)
@@ -538,10 +546,11 @@ class TestCompiledMatchesNumpyBytes:
             )
             sos = butter(int(RNG.integers(2, 7)), float(RNG.uniform(0.01, 0.8)),
                          output="sos")
-            x = RNG.normal(size=n) + 1j * RNG.normal(size=n)
+            draws = RNG.normal(size=2 * n)
+            scale = float(RNG.uniform(1e-6, 10.0))
             assert _same_bytes(
-                table["sosfilt_complex"](sos, x),
-                _NUMPY_IMPL["sosfilt_complex"](sos, x),
+                table["receiver_noise"](draws, scale, sos),
+                _NUMPY_IMPL["receiver_noise"](draws, scale, sos),
             )
             real = RNG.normal(size=n)
             lo = np.exp(-1j * np.linspace(0.0, 20.0, n))
@@ -550,6 +559,253 @@ class TestCompiledMatchesNumpyBytes:
                 table["mix_sosfilt_decimate"](real, lo, sos, dec),
                 _NUMPY_IMPL["mix_sosfilt_decimate"](real, lo, sos, dec),
             )
+
+
+def _selections(table, x) -> tuple:
+    """Every order-statistic entry of ``table`` on the real array ``x``:
+    median, MAD spread (when the median is finite, so no deviation is
+    NaN) and four quantile pairs."""
+    out = [table["median"](x)]
+    if math.isfinite(_NUMPY_IMPL["median"](x)):
+        out.append(table["mad_spread"](x))
+    for q0, q1 in ((0.1, 0.9), (0.01, 0.99), (0.0, 1.0), (0.5, 0.5)):
+        out.append(table["two_quantiles"](x, q0, q1))
+    return tuple(out)
+
+
+def _signed_zero_ties(n: int, rng) -> np.ndarray:
+    """Continuous values with a random share of them set to +0.0 or
+    -0.0: a zero median or quantile is then likely, and its sign is
+    whichever tied zero the partition placed."""
+    x = rng.normal(size=n)
+    k = int(rng.integers(1, n + 1))
+    x[rng.choice(n, size=k, replace=False)] = rng.choice([0.0, -0.0], size=k)
+    return x
+
+
+#: The compiled selection samples every eighth value.
+SAMPLE_STRIDE = 8
+
+
+def _bracket_defeating_shapes():
+    """Real arrays a strided-sample bracket misses or collapses on, or
+    a Lomuto pivot degrades on."""
+    rng = np.random.default_rng(0xB4AC)
+    for n in [*range(1, 101), 127, 128, 129, 1000, 1001, 16383]:
+        ramp = np.arange(n, dtype=float)
+        yield np.full(n, 0.7)  # all equal
+        yield np.where(rng.random(n) < 0.5, 0.2, 1.0)  # two-valued
+        yield ramp  # sorted
+        yield ramp[::-1].copy()  # reversed
+        yield np.minimum(ramp, ramp[::-1])  # organ pipe
+        # Period equal to the sample stride: every sampled value is one
+        # phase of the period.
+        yield np.tile(rng.normal(size=SAMPLE_STRIDE), n // SAMPLE_STRIDE + 1)[:n]
+        yield rng.choice([-np.inf, np.inf, -1.5, 2.5, -0.0, 0.0], size=n)
+        yield np.round(rng.normal(size=n) * 2.0)  # ties, signed zeros
+    # The sampled values hold t values below the lower middle one, the
+    # lower middle value itself, and only larger values after it: for
+    # one t the bracket's top is the lower middle value, so the upper
+    # one lies just outside the gathered values.
+    for n in (256, 1000):
+        h = n // 2
+        sampled = np.arange(n // SAMPLE_STRIDE) * SAMPLE_STRIDE + SAMPLE_STRIDE // 2
+        rest = np.setdiff1d(np.arange(n), sampled)
+        for t in range(sampled.size):
+            high = sampled.size - t - 1
+            chosen = np.concatenate(
+                [np.arange(t), [h - 1], np.arange(n - high, n)]
+            )
+            x = np.empty(n)
+            x[sampled] = rng.permutation(chosen)
+            x[rest] = rng.permutation(np.setdiff1d(np.arange(n), chosen))
+            yield x
+
+
+#: Runs every compiled and numpy selection entry on NaN-filled and
+#: NaN-salted inputs; prints ``ok`` when each returned.
+_NAN_SCRIPT = """
+import numpy as np
+from repro.phy import kernels
+
+kernels.kernel_info()
+for table in (kernels._compiled, kernels._NUMPY_IMPL):
+    for n in (1, 2, 7, 8, 129, 1000, 7000):
+        ramp = np.arange(n, dtype=float)
+        for x in (np.full(n, np.nan), np.where(ramp % 3 == 0, np.nan, ramp)):
+            iq = x + 1j * x[::-1]
+            table["median"](x)
+            table["mad_spread"](x)
+            table["two_quantiles"](x, 0.1, 0.9)
+            table["two_quantiles"](x, 0.01, 0.99)
+            table["project_center"](iq)
+            table["project_finish"](iq, 0.0, 0.0, 1.0, 0.0, 0.1, 0.9)
+            table["project"](iq)
+            table["schmitt_full"](x, 0.3, 0.0)
+            table["cluster_histogram"](iq, 24)
+            for guard in (True, False):
+                table.get("iq_clusters", kernels._NUMPY_IMPL["iq_clusters"])(
+                    iq, 24, 0.15, guard
+                )
+            table.get("fm0_chain", kernels._NUMPY_IMPL["fm0_chain"])(
+                iq, 4500.0, 375.0, 0.3, 0.0
+            )
+print("ok")
+"""
+
+#: Exact ties for the selection property: signed zeros, small values
+#: and the smallest subnormals.
+_TIES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.5, 5e-324, -5e-324])
+_FLOATS = st.floats(-1e150, 1e150, allow_nan=False, allow_subnormal=True)
+
+
+class TestSelectionExactness:
+    """Every compiled median and quantile against its numpy twin, byte
+    for byte, where a selection algorithm can go wrong: signed-zero
+    ties, inputs that defeat the sampled bracket, NaN."""
+
+    def test_project_center_on_random_captures(self):
+        # The centre sample makes z.real exactly +0.0, so (z**2).imag
+        # holds signed zeros next to its median.
+        table = _compiled_table()
+        rng = np.random.default_rng(0xCE27)
+        differ = 0
+        for _ in range(20_000):
+            n = int(rng.integers(1, 1200))
+            iq = rng.normal(size=n) + 1j * rng.normal(size=n)
+            differ += not _same_bytes(
+                table["project_center"](iq), _NUMPY_IMPL["project_center"](iq)
+            )
+        assert differ == 0, f"{differ} of 20000 captures differ"
+
+    def test_signed_zero_ties(self):
+        table = _compiled_table()
+        rng = np.random.default_rng(0x5160)
+        differ = 0
+        for _ in range(5_000):
+            x = _signed_zero_ties(int(rng.integers(1, 400)), rng)
+            differ += not _same_bytes(_selections(table, x), _selections(_NUMPY_IMPL, x))
+        assert differ == 0, f"{differ} of 5000 inputs differ"
+
+    def test_shapes_that_defeat_a_sampled_bracket(self):
+        table = _compiled_table()
+        cases = 0
+        for x in _bracket_defeating_shapes():
+            assert _same_bytes(_selections(table, x), _selections(_NUMPY_IMPL, x)), (
+                x.size, x[:12]
+            )
+            if np.isfinite(x).all():
+                assert table["median"](x) == np.median(x)
+                assert table["two_quantiles"](x, 0.1, 0.9) == tuple(
+                    np.quantile(x, [0.1, 0.9])
+                )
+                iq = x + 1j * x[::-1]
+                assert _same_bytes(
+                    table["project_center"](iq), _NUMPY_IMPL["project_center"](iq)
+                )
+            cases += 1
+        assert cases == 8 * 106 + 256 // SAMPLE_STRIDE + 1000 // SAMPLE_STRIDE
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        x=hnp.arrays(
+            np.float64, st.integers(1, 300), elements=st.one_of(_TIES, _FLOATS)
+        ),
+        q=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    )
+    def test_selection_property(self, x, q):
+        table = _compiled_table()
+        q0, q1 = sorted(q)
+        assert _same_bytes(_selections(table, x), _selections(_NUMPY_IMPL, x))
+        assert _same_bytes(
+            table["two_quantiles"](x, q0, q1), _NUMPY_IMPL["two_quantiles"](x, q0, q1)
+        )
+
+    def test_every_selection_entry_returns_on_nan(self):
+        # A partition whose NaN pivot never advances would hang, so the
+        # run is a subprocess that must finish within seconds.
+        _compiled_table()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", _NAN_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert proc.stdout.strip() == "ok"
+
+
+def _noise_draws(rng):
+    """``2 * n`` standard-normal draws for the noise kernel, signed
+    zeros injected: scattered, as whole leading runs (the filter state
+    is still zero there, so a zero's sign reaches the output) and as
+    the whole draw; and draws small enough to underflow."""
+    yield np.empty(0)  # n = 0
+    yield rng.normal(size=2)  # n = 1
+    for n in (1, 2, 3, 50, 980, 4100):
+        d = rng.normal(size=2 * n)
+        yield d
+        zeros = d.copy()
+        k = int(rng.integers(1, 2 * n + 1))
+        zeros[rng.choice(2 * n, size=k, replace=False)] = rng.choice(
+            [0.0, -0.0], size=k
+        )
+        yield zeros
+        lead = d.copy()
+        run = int(rng.integers(1, n + 1))
+        lead[:run] = rng.choice([0.0, -0.0], size=run)
+        lead[n : n + run] = rng.choice([0.0, -0.0], size=run)
+        yield lead
+        yield rng.choice([0.0, -0.0], size=2 * n)
+        # Times a +-1e-150 scale these underflow: numpy's contracted
+        # multiply gives each zero the sign of the exact product.
+        yield d * 1e-200
+
+
+class TestReceiverNoise:
+    """The one-call noise kernel against its numpy twin, and the noise
+    helper against the two-draw expression it replaced."""
+
+    def test_kernel_matches_numpy_twin(self):
+        table = _compiled_table()
+        rng = np.random.default_rng(0x4015E)
+        designs = [phy_cache.butter_lowpass_sos(4, 750.0 / (500_000.0 / 111 / 2.0))]
+        designs += [
+            butter(order, float(rng.uniform(0.01, 0.9)), output="sos")
+            for order in (1, 2, 5)
+        ]
+        # A pass-through section: its zero coefficients let the sign of
+        # a zero input reach the output.
+        designs.append(np.array([[1.0, 0.0, 0.0, 1.0, 0.0, 0.0]]))
+        for draws in _noise_draws(rng):
+            for sos in designs:
+                for scale in (1.6e-4, 1.0, -3.0, 0.0, 1e-150, -1e-150):
+                    assert _same_bytes(
+                        table["receiver_noise"](draws, scale, sos),
+                        _NUMPY_IMPL["receiver_noise"](draws, scale, sos),
+                    ), (draws.size, sos.shape, scale)
+
+    @pytest.mark.parametrize("backend", ["numpy", "cext"])
+    def test_one_draw_matches_the_two_draw_expression(self, backend):
+        if backend == "cext":
+            _compiled_table()
+        psd, fs, cutoff, decimation = 1e-10, 500_000.0, 750.0, 111
+        sos = phy_cache.butter_lowpass_sos(4, cutoff / (fs / decimation / 2.0))
+        scale = math.sqrt(psd * fs / 2.0) / math.sqrt(2.0 * decimation)
+        for n in (0, 1, 2, 980, 4100):
+            got_rng = np.random.default_rng(n)
+            with kernels.use_backend(backend):
+                got = receiver_noise_baseband(n, psd, fs, cutoff, decimation, got_rng)
+            want_rng = np.random.default_rng(n)
+            noise = want_rng.standard_normal(n) + 1j * want_rng.standard_normal(n)
+            noise *= scale
+            want = sosfilt(sos, noise) if n else noise
+            assert _same_bytes(got, want), n
+            # The generator is left where the two draws left it.
+            assert _same_bytes(got_rng.standard_normal(3), want_rng.standard_normal(3))
 
 
 class TestDispatchedWrappers:
@@ -587,8 +843,9 @@ class TestDispatchedWrappers:
 
     def test_empty_and_degenerate_inputs(self):
         assert kernels.project(np.empty(0, dtype=complex)).size == 0
-        lo, hi = kernels.bit_grid(100, 0.0, 0.0, 0.0)
-        assert lo.size == 0 and hi.size == 0
+        for table in (_NUMPY_IMPL, kernels._active()):
+            lo, hi = table["bit_grid"](100, 0.0, 0.0, 0.0)
+            assert lo.size == 0 and hi.size == 0
         bits, viol = kernels.fm0_pairs(np.empty(0, dtype=np.uint8))
         assert bits.size == 0 and viol.size == 0
         for backend in ("numpy", kernels.backend()):

@@ -254,3 +254,28 @@ class TestReceiverNoiseBaseband:
         with pytest.raises(ValueError):
             receiver_noise_baseband(10, self.PSD, self.FS, self.CUTOFF,
                                     0, rng)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("n_out", 10.5, "n_out must be an integer"),
+            ("n_out", True, "n_out must be an integer"),
+            ("decimation", 2.5, "decimation must be an integer"),
+            ("decimation", True, "decimation must be an integer"),
+            ("noise_psd_v2_per_hz", -1e-10, "noise_psd_v2_per_hz must be"),
+            ("noise_psd_v2_per_hz", float("nan"), "noise_psd_v2_per_hz must be"),
+            ("noise_psd_v2_per_hz", float("inf"), "noise_psd_v2_per_hz must be"),
+            ("sample_rate_hz", -500_000.0, "sample_rate_hz must be"),
+            ("sample_rate_hz", float("nan"), "sample_rate_hz must be"),
+        ],
+    )
+    def test_rejects_values_naming_the_field(self, rng, field, value, message):
+        # A negative PSD used to fail as "math domain error", a NaN one
+        # to return NaN noise, and a fractional size to truncate.
+        args = dict(
+            n_out=10, noise_psd_v2_per_hz=self.PSD, sample_rate_hz=self.FS,
+            cutoff_hz=self.CUTOFF, decimation=self.D,
+        )
+        args[field] = value
+        with pytest.raises(ValueError, match=message):
+            receiver_noise_baseband(rng=rng, **args)

@@ -102,6 +102,8 @@ def test_version_string():
         ("repro.phy.kernels", "hist2d_counts"),
         ("repro.phy.kernels", "cluster_histogram"),
         ("repro.phy.kernels", "cluster_peaks"),
+        ("repro.phy.kernels", "bit_grid"),
+        ("repro.phy.kernels", "sosfilt_complex"),
         ("repro.experiments.runner", "main"),
         ("repro.experiments.runner", "build_parser"),
     ],
@@ -113,7 +115,9 @@ def test_removed_surface_stays_gone(module, attribute):
     ``repro.phy.modulation`` in 1.12.0; the fleet runner's shared-memory
     result buffer went in 1.14.0; the second kernel switch, the kernel
     trampolines no caller used and the runner module's own CLI went in
-    1.17.0.  Nothing may quietly reintroduce them."""
+    1.17.0; the bit-grid wrapper no caller used and the complex filter
+    the receiver-noise kernel replaced went in 1.19.0.  Nothing may
+    quietly reintroduce them."""
     owner = importlib.import_module(module)
     *path, name = attribute.split(".")
     for part in path:
