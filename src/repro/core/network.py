@@ -23,7 +23,12 @@ from repro.channel.medium import EMPTY_SLOT, AcousticMedium, SlotObservation
 from repro.core.reader_protocol import ReaderMac, SlotRecord
 from repro.core.state_machine import DEFAULT_NACK_THRESHOLD, TagState
 from repro.core.tag_protocol import TagMac
-from repro.sim.random import BufferedPicker, BufferedUniforms, RandomStreams
+from repro.sim.random import (
+    BufferedPicker,
+    BufferedUniforms,
+    RandomStreams,
+    as_index,
+)
 
 if TYPE_CHECKING:  # avoid importing the fault layer unless it is used
     from repro.faults.controller import FaultController
@@ -56,6 +61,11 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # A float or bool seed would alias another seed's network (0.5
+        # runs seed 0), and a fractional threshold would compare
+        # differently from the compiled fleet step's integer one.
+        for name in ("seed", "nack_threshold"):
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         for name in ("slot_duration_s", "ul_raw_rate_bps", "dl_raw_rate_bps"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -5,9 +5,11 @@ scenario (same tag roster, periods, channel and protocol config;
 different seeds) and advances all of them one slot per
 :meth:`step_all` call.  Two lanes run in lockstep:
 
-* the **vector lane** — plain networks stepped through batched numpy
-  kernels over structure-of-arrays state (:class:`~repro.fleet.state.TagArrays`,
-  :class:`~repro.fleet.reader.BatchReader`, block-buffered RNG banks);
+* the **vector lane** — plain networks stepped over structure-of-arrays
+  state (:class:`~repro.fleet.state.TagArrays`,
+  :class:`~repro.fleet.reader.BatchReader`, block-buffered RNG banks),
+  one compiled call per slot (:func:`repro.phy.kernels.fleet_step`) or
+  the numpy step it reproduces;
 * the **scalar lane** — networks with a fault schedule or a resilience
   supervisor attached, embedded as real
   :class:`~repro.core.network.SlottedNetwork` objects so the rich
@@ -37,6 +39,7 @@ from repro.core.reader_protocol import SlotRecord
 from repro.fleet.reader import BatchReader
 from repro.fleet.rng import OffsetBank, UniformBank
 from repro.fleet.state import FleetSpec, SlotLog, TagArrays
+from repro.phy import kernels
 from repro.sim.random import RandomStreams
 
 
@@ -192,6 +195,13 @@ class FleetEngine:
         self._offsets = OffsetBank(offset_gens, self._periods_list)
         self._capture_cache: Dict[tuple, tuple] = {}
         self._capture_generation = self._medium.channel_generation
+        # The compiled step's copy of the capture verdicts, indexed by
+        # transmitter bitmask: tid (-1 none, -2 unresolved), probability.
+        fits = self.n_tags <= kernels.MAX_FLEET_TAGS
+        table_size = 1 << self.n_tags if fits else 0
+        self._capture_tid = np.full(table_size, -2, dtype=np.int64)
+        self._capture_p = np.zeros(table_size)
+        self._compiled_stepper = None
 
         self.tags = TagArrays.allocate(nv, self.n_tags)
         # The state-machine constructor draws each tag's initial offset.
@@ -209,17 +219,16 @@ class FleetEngine:
         )
 
         self._beacon_loss = np.asarray(
-            [derive_beacon_loss(self.config, self._medium, n) for n in self._names]
+            [derive_beacon_loss(self.config, self._medium, n) for n in self._names],
+            dtype=np.float64,
         )
+        # The ideal channel decodes a lone transmitter without a draw.
+        self._p_success = np.zeros(self.n_tags)
         if not self.config.ideal_channel:
-            self._p_success = np.asarray(
-                [
-                    self._medium.uplink_packet_success(
-                        n, self.config.ul_raw_rate_bps
-                    )
-                    for n in self._names
-                ]
-            )
+            self._p_success[:] = [
+                self._medium.uplink_packet_success(n, self.config.ul_raw_rate_bps)
+                for n in self._names
+            ]
         self._activation = np.asarray(
             [self.activation_slot.get(n, 0) for n in self._names], dtype=np.int64
         )
@@ -258,13 +267,27 @@ class FleetEngine:
         for _ in range(n_slots):
             self.step_all()
 
+    @property
+    def energy(self) -> bool:
+        """Whether the networks run the energy tier's physics."""
+        return self._energy
+
     def _step_vector(self) -> None:
-        slot = self._slot
+        kernels.fleet_step(self)
+
+    def _refill_banks(self) -> None:
         # Per slot a network draws at most one loss uniform per tag
         # plus two arbitration uniforms; a tag stream yields at most
         # three protocol re-picks plus one brownout reboot.
         self._uniforms.ensure(self.n_tags + 2)
         self._offsets.ensure(4)
+
+    def _step_numpy(self) -> None:
+        """The vector lane's slot as numpy array operations: the
+        reference the compiled :func:`~repro.phy.kernels.fleet_step`
+        reproduces."""
+        slot = self._slot
+        self._refill_banks()
 
         ack, empty, reset = self.reader.make_beacon(slot)
         if self._energy:
@@ -410,11 +433,7 @@ class FleetEngine:
             # the cached verdict against fresh draws.
             for n in np.nonzero(multi)[0]:
                 key = tuple(np.nonzero(transmit[n])[0].tolist())
-                entry = self._capture_cache.get(key)
-                if entry is None:
-                    entry = self._resolve_capture(key)
-                    self._capture_cache[key] = entry
-                capture_tid, success = entry
+                capture_tid, success = self._capture_entry(key)
                 row = int(n)
                 if capture_tid >= 0:
                     if self._uniforms.take_scalar(row) < success:
@@ -425,6 +444,20 @@ class FleetEngine:
                 )
         return decoded_tid, collision
 
+    def _capture_entry(self, key: tuple) -> tuple:
+        """The memoised capture verdict of a transmitter set (sorted
+        tids)."""
+        entry = self._capture_cache.get(key)
+        if entry is None:
+            entry = self._resolve_capture(key)
+            self._capture_cache[key] = entry
+        return entry
+
+    def _resolve_mask(self, mask: int) -> None:
+        """Fill the compiled step's verdict for a transmitter bitmask."""
+        key = tuple(t for t in range(self.n_tags) if mask >> t & 1)
+        self._capture_tid[mask], self._capture_p[mask] = self._capture_entry(key)
+
     def _resolve_capture(self, tids) -> tuple:
         """One transmitter set's constant arbitration parameters:
         (capturable tid | -1, its packet-success probability), taken
@@ -433,6 +466,7 @@ class FleetEngine:
         taken (two draws) or not (one draw)."""
         if self._medium.channel_generation != self._capture_generation:
             self._capture_cache.clear()
+            self._capture_tid.fill(-2)
             self._capture_generation = self._medium.channel_generation
         names = [self._names[t] for t in tids]
         draws: List[float] = []
@@ -456,6 +490,14 @@ class FleetEngine:
             strongest, self.config.ul_raw_rate_bps
         )
         return (self._tid_by_name[strongest], success)
+
+    def _close_compiled_slot(self, row: int, commits: int, evictions: int) -> None:
+        """The compiled step's bookkeeping after it wrote log ``row``."""
+        self.reader.commits_this_slot = commits
+        self.reader.evictions_this_slot = evictions
+        tel = telemetry.active()
+        if tel is not None:
+            self._emit_telemetry(tel, *(column[row] for column in self.log.buffers()))
 
     def _emit_telemetry(self, tel, n_tx, decoded_tid, collision, acked, empty):
         """Aggregate the slot's counters into the active registry.

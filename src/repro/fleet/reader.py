@@ -58,6 +58,8 @@ class BatchReader:
         self.enable_empty_flag = enable_empty_flag
         self.enable_future_avoidance = enable_future_avoidance
 
+        # Updated in place, never rebound: the compiled fleet step holds
+        # pointers to every array here.
         self.pending_ack = np.zeros(n_networks, dtype=bool)
         self.pending_reset = np.zeros(n_networks, dtype=bool)
         self.last_empty = np.ones(n_networks, dtype=bool)
@@ -110,12 +112,12 @@ class BatchReader:
         outgoing beacon still carries the pre-reset ACK).
         """
         empty = self.compute_empty(slot)
-        self.last_empty = empty
+        np.copyto(self.last_empty, empty)
         ack = self.pending_ack.copy()
         reset = self.pending_reset.copy()
         if reset.any():
-            self.pending_reset = self.pending_reset & ~reset
-            self.pending_ack = self.pending_ack & ~reset
+            self.pending_reset &= ~reset
+            self.pending_ack &= ~reset
             self.appeared[reset] = False
             self.committed[reset] = -1
             self.evicting[reset] = -1
@@ -178,7 +180,7 @@ class BatchReader:
             ack[rows[fast]] = True
             for n, d in zip(rows[~fast], tids[~fast]):
                 ack[n] = self._decide_ack_scalar(int(n), int(d), slot)
-        self.pending_ack = ack
+        np.copyto(self.pending_ack, ack)
         return ack
 
     # -- scalar escape: placement, viability, eviction ----------------------

@@ -129,10 +129,28 @@ class SlotLog:
 
     def __init__(self, n_networks: int) -> None:
         self._len = 0
+        #: Bumped whenever growth replaces the columns.
+        self.generation = 0
         self._columns = {
             name: np.zeros((self.INITIAL_CAPACITY, n_networks), dtype=dtype)
             for name, dtype in self.FIELDS
         }
+
+    def claim_row(self) -> int:
+        """Open the next row for writing in place and return its index
+        (its fields read 0 until written).  Growing replaces the
+        columns, so :meth:`buffers` move whenever :attr:`generation`
+        changes."""
+        if self._len == len(self._columns["n_transmitters"]):
+            for name, column in self._columns.items():
+                self._columns[name] = np.concatenate((column, np.zeros_like(column)))
+            self.generation += 1
+        self._len += 1
+        return self._len - 1
+
+    def buffers(self) -> tuple:
+        """The writable ``(capacity, N)`` columns, in :attr:`FIELDS` order."""
+        return tuple(self._columns[name] for name, _ in self.FIELDS)
 
     def append_slot(
         self,
@@ -142,14 +160,10 @@ class SlotLog:
         acked: np.ndarray,
         empty_flag: np.ndarray,
     ) -> None:
+        row = self.claim_row()
         values = (n_transmitters, decoded_tid, collision, acked, empty_flag)
-        for (name, _), value in zip(self.FIELDS, values):
-            column = self._columns[name]
-            if self._len == len(column):
-                column = np.concatenate((column, np.zeros_like(column)))
-                self._columns[name] = column
-            column[self._len] = value
-        self._len += 1
+        for column, value in zip(self.buffers(), values):
+            column[row] = value
 
     def _view(self, name: str) -> np.ndarray:
         view = self._columns[name][: self._len]

@@ -1,7 +1,8 @@
 """C-extension backend for :mod:`repro.phy.kernels`.
 
 A single small C translation unit holding the profiled scalar loops of
-the waveform hot path, compiled once per process family with the system
+the waveform hot path and the fleet engine's slot step, compiled once
+per process family with the system
 C compiler and loaded through :mod:`ctypes`.  The build is
 content-addressed: the shared object's file name embeds a hash of the
 source, the compiler, and the flags, so repeated processes load the
@@ -97,6 +98,11 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
   selection would place.
 * compare-only loops (Schmitt states, hysteresis slicing, FM0 pairs)
   are trivially exact.
+* the fleet step — its state is integers and booleans, and its only
+  float operations are ``<`` comparisons of the engine's banked draws
+  against the same doubles the numpy step compares them with; what it
+  must keep is each stream's draw order (see ``fleet_tags`` and
+  ``fleet_digest``).
 
 Floating-point contraction and fast-math are disabled explicitly
 (``-ffp-contract=off -fno-fast-math``): an FMA would change results.
@@ -1242,6 +1248,325 @@ int rk_mix_sosfilt_dec(const double *x, const double *lo, i64 n,
     }
     return sosfilt_cplx(sos, n_sections, mixed, n, dec, out);
 }
+
+/* ---- fleet vector lane (FleetEngine's numpy step) ----------------- */
+
+/* Pointers into one FleetEngine's arrays, set once per engine (the log
+ * columns again when they grow).  Booleans are numpy bools, one byte
+ * each; (network, tag) arrays are row-major n x t, the rings n x
+ * history, the offset bank n x t x o_block.  Mirrored field for field
+ * by _FleetCtx.  Every period is a power of two (validate_period), and
+ * so is the history (twice the longest), so the remainder of a
+ * non-negative value by one is a mask: x % p == (x & (p - 1)). */
+typedef struct {
+    i64 n, t, history, u_block, o_block;
+    i64 nack_threshold, ideal, loss_timer, empty_flag, avoidance;
+    double detect_p;
+    const i64 *period, *activation;
+    const double *beacon_loss, *p_success;
+    i64 *offset, *slot_counter, *nack_count, *beacons_received;
+    i64 *beacons_missed, *consecutive_losses, *transmissions, *migrations;
+    i64 *settles;
+    unsigned char *settled, *transmitted_last, *ever_settled, *late_arrival;
+    unsigned char *pending_ack, *pending_reset, *last_empty, *appeared;
+    i64 *committed, *evicting, *ring_decoded;
+    unsigned char *ring_collision, *ring_activity;
+    const double *u_buf;
+    i64 *u_cursor;
+    const i64 *o_buf;
+    i64 *o_cursor;
+    /* capture verdict per transmitter bitmask: tid, -1 none, -2 unknown */
+    const i64 *capture_tid;
+    const double *capture_p;
+    i64 *log_n_tx, *log_decoded;
+    unsigned char *log_collision, *log_acked, *log_empty;
+    /* scratch: transmit bitmask per network, unresolved bitmasks,
+     * (commits, evictions, unresolved count), period-long sieve */
+    i64 *tx, *pending, *out;
+    unsigned char *sieve;
+} FleetCtx;
+
+#define FLEET_REFILL 1
+#define FLEET_RESOLVE 2
+#define FLEET_UNRESOLVED (-2)
+
+i64 rk_fleet_ctx_size(void) { return (i64)sizeof(FleetCtx); }
+
+static inline i64 fleet_offset_draw(FleetCtx *c, i64 k)
+{
+    return c->o_buf[k * c->o_block + c->o_cursor[k]++];
+}
+
+static inline double fleet_uniform_draw(FleetCtx *c, i64 n)
+{
+    return c->u_buf[n * c->u_block + c->u_cursor[n]++];
+}
+
+/* BatchReader.make_beacon, the beacon-loss draws and the tag firmware
+ * of network n.  Tags are independent here, so each runs its phases in
+ * TagMac order (loss demote, feedback, RESET, EMPTY gate) and its
+ * offset stream is drawn in that order; the loss uniforms are drawn in
+ * tid order, as take_grid hands them out. */
+static void fleet_tags(FleetCtx *c, i64 n, i64 slot, i64 row)
+{
+    const i64 t_n = c->t, h = c->history;
+    /* EMPTY from the rings as they stand before a RESET wipes them */
+    int empty = 1;
+    if (c->empty_flag) {
+        const i64 *dec = c->ring_decoded + n * h;
+        const unsigned char *col = c->ring_collision + n * h;
+        for (i64 t = 0; t < t_n; t++) {
+            i64 back = slot - c->period[t];
+            i64 at = back & (h - 1);
+            if (back >= 0 && (dec[at] == t || col[at])) empty = 0;
+        }
+    }
+    c->last_empty[n] = (unsigned char)empty;
+    c->log_empty[row * c->n + n] = (unsigned char)empty;
+    /* the outgoing beacon carries the pre-reset ACK */
+    int ack = c->pending_ack[n], reset = c->pending_reset[n];
+    if (reset) {
+        c->pending_reset[n] = 0;
+        c->pending_ack[n] = 0;
+        for (i64 t = 0; t < t_n; t++) {
+            c->appeared[n * t_n + t] = 0;
+            c->committed[n * t_n + t] = -1;
+            c->evicting[n * t_n + t] = -1;
+        }
+        for (i64 i = 0; i < h; i++) {
+            c->ring_decoded[n * h + i] = -1;
+            c->ring_collision[n * h + i] = 0;
+            c->ring_activity[n * h + i] = 0;
+        }
+    }
+    const double *u = c->u_buf + n * c->u_block + c->u_cursor[n];
+    i64 drawn = 0, tx = 0;
+    for (i64 t = 0; t < t_n; t++) {
+        if (c->activation[t] > slot) continue;  /* not yet active */
+        i64 k = n * t_n + t;
+        if (u[drawn++] < c->beacon_loss[t]) {
+            c->beacons_missed[k]++;
+            c->transmitted_last[k] = 0;
+            if (c->loss_timer) {
+                /* watchdog demote: unconditional re-pick */
+                c->consecutive_losses[k]++;
+                c->settled[k] = 0;
+                c->nack_count[k] = 0;
+                c->migrations[k]++;
+                c->offset[k] = fleet_offset_draw(c, k);
+            }
+            continue;
+        }
+        c->beacons_received[k]++;
+        c->consecutive_losses[k] = 0;
+        if (c->transmitted_last[k]) {
+            int repick = 0;
+            if (ack) {
+                if (!c->settled[k]) c->settles[k]++;
+                c->settled[k] = 1;
+                c->nack_count[k] = 0;
+                c->ever_settled[k] = 1;
+            } else if (!c->settled[k]) {
+                repick = 1;
+            } else if (++c->nack_count[k] >= c->nack_threshold) {
+                c->settled[k] = 0;
+                c->nack_count[k] = 0;
+                repick = 1;
+            }
+            if (repick) {
+                c->migrations[k]++;
+                c->offset[k] = fleet_offset_draw(c, k);
+            }
+        }
+        c->transmitted_last[k] = 0;
+        if (reset) {
+            c->settled[k] = 0;
+            c->offset[k] = fleet_offset_draw(c, k);
+            c->nack_count[k] = 0;
+            c->ever_settled[k] = 0;
+            c->slot_counter[k] = 0;
+        }
+        if ((c->slot_counter[k] & (c->period[t] - 1)) == c->offset[k]) {
+            if (!empty && c->late_arrival[k] && !c->ever_settled[k]) {
+                /* a newcomer deferring to a predicted-busy slot re-rolls
+                 * (MIGRATE only) instead of transmitting */
+                if (!c->settled[k]) {
+                    c->migrations[k]++;
+                    c->offset[k] = fleet_offset_draw(c, k);
+                }
+            } else {
+                c->transmissions[k]++;
+                c->transmitted_last[k] = 1;
+                tx |= (i64)1 << t;
+            }
+        }
+        c->slot_counter[k]++;
+    }
+    c->u_cursor[n] += drawn;
+    c->tx[n] = tx;
+    c->log_n_tx[row * c->n + n] = __builtin_popcountll((unsigned long long)tx);
+}
+
+/* free_offsets: sieve[o] = 1 iff offset o of a period tag conflicts
+ * with none of network n's committed assignments but those of tags a
+ * and b; returns whether any offset is free (find_free_offset). */
+static int fleet_sieve(FleetCtx *c, i64 n, i64 period, i64 a, i64 b)
+{
+    const i64 *com = c->committed + n * c->t;
+    unsigned char *free = c->sieve;
+    for (i64 o = 0; o < period; o++) free[o] = 1;
+    for (i64 t = 0; t < c->t; t++) {
+        if (com[t] < 0 || t == a || t == b) continue;
+        i64 step = c->period[t] < period ? c->period[t] : period;
+        for (i64 o = com[t] & (step - 1); o < period; o += step) free[o] = 0;
+    }
+    for (i64 o = 0; o < period; o++)
+        if (free[o]) return 1;
+    return 0;
+}
+
+/* BatchReader._start_eviction_scalar for a decoded tag d that fits
+ * nowhere.  The victim is min(period, name) over the candidates, which
+ * is min(period, tid): tids follow the sorted names. */
+static void fleet_start_eviction(FleetCtx *c, i64 n, i64 d, i64 period,
+                                 i64 *evictions)
+{
+    const i64 t_n = c->t;
+    i64 *ev = c->evicting + n * t_n;
+    const i64 *com = c->committed + n * t_n;
+    for (i64 v = 0; v < t_n; v++)
+        if (ev[v] >= 0 && fleet_sieve(c, n, period, d, v)) return;
+    i64 chosen = -1;
+    for (i64 v = 0; v < t_n; v++) {
+        if (v == d || com[v] < 0 || ev[v] >= 0) continue;
+        if (!fleet_sieve(c, n, period, d, v)) continue;
+        if (chosen < 0 || c->period[v] < c->period[chosen]) chosen = v;
+    }
+    if (chosen < 0) return;
+    ev[chosen] = 0;
+    (*evictions)++;
+}
+
+/* BatchReader._decide_ack_scalar on network n for decoded tag d. */
+static int fleet_decide_ack(FleetCtx *c, i64 n, i64 d, i64 slot,
+                            i64 *commits, i64 *evictions)
+{
+    i64 period = c->period[d], offset = slot & (period - 1);
+    i64 *ev = c->evicting + n * c->t + d;
+    i64 *com = c->committed + n * c->t + d;
+    if (*ev >= 0) {
+        if (*com >= 0 && offset == *com) {
+            if (++*ev >= c->nack_threshold) {
+                *ev = -1;
+                *com = -1;
+            }
+            return 0;
+        }
+        *ev = -1;
+        *com = -1;
+    }
+    if (*com == offset) return 1;
+    *com = -1;
+    if (c->avoidance) {
+        if (!fleet_sieve(c, n, period, d, -1)) {
+            fleet_start_eviction(c, n, d, period, evictions);
+            return 0;
+        }
+        if (!c->sieve[offset]) return 0;
+    }
+    *com = offset;
+    (*commits)++;
+    return 1;
+}
+
+/* Arbitration and BatchReader.digest of network n.  The arbitration
+ * draws follow the loss draws on the network's slot stream: one for a
+ * lone transmitter, else the capture draw (only for a set with a
+ * capturable tid) and then the collision-detection draw. */
+static void fleet_digest(FleetCtx *c, i64 n, i64 slot, i64 row,
+                         i64 *commits, i64 *evictions)
+{
+    const i64 t_n = c->t, h = c->history;
+    i64 tx = c->tx[n], decoded = -1;
+    int collision = 0;
+    if (tx && !(tx & (tx - 1))) {
+        i64 tid = __builtin_ctzll((unsigned long long)tx);
+        if (c->ideal || fleet_uniform_draw(c, n) < c->p_success[tid])
+            decoded = tid;
+    } else if (tx) {
+        if (c->ideal) {
+            collision = 1;
+        } else {
+            i64 cap = c->capture_tid[tx];
+            if (cap >= 0 && fleet_uniform_draw(c, n) < c->capture_p[tx])
+                decoded = cap;
+            collision = fleet_uniform_draw(c, n) < c->detect_p;
+        }
+    }
+    i64 pos = slot & (h - 1);
+    int occupied = decoded >= 0 || collision;
+    c->ring_activity[n * h + pos] = (unsigned char)occupied;
+    c->ring_decoded[n * h + pos] = decoded;
+    c->ring_collision[n * h + pos] = (unsigned char)collision;
+    if (!occupied) {
+        /* a committed tag's scheduled slot passed silently */
+        i64 *com = c->committed + n * t_n, *ev = c->evicting + n * t_n;
+        for (i64 t = 0; t < t_n; t++) {
+            if (com[t] >= 0 && com[t] == (slot & (c->period[t] - 1))) {
+                com[t] = -1;
+                ev[t] = -1;
+            }
+        }
+    }
+    int ack = 0;
+    if (decoded >= 0 && !collision) {
+        c->appeared[n * t_n + decoded] = 1;
+        ack = fleet_decide_ack(c, n, decoded, slot, commits, evictions);
+    }
+    c->pending_ack[n] = (unsigned char)ack;
+    c->log_decoded[row * c->n + n] = decoded;
+    c->log_collision[row * c->n + n] = (unsigned char)collision;
+    c->log_acked[row * c->n + n] = (unsigned char)ack;
+}
+
+/* The second half of a slot: FLEET_RESOLVE, with the transmitter sets
+ * whose capture verdict is unknown in pending[0 .. out[2]), or 0 after
+ * arbitrating and digesting every network (out[0], out[1] <- the
+ * slot's commits and evictions). */
+i64 rk_fleet_finish(FleetCtx *c, i64 slot, i64 row)
+{
+    i64 m = 0;
+    if (!c->ideal) {
+        for (i64 n = 0; n < c->n; n++) {
+            i64 tx = c->tx[n];
+            if ((tx & (tx - 1)) && c->capture_tid[tx] == FLEET_UNRESOLVED)
+                c->pending[m++] = tx;
+        }
+    }
+    c->out[2] = m;
+    if (m) return FLEET_RESOLVE;
+    i64 commits = 0, evictions = 0;
+    for (i64 n = 0; n < c->n; n++)
+        fleet_digest(c, n, slot, row, &commits, &evictions);
+    c->out[0] = commits;
+    c->out[1] = evictions;
+    return 0;
+}
+
+/* One slot of every network: FLEET_REFILL, having done nothing, when a
+ * stream holds fewer draws than a slot's worst case (t + 2 uniforms, 3
+ * offsets: a tag re-picks at most for feedback, RESET and the EMPTY
+ * gate; 4 is the numpy step's bound, which adds the energy tier's
+ * brownout), else the beacons and tags, then rk_fleet_finish. */
+i64 rk_fleet_step(FleetCtx *c, i64 slot, i64 row)
+{
+    for (i64 n = 0; n < c->n; n++)
+        if (c->u_cursor[n] + c->t + 2 > c->u_block) return FLEET_REFILL;
+    for (i64 k = 0; k < c->n * c->t; k++)
+        if (c->o_cursor[k] + 4 > c->o_block) return FLEET_REFILL;
+    for (i64 n = 0; n < c->n; n++) fleet_tags(c, n, slot, row);
+    return rk_fleet_finish(c, slot, row);
+}
 """
 
 
@@ -1526,6 +1851,158 @@ def _lane(n: int) -> _Lane:
     return lane
 
 
+_I64 = ctypes.c_longlong
+_PTR = ctypes.c_void_p
+
+
+class _FleetCtx(ctypes.Structure):
+    """ctypes mirror of the C ``FleetCtx``, field for field."""
+
+    _fields_ = [
+        (name, _I64)
+        for name in (
+            "n", "t", "history", "u_block", "o_block", "nack_threshold",
+            "ideal", "loss_timer", "empty_flag", "avoidance",
+        )
+    ] + [("detect_p", ctypes.c_double)] + [
+        (name, _PTR)
+        for name in (
+            "period", "activation", "beacon_loss", "p_success",
+            "offset", "slot_counter", "nack_count", "beacons_received",
+            "beacons_missed", "consecutive_losses", "transmissions",
+            "migrations", "settles",
+            "settled", "transmitted_last", "ever_settled", "late_arrival",
+            "pending_ack", "pending_reset", "last_empty", "appeared",
+            "committed", "evicting", "ring_decoded",
+            "ring_collision", "ring_activity",
+            "u_buf", "u_cursor", "o_buf", "o_cursor",
+            "capture_tid", "capture_p",
+            "log_n_tx", "log_decoded", "log_collision", "log_acked",
+            "log_empty",
+            "tx", "pending", "out", "sieve",
+        )
+    ]
+
+
+#: ``rk_fleet_step`` / ``rk_fleet_finish`` return codes.
+_FLEET_REFILL = 1
+_FLEET_RESOLVE = 2
+
+
+def _address(array: np.ndarray, dtype) -> int:
+    """The data pointer of a C-contiguous ``dtype`` array."""
+    if array.dtype != dtype or not array.flags.c_contiguous:
+        raise TypeError(f"fleet kernel needs C-contiguous {np.dtype(dtype)}")
+    return array.ctypes.data
+
+
+class _FleetStepper:
+    """One engine's compiled vector lane.
+
+    Every array the C step reads or writes belongs to the engine, which
+    updates them in place on its numpy step too, so their pointers are
+    taken once; the slot log's columns are re-pointed when they grow.
+    The engine keeps the stepper, and the stepper no reference to the
+    engine: a cycle would hold each finished engine's arrays until the
+    cyclic collector ran.
+    """
+
+    def __init__(self, engine, step: Callable, finish: Callable) -> None:
+        from repro.channel.medium import CLUSTER_DETECTION_PROBABILITY
+
+        self._step = step
+        self._finish = finish
+        n, t = engine.n_vector, engine.n_tags
+        cfg = engine.config
+        tags, reader = engine.tags, engine.reader
+        uniforms, offsets = engine._uniforms, engine._offsets
+        self.tx = np.zeros(n, dtype=np.int64)
+        self.pending = np.zeros(n, dtype=np.int64)
+        self.out = np.zeros(3, dtype=np.int64)
+        self.sieve = np.zeros(max(engine._periods_list), dtype=np.uint8)
+        ctx = self.ctx = _FleetCtx(
+            n=n,
+            t=t,
+            history=reader._history,
+            u_block=uniforms._block,
+            o_block=offsets._block,
+            nack_threshold=cfg.nack_threshold,
+            ideal=cfg.ideal_channel,
+            loss_timer=cfg.enable_beacon_loss_timer,
+            empty_flag=cfg.enable_empty_flag,
+            avoidance=cfg.enable_future_avoidance,
+            detect_p=CLUSTER_DETECTION_PROBABILITY,
+        )
+        f64, i64, b8 = np.float64, np.int64, np.bool_
+        arrays = [
+            ("period", engine._periods, i64),
+            ("activation", engine._activation, i64),
+            ("beacon_loss", engine._beacon_loss, f64),
+            ("p_success", engine._p_success, f64),
+            ("u_buf", uniforms._buf, f64),
+            ("u_cursor", uniforms._cursor, i64),
+            ("o_buf", offsets._buf, i64),
+            ("o_cursor", offsets._cursor, i64),
+            ("capture_tid", engine._capture_tid, i64),
+            ("capture_p", engine._capture_p, f64),
+            ("tx", self.tx, i64),
+            ("pending", self.pending, i64),
+            ("out", self.out, i64),
+            ("sieve", self.sieve, np.uint8),
+        ]
+        for name in (
+            "offset", "slot_counter", "nack_count", "beacons_received",
+            "beacons_missed", "consecutive_losses", "transmissions",
+            "migrations", "settles",
+        ):
+            arrays.append((name, getattr(tags, name), i64))
+        for name in ("settled", "transmitted_last", "ever_settled", "late_arrival"):
+            arrays.append((name, getattr(tags, name), b8))
+        for name in ("pending_ack", "pending_reset", "last_empty", "appeared"):
+            arrays.append((name, getattr(reader, name), b8))
+        arrays += [
+            ("committed", reader.committed, i64),
+            ("evicting", reader.evicting, i64),
+            ("ring_decoded", reader._ring_decoded, i64),
+            ("ring_collision", reader._ring_collision, b8),
+            ("ring_activity", reader._ring_activity, b8),
+        ]
+        for name, array, dtype in arrays:
+            setattr(ctx, name, _address(array, dtype))
+        self._ref = ctypes.addressof(ctx)
+        self._point_log(engine.log)
+
+    def _point_log(self, log) -> None:
+        ctx = self.ctx
+        self._log_generation = log.generation
+        n_tx, decoded, collision, acked, empty = log.buffers()
+        ctx.log_n_tx = _address(n_tx, np.int64)
+        ctx.log_decoded = _address(decoded, np.int64)
+        ctx.log_collision = _address(collision, np.bool_)
+        ctx.log_acked = _address(acked, np.bool_)
+        ctx.log_empty = _address(empty, np.bool_)
+
+    def step(self, engine) -> None:
+        slot = engine.slots_elapsed
+        log = engine.log
+        row = log.claim_row()
+        # The numpy step may have grown the log too.
+        if log.generation != self._log_generation:
+            self._point_log(log)
+        code = self._step(self._ref, slot, row)
+        if code == _FLEET_REFILL:
+            engine._refill_banks()
+            code = self._step(self._ref, slot, row)
+        while code == _FLEET_RESOLVE:
+            # In row order, as the numpy step meets them.
+            masks = self.pending[: self.out[2]].tolist()
+            for mask in dict.fromkeys(masks):
+                engine._resolve_mask(mask)
+            code = self._finish(self._ref, slot, row)
+        out = self.out
+        engine._close_compiled_slot(row, int(out[0]), int(out[1]))
+
+
 def load() -> Dict[str, Callable]:
     """Build/load the shared object and return the kernel table.
 
@@ -1602,6 +2079,13 @@ def load() -> Dict[str, Callable]:
     lib.rk_receiver_noise.argtypes = [ptr, i64, f64, ptr, i64, ptr]
     lib.rk_mix_sosfilt_dec.restype = ctypes.c_int
     lib.rk_mix_sosfilt_dec.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
+    lib.rk_fleet_ctx_size.restype = i64
+    lib.rk_fleet_ctx_size.argtypes = []
+    for fleet_entry in (lib.rk_fleet_step, lib.rk_fleet_finish):
+        fleet_entry.restype = i64
+        fleet_entry.argtypes = [ptr, i64, i64]
+    if lib.rk_fleet_ctx_size() != ctypes.sizeof(_FleetCtx):
+        raise KernelBuildError("FleetCtx layout differs from its ctypes mirror")
 
     c_median = lib.rk_median
     c_mad = lib.rk_mad
@@ -1624,6 +2108,8 @@ def load() -> Dict[str, Callable]:
     c_env = lib.rk_envelope_rc
     c_noise = lib.rk_receiver_noise
     c_mix = lib.rk_mix_sosfilt_dec
+    c_fleet_step = lib.rk_fleet_step
+    c_fleet_finish = lib.rk_fleet_finish
 
     def median(x: np.ndarray) -> float:
         a = np.asarray(x, dtype=np.float64)
@@ -1925,6 +2411,13 @@ def load() -> Dict[str, Callable]:
         )
         return lane.cc[:m].copy()
 
+    def fleet_step(engine) -> None:
+        stepper = engine._compiled_stepper
+        if stepper is None or stepper._step is not c_fleet_step:
+            stepper = _FleetStepper(engine, c_fleet_step, c_fleet_finish)
+            engine._compiled_stepper = stepper
+        stepper.step(engine)
+
     table = {
         "median": median,
         "mad_spread": mad_spread,
@@ -1943,6 +2436,7 @@ def load() -> Dict[str, Callable]:
         "envelope_rc": envelope_rc,
         "receiver_noise": receiver_noise,
         "mix_sosfilt_decimate": mix_sosfilt_decimate,
+        "fleet_step": fleet_step,
     }
     # numpy picks its complex-abs loop by CPU; the fused detector's
     # replica matches the FMA loops only, so it is registered where it

@@ -1,11 +1,13 @@
-"""Compiled-kernel tier for the waveform hot path (Gen-3 speed work).
+"""Compiled-kernel tier for the simulator's hot loops (Gen-3 speed work).
 
 The DSP-in-the-loop waveform tier spends its residual per-slot time in
 a handful of numpy-bound inner loops: the order statistics inside
 :meth:`ReaderReceiveChain.project` / ``schmitt``, the per-bit sampling
 grid, FM0 pair decoding, envelope detection, the receive-filter
 recurrences, the receiver-noise synthesis, and the per-tag template
-combine.  This module routes each of those through one of two
+combine.  The fleet tier's batched slot step (:func:`fleet_step`) is
+the other one: dozens of small array operations per slot over a few
+hundred networks.  This module routes each of those through one of two
 interchangeable backends:
 
 * ``cext`` — a small C translation unit compiled once per process
@@ -45,8 +47,9 @@ Schmitt slicing, bit grid and window sums), :func:`project`
 non-FM0 demodulators), :func:`schmitt_full` (spread + thresholds +
 state track), :func:`iq_clusters` (the whole IQ-cluster collision
 detector: settling trim, energy guard, plateau filter, constellation
-histogram, smoothing and peak count), and :func:`receiver_noise` (the
-complex noise build and its filter).  The fusions eliminate the per-call
+histogram, smoothing and peak count), :func:`receiver_noise` (the
+complex noise build and its filter), and :func:`fleet_step` (a whole
+slot of a fleet engine's vector lane).  The fusions eliminate the per-call
 dispatch/marshalling overhead that otherwise dominates sub-100-us
 stages.  The compiled table also holds each fused entry's stages
 (``median``, ``project_center``, ``cluster_histogram``, ...), which the
@@ -90,6 +93,12 @@ _BACKEND_NAMES = ("cext", "numpy")
 #: Bins-per-axis ceiling of the compiled 2-D histogram kernels; larger
 #: requests route to the numpy implementation.
 MAX_HIST_BINS = 64
+
+#: Widest tag roster the compiled fleet step takes: it memoises capture
+#: verdicts in a table indexed by the transmitter bitmask (2**T
+#: entries).  The paper's TID is 4 bits; wider rosters run the numpy
+#: step.
+MAX_FLEET_TAGS = 16
 
 #: Longest capture the compiled FM0 chain takes; longer ones route to
 #: the numpy reference.  From 256 KiB up numpy elides temporaries: it
@@ -211,8 +220,10 @@ def kernel_info() -> Dict[str, object]:
 
     ``fallback_reason`` explains an unrequested numpy fallback;
     ``composed`` names fused compiled entries a load-time probe left
-    out (their numpy reference runs instead); ``cache_repairs`` lists
-    cached libraries that failed verification and were rebuilt.
+    out (their numpy reference runs instead); ``routes`` names inputs
+    a compiled entry always leaves to its numpy reference;
+    ``cache_repairs`` lists cached libraries that failed verification
+    and were rebuilt.
     """
     from repro.phy import _kernels_c
 
@@ -228,6 +239,11 @@ def kernel_info() -> Dict[str, object]:
         "load_errors": dict(_load_errors),
         "fallback_reason": fallback_reason,
         "composed": dict(_kernels_c.PROBE_FAILURES) if _compiled else {},
+        "routes": {
+            "fleet_step": "energy-mode fleets (their supercapacitor physics "
+            f"is float work) and rosters over {MAX_FLEET_TAGS} tags run the "
+            "engine's numpy step"
+        },
         "cache_repairs": list(_kernels_c.CACHE_REPAIRS),
         "kernels": sorted(_NUMPY_IMPL),
         "compiled_kernels": len(_compiled) if _compiled is not None else 0,
@@ -708,6 +724,10 @@ def _np_fm0_chain(
     return baseband, offset, raw, tuple(alignments)
 
 
+def _np_fleet_step(engine) -> None:
+    engine._step_numpy()
+
+
 _NUMPY_IMPL: Dict[str, Callable] = {
     "median": _np_median,
     "mad_spread": _np_mad_spread,
@@ -728,6 +748,7 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "envelope_rc": _np_envelope_rc,
     "receiver_noise": _np_receiver_noise,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
+    "fleet_step": _np_fleet_step,
 }
 
 
@@ -849,6 +870,29 @@ def mix_sosfilt_decimate(
     return _active()["mix_sosfilt_decimate"](x, lo, sos, decimation)
 
 
+def fleet_step(engine) -> None:
+    """Advance a fleet engine's vector lane by one slot.
+
+    ``engine`` is a :class:`~repro.fleet.engine.FleetEngine`.  The numpy
+    backend runs the engine's own step, the reference.  The
+    compiled one runs every network's beacon, beacon-loss draws, tag
+    firmware, arbitration and reader digest (placement, viability and
+    eviction included) in one C call on the engine's arrays, and
+    writes the slot-log row in place.  Its state is integers and
+    booleans, its only float work ``<`` comparisons of the same banked
+    draws, and every stream's draws are taken in the numpy step's
+    per-stream order, so the two leave byte-identical state.  Capture
+    verdicts stay with the engine: a slot meeting a new transmitter set
+    returns to Python once to resolve it.  Energy-mode fleets and
+    rosters over :data:`MAX_FLEET_TAGS` tags run the numpy step on
+    every backend.
+    """
+    table = _active()
+    if engine.energy or engine.n_tags > MAX_FLEET_TAGS:
+        table = _NUMPY_IMPL
+    table["fleet_step"](engine)
+
+
 # ---------------------------------------------------------------------------
 # structural kernels
 # ---------------------------------------------------------------------------
@@ -942,6 +986,7 @@ __all__ = [
     "envelope_rc",
     "receiver_noise",
     "mix_sosfilt_decimate",
+    "fleet_step",
     "bit_window_sums",
     "raw_bit_sums",
     "combine_templates",

@@ -1,5 +1,6 @@
 """Tests for the slotted network simulator."""
 
+import numpy as np
 import pytest
 
 from repro.core.network import NetworkConfig, SlottedNetwork
@@ -167,6 +168,19 @@ class TestValidation:
     def test_invalid_config_rejected_naming_the_field(self, field, value):
         with pytest.raises(ValueError, match=field):
             NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize("field", ["seed", "nack_threshold"])
+    @pytest.mark.parametrize("value", [0.5, True, 2.5, np.int32(3), np.int64(3)])
+    def test_integer_fields_take_integers_only(self, field, value):
+        # A float or bool seed would run another seed's network; a
+        # fractional threshold would compare differently once compiled.
+        if isinstance(value, np.integer):
+            config = NetworkConfig(**{field: value})
+            assert getattr(config, field) == 3
+            assert type(getattr(config, field)) is int
+        else:
+            with pytest.raises(ValueError, match=field):
+                NetworkConfig(**{field: value})
 
     def test_unknown_plan_modulation_rejected_at_construction(self):
         from repro.phy.modulation import LinkConfig
