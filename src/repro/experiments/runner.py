@@ -630,6 +630,9 @@ def collect_results(
     ``repro results --profile``), so future hot spots are found from
     data rather than guesswork.
     """
+    # Before any job runs: int() would run a float or bool seed as
+    # another one (0.5 as seed 0, True as seed 1).
+    seed = as_index(seed, "seed")
     medium = medium if medium is not None else AcousticMedium()
     names = [name for name, _ in EXPERIMENT_JOBS]
     run = _drive(

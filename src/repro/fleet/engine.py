@@ -183,16 +183,16 @@ class FleetEngine:
         if nv == 0:
             return
 
-        slot_gens = []
-        offset_gens = []
+        slot_seeds = []
+        offset_seeds = []
         for spec in vec_specs:
             streams = RandomStreams(spec.seed)
-            slot_gens.append(streams.stream("slots"))
-            offset_gens.append(
-                [streams.fork(name).stream("offset") for name in self._names]
+            slot_seeds.append(streams.seed_of("slots"))
+            offset_seeds.append(
+                [streams.fork(name).seed_of("offset") for name in self._names]
             )
-        self._uniforms = UniformBank(slot_gens)
-        self._offsets = OffsetBank(offset_gens, self._periods_list)
+        self._uniforms = UniformBank(slot_seeds)
+        self._offsets = OffsetBank(offset_seeds, self._periods_list)
         self._capture_cache: Dict[tuple, tuple] = {}
         self._capture_generation = self._medium.channel_generation
         # The compiled step's copy of the capture verdicts, indexed by

@@ -13,18 +13,23 @@ equals ``k`` successive ``gen.random()`` calls, and likewise for
 ``gen.integers`` with fixed bounds).  So each stream is materialised
 into a buffered *block* up front, and the engine consumes slices of the
 block with a per-stream cursor — the cursor plays the role of a
-counter-based stream's counter, and refills draw the next block from
-the same generator.  Cross-stream order never matters (streams are
-independent by construction), so masked, vectorised consumption is
-free to reorder *across* networks and tags as long as each stream's
-own cursor only moves forward.
+counter-based stream's counter.  A bank holds no generator objects:
+each stream is one row of PCG64 state (:func:`repro.phy.kernels.pcg64_seed`),
+and :func:`repro.phy.kernels.pcg64_refill` tops every low stream up
+with that generator's next draws in one call, advancing its row.
+Cross-stream order never matters (streams are independent by
+construction), so masked, vectorised consumption is free to reorder
+*across* networks and tags as long as each stream's own cursor only
+moves forward.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
+
+from repro.phy import kernels
 
 #: Default buffered block length for the per-network uniform streams.
 UNIFORM_BLOCK = 1024
@@ -38,28 +43,22 @@ OFFSET_BLOCK = 64
 class UniformBank:
     """Block-buffered uniforms over N independent ``"slots"`` streams.
 
-    One row per network; ``take_grid``/``take_counts`` return values in
-    the same order the sequential simulator would have drawn them from
-    each network's own generator.
+    One row per network, seeded as ``np.random.default_rng(seeds[i])``;
+    the ``take_*`` methods return values in the same order the
+    sequential simulator would have drawn them from each network's own
+    generator.
     """
 
-    def __init__(
-        self, generators: Sequence[np.random.Generator], block: int = UNIFORM_BLOCK
-    ) -> None:
+    def __init__(self, seeds: Sequence[int], block: int = UNIFORM_BLOCK) -> None:
         if block < 8:
             raise ValueError("block must be at least 8 draws")
-        self._gens: List[np.random.Generator] = list(generators)
-        n = len(self._gens)
+        self._states = kernels.pcg64_seed(seeds)
+        n = len(self._states)
         self._block = block
         self._buf = np.empty((n, block), dtype=np.float64)
-        self._cursor = np.zeros(n, dtype=np.int64)
-        for i, gen in enumerate(self._gens):
-            self._buf[i] = gen.random(block)
+        self._cursor = np.full(n, block, dtype=np.int64)
+        self.ensure(block)
         self._rows = np.arange(n)
-
-    @property
-    def n_streams(self) -> int:
-        return len(self._gens)
 
     def ensure(self, needed: int) -> None:
         """Guarantee every stream has ``needed`` buffered draws left.
@@ -72,14 +71,7 @@ class UniformBank:
             raise ValueError(
                 f"cannot guarantee {needed} draws from a {self._block}-wide buffer"
             )
-        low = np.nonzero(self._cursor + needed > self._block)[0]
-        for i in low:
-            cur = int(self._cursor[i])
-            rem = self._block - cur
-            if rem:
-                self._buf[i, :rem] = self._buf[i, cur:]
-            self._buf[i, rem:] = self._gens[i].random(self._block - rem)
-            self._cursor[i] = 0
+        kernels.pcg64_refill(self._states, self._buf, self._cursor, needed)
 
     def take_grid(self, width: int) -> np.ndarray:
         """``width`` consecutive draws from every stream: shape (N, width).
@@ -88,7 +80,7 @@ class UniformBank:
         order the sequential loop draws per-tag beacon-loss uniforms.
         """
         if width == 0:
-            return np.empty((len(self._gens), 0), dtype=np.float64)
+            return np.empty((len(self._cursor), 0), dtype=np.float64)
         idx = self._cursor[:, None] + np.arange(width)
         out = self._buf[self._rows[:, None], idx]
         self._cursor += width
@@ -118,16 +110,6 @@ class UniformBank:
         self._cursor[stream] += 1
         return value
 
-    def peek_at(self, stream: int, rank: int) -> float:
-        """The ``rank``-th upcoming draw of one stream, without
-        consuming it (the scalar multi-transmitter arbitration path
-        reads its draws this way, then advances with :meth:`advance`)."""
-        return float(self._buf[stream, self._cursor[stream] + rank])
-
-    def advance(self, counts: np.ndarray) -> None:
-        """Consume ``counts[i]`` draws from stream ``i``."""
-        self._cursor += counts
-
 
 class OffsetBank:
     """Block-buffered slot offsets over N*T independent ``"offset"`` streams.
@@ -141,36 +123,24 @@ class OffsetBank:
 
     def __init__(
         self,
-        generators: Sequence[Sequence[np.random.Generator]],
+        seeds: Sequence[Sequence[int]],
         periods: Sequence[int],
         block: int = OFFSET_BLOCK,
     ) -> None:
         if block < 8:
             raise ValueError("block must be at least 8 draws")
-        self._gens = [list(row) for row in generators]
-        n = len(self._gens)
+        grid = np.asarray(seeds, dtype=np.uint64)
         t = len(periods)
-        if any(len(row) != t for row in self._gens):
-            raise ValueError("generator grid does not match the period list")
-        self._periods = np.asarray(periods, dtype=np.int64)
+        if grid.ndim != 2 or grid.shape[1] != t:
+            raise ValueError("seed grid does not match the period list")
+        n = grid.shape[0]
         self._block = block
+        # Streams run row-major: stream n * t + j is (network n, tag j).
+        self._states = kernels.pcg64_seed(grid)
+        self._bounds = np.tile(np.asarray(periods, dtype=np.int64), n)
         self._buf = np.empty((n, t, block), dtype=np.int64)
-        self._cursor = np.zeros((n, t), dtype=np.int64)
-        for i in range(n):
-            for j in range(t):
-                self._buf[i, j] = self._gens[i][j].integers(
-                    0, int(self._periods[j]), size=block
-                )
-
-    def _refill(self, i: int, j: int) -> None:
-        cur = int(self._cursor[i, j])
-        rem = self._block - cur
-        if rem:
-            self._buf[i, j, :rem] = self._buf[i, j, cur:]
-        self._buf[i, j, rem:] = self._gens[i][j].integers(
-            0, int(self._periods[j]), size=self._block - rem
-        )
-        self._cursor[i, j] = 0
+        self._cursor = np.full((n, t), block, dtype=np.int64)
+        self.ensure(block)
 
     def ensure(self, needed: int) -> None:
         """Guarantee ``needed`` buffered draws in every stream.
@@ -183,9 +153,13 @@ class OffsetBank:
             raise ValueError(
                 f"cannot guarantee {needed} draws from a {self._block}-wide buffer"
             )
-        low = np.argwhere(self._cursor + needed > self._block)
-        for i, j in low:
-            self._refill(int(i), int(j))
+        kernels.pcg64_refill(
+            self._states,
+            self._buf.reshape(-1, self._block),
+            self._cursor.reshape(-1),
+            needed,
+            self._bounds,
+        )
 
     def take_masked(self, mask: np.ndarray, out: np.ndarray) -> None:
         """Write one fresh offset into ``out`` wherever ``mask`` holds.

@@ -1,9 +1,9 @@
 """C-extension backend for :mod:`repro.phy.kernels`.
 
 A single small C translation unit holding the profiled scalar loops of
-the waveform hot path and the fleet engine's slot step, compiled once
-per process family with the system
-C compiler and loaded through :mod:`ctypes`.  The build is
+the waveform hot path, the fleet engine's slot step and its PCG64
+stream seeding and refills, compiled once per process family with the
+system C compiler and loaded through :mod:`ctypes`.  The build is
 content-addressed: the shared object's file name embeds a hash of the
 source, the compiler, and the flags, so repeated processes load the
 cached ``.so`` without recompiling (``cache.kernel_build.hit`` /
@@ -103,6 +103,29 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
   against the same doubles the numpy step compares them with; what it
   must keep is each stream's draw order (see ``fleet_tags`` and
   ``fleet_digest``).
+* ``np.random.PCG64(seed)`` — numpy's ``SeedSequence``: the seed split
+  into 32-bit words (one word below 2**32, two from 2**32 up),
+  ``hashmix`` / ``mix`` into a four-word pool, ``generate_state(4,
+  uint64)`` (word pairs little end first); then
+  ``pcg_setseq_128_srandom_r`` with the first two words as the initial
+  state, high word first, and the last two as the sequence.  All of it
+  is 32-bit and 128-bit unsigned integer arithmetic, exact on any
+  compiler that has ``unsigned __int128``; the entries are not built
+  without it.
+* ``Generator.random()`` — one XSL-RR 128/64 step, then
+  ``(next64 >> 11) * 2**-53``, as numpy's ``next_double``.
+* ``Generator.integers(0, p)`` (int64, 1 <= p < 2**32) — bound 1 is 0
+  without a draw; otherwise Lemire's multiply-shift on 32-bit draws
+  with its rejection loop (threshold ``(2**32 - p) % p``).  A 32-bit
+  draw is the low half of a fresh 64-bit one, and the high half is
+  kept (``has_uint32`` / ``uinteger``) for the next 32-bit draw, across
+  calls too.  numpy draws bounds from 2**32 up from 64-bit words, so
+  they run the numpy twin.
+  numpy does not promise the same ``Generator`` streams across
+  versions, so :func:`load` probes both entries against their numpy
+  twins on fixed seeds, both fill kinds and bounds 1, 3, 2**31 and
+  2**31 + 1, and leaves them out on a mismatch, as for ``abs`` and
+  ``exp``.
 
 Floating-point contraction and fast-math are disabled explicitly
 (``-ffp-contract=off -fno-fast-math``): an FMA would change results.
@@ -1567,6 +1590,153 @@ i64 rk_fleet_step(FleetCtx *c, i64 slot, i64 row)
     for (i64 n = 0; n < c->n; n++) fleet_tags(c, n, slot, row);
     return rk_fleet_finish(c, slot, row);
 }
+
+/* ---- PCG64 streams (numpy's SeedSequence, PCG64 and Generator) ---- */
+
+/* A stream is one row of six uint64: state hi, state lo, inc hi, inc lo,
+ * has_uint32, uinteger (the fields of numpy's PCG64.state).  Without a
+ * 128-bit integer type the entries are not built, and load() leaves
+ * them out of the table. */
+#if defined(__SIZEOF_INT128__)
+typedef unsigned __int128 u128;
+typedef unsigned long long u64;
+typedef unsigned int u32;
+
+#define PCG_MULT (((u128)2549297995355413924ULL << 64) | 4865540595714422341ULL)
+
+static inline u32 ss_hashmix(u32 value, u32 *hash_const)
+{
+    value ^= *hash_const;
+    *hash_const *= 0x931e8875u;
+    value *= *hash_const;
+    return value ^ (value >> 16);
+}
+
+static inline u32 ss_mix(u32 x, u32 y)
+{
+    u32 r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* np.random.PCG64(seed).state for every seed in [0, 2**64): the seed's
+ * 32-bit words hashed into SeedSequence's four-word pool,
+ * generate_state(4, uint64), then pcg_setseq_128_srandom_r with the
+ * first two words as the state (high word first), the last two as the
+ * sequence.  numpy takes one word below 2**32 and two from there up,
+ * and hashes a 0 into each pool word past them: the same as always
+ * hashing both words, the high one 0 below 2**32. */
+void rk_pcg64_seed(const u64 *seeds, i64 n, u64 *states)
+{
+    for (i64 s = 0; s < n; s++) {
+        u64 seed = seeds[s];
+        u32 pool[4], hash_a = 0x43b0d7e5u, hash_b = 0x8b51f9ddu;
+        for (int i = 0; i < 4; i++)
+            pool[i] = ss_hashmix(i < 2 ? (u32)(seed >> (32 * i)) : 0, &hash_a);
+        for (int src = 0; src < 4; src++)
+            for (int dst = 0; dst < 4; dst++)
+                if (src != dst)
+                    pool[dst] = ss_mix(pool[dst], ss_hashmix(pool[src], &hash_a));
+        u64 out[4] = {0, 0, 0, 0};
+        for (int i = 0; i < 8; i++) {
+            u32 v = pool[i & 3] ^ hash_b;
+            hash_b *= 0x58f38dedu;
+            v *= hash_b;
+            v ^= v >> 16;
+            out[i >> 1] |= (u64)v << (32 * (i & 1));
+        }
+        u128 inc = ((((u128)out[2] << 64) | out[3]) << 1) | 1u;
+        u128 state = inc;
+        state += ((u128)out[0] << 64) | out[1];
+        state = state * PCG_MULT + inc;
+        u64 *row = states + 6 * s;
+        row[0] = (u64)(state >> 64);
+        row[1] = (u64)state;
+        row[2] = (u64)(inc >> 64);
+        row[3] = (u64)inc;
+        row[4] = 0;
+        row[5] = 0;
+    }
+}
+
+/* One XSL-RR 128/64 step. */
+static inline u64 pcg_next64(u128 *state, u128 inc)
+{
+    u128 s = *state = *state * PCG_MULT + inc;
+    u64 x = (u64)(s >> 64) ^ (u64)s;
+    unsigned rot = (unsigned)(s >> 122);
+    return (x >> rot) | (x << ((-rot) & 63u));
+}
+
+/* numpy's next_uint32: the low half of a fresh draw, the high half
+ * kept for the next call. */
+static inline u32 pcg_next32(u128 *state, u128 inc, u64 *has, u64 *half)
+{
+    if (*has) {
+        *has = 0;
+        return (u32)*half;
+    }
+    u64 next = pcg_next64(state, inc);
+    *has = 1;
+    *half = next >> 32;
+    return (u32)next;
+}
+
+/* Generator.integers(0, bound) for 1 <= bound < 2**32: Lemire's
+ * multiply-shift on 32-bit draws with its rejection loop; bound 1
+ * takes no draw. */
+static void pcg_integers(u128 *state, u128 inc, u64 *has, u64 *half,
+                         u32 bound, i64 *out, i64 count)
+{
+    if (bound == 1) {
+        for (i64 k = 0; k < count; k++) out[k] = 0;
+        return;
+    }
+    const u32 threshold = (0xFFFFFFFFu - (bound - 1)) % bound;
+    for (i64 k = 0; k < count; k++) {
+        u64 m = (u64)pcg_next32(state, inc, has, half) * bound;
+        u32 leftover = (u32)m;
+        if (leftover < bound) {
+            while (leftover < threshold) {
+                m = (u64)pcg_next32(state, inc, has, half) * bound;
+                leftover = (u32)m;
+            }
+        }
+        out[k] = (i64)(m >> 32);
+    }
+}
+
+/* Every stream s with cursor[s] + needed > block moves its unread draws
+ * to the front of its block row, fills the rest with fresh draws and
+ * rewinds its cursor: Generator.random() into doubles when bounds is
+ * NULL, else Generator.integers(0, bounds[s]) into int64. */
+void rk_pcg64_refill(u64 *states, i64 n, void *buf, i64 block,
+                     i64 *cursor, i64 needed, const i64 *bounds)
+{
+    for (i64 s = 0; s < n; s++) {
+        i64 cur = cursor[s];
+        if (cur + needed <= block) continue;
+        i64 rem = block - cur;
+        u64 *row = states + 6 * s;
+        u128 state = ((u128)row[0] << 64) | row[1];
+        u128 inc = ((u128)row[2] << 64) | row[3];
+        if (bounds) {
+            i64 *b = (i64 *)buf + s * block;
+            for (i64 k = 0; k < rem; k++) b[k] = b[cur + k];
+            pcg_integers(&state, inc, &row[4], &row[5], (u32)bounds[s],
+                         b + rem, cur);
+        } else {
+            double *b = (double *)buf + s * block;
+            for (i64 k = 0; k < rem; k++) b[k] = b[cur + k];
+            for (i64 k = rem; k < block; k++)
+                b[k] = (double)(pcg_next64(&state, inc) >> 11)
+                       * (1.0 / 9007199254740992.0);
+        }
+        row[0] = (u64)(state >> 64);
+        row[1] = (u64)state;
+        cursor[s] = 0;
+    }
+}
+#endif
 """
 
 
@@ -1720,8 +1890,9 @@ def _build_library() -> Tuple[str, str]:
     raise KernelBuildError(f"no writable kernel cache dir: {last_error}")
 
 
-#: Fused entries left out of the table because a load-time probe found
-#: the host's numpy computing differently: name -> reason.
+#: Compiled entries left out of the table because a load-time probe
+#: found the host's numpy computing differently, or the compiler lacks
+#: what they need: name -> reason.
 PROBE_FAILURES: Dict[str, str] = {}
 
 
@@ -1765,6 +1936,41 @@ def _exp_matches_numpy(lib: ctypes.CDLL) -> bool:
         phases.ctypes.data, phases.size, turn.real, turn.imag, got.ctypes.data
     )
     return got.tobytes() == np.exp(turn * phases).tobytes()
+
+
+def _pcg64_matches_numpy(seed: Callable, refill: Callable) -> bool:
+    """Whether the compiled PCG64 entries seed and draw byte for byte as
+    their numpy twins: fixed seeds around the one- and two-word
+    boundaries, ``random`` and ``integers`` fills with bounds 1, 3,
+    2**31 and 2**31 + 1 (which rejects nearly half its draws), and
+    second refills of 1 to 12 draws, so that the 32-bit half-word carry
+    crosses calls."""
+    from repro.phy.kernels import _np_pcg64_refill, _np_pcg64_seed
+
+    rng = np.random.default_rng(0x9C6)
+    seeds = np.concatenate([
+        np.array([0, 1, 2, 2**32 - 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64),
+        rng.integers(0, 2**64 - 1, size=6, dtype=np.uint64, endpoint=True),
+        rng.integers(0, 2**32, size=6, dtype=np.uint64),
+    ])
+    states = seed(seeds)
+    if states.tobytes() != _np_pcg64_seed(seeds).tobytes():
+        return False
+    n, block = seeds.size, 13
+    bounds = np.resize(np.array([1, 3, 2**31, 2**31 + 1], dtype=np.int64), n)
+    for kind, dtype in ((None, np.float64), (bounds, np.int64)):
+        runs = []
+        for fill in (refill, _np_pcg64_refill):
+            rows = states.copy()
+            buf = np.zeros((n, block), dtype=dtype)
+            cursor = np.full(n, block, dtype=np.int64)
+            fill(rows, buf, cursor, block, kind)
+            cursor[:] = 1 + np.arange(n) % (block - 1)
+            fill(rows, buf, cursor, block, kind)
+            runs.append(rows.tobytes() + buf.tobytes() + cursor.tobytes())
+        if runs[0] != runs[1]:
+            return False
+    return True
 
 
 _tls = threading.local()
@@ -1892,7 +2098,7 @@ _FLEET_RESOLVE = 2
 def _address(array: np.ndarray, dtype) -> int:
     """The data pointer of a C-contiguous ``dtype`` array."""
     if array.dtype != dtype or not array.flags.c_contiguous:
-        raise TypeError(f"fleet kernel needs C-contiguous {np.dtype(dtype)}")
+        raise TypeError(f"compiled kernel needs C-contiguous {np.dtype(dtype)}")
     return array.ctypes.data
 
 
@@ -2086,6 +2292,13 @@ def load() -> Dict[str, Callable]:
         fleet_entry.argtypes = [ptr, i64, i64]
     if lib.rk_fleet_ctx_size() != ctypes.sizeof(_FleetCtx):
         raise KernelBuildError("FleetCtx layout differs from its ctypes mirror")
+    # The PCG64 entries are built only where the compiler has __int128.
+    has_pcg64 = hasattr(lib, "rk_pcg64_refill")
+    if has_pcg64:
+        lib.rk_pcg64_seed.restype = None
+        lib.rk_pcg64_seed.argtypes = [ptr, i64, ptr]
+        lib.rk_pcg64_refill.restype = None
+        lib.rk_pcg64_refill.argtypes = [ptr, i64, ptr, i64, ptr, i64, ptr]
 
     c_median = lib.rk_median
     c_mad = lib.rk_mad
@@ -2418,6 +2631,28 @@ def load() -> Dict[str, Callable]:
             engine._compiled_stepper = stepper
         stepper.step(engine)
 
+    def pcg64_seed(seeds: np.ndarray) -> np.ndarray:
+        states = np.empty((seeds.size, 6), dtype=np.uint64)
+        lib.rk_pcg64_seed(seeds.ctypes.data, seeds.size, states.ctypes.data)
+        return states
+
+    def pcg64_refill(
+        states: np.ndarray,
+        buf: np.ndarray,
+        cursor: np.ndarray,
+        needed: int,
+        bounds: Optional[np.ndarray],
+    ) -> None:
+        lib.rk_pcg64_refill(
+            _address(states, np.uint64),
+            cursor.size,
+            _address(buf, np.float64 if bounds is None else np.int64),
+            buf.shape[1],
+            _address(cursor, np.int64),
+            needed,
+            None if bounds is None else _address(bounds, np.int64),
+        )
+
     table = {
         "median": median,
         "mad_spread": mad_spread,
@@ -2459,4 +2694,18 @@ def load() -> Dict[str, Callable]:
             "np.exp on this host differs from the C ramp and phasors; "
             "the FM0 chain runs its numpy reference"
         )
+    # numpy does not promise the same Generator streams across
+    # versions, so the PCG64 replicas are registered where they draw
+    # what this numpy draws.
+    if not has_pcg64:
+        reason = "the C compiler has no __int128"
+    elif not _pcg64_matches_numpy(pcg64_seed, pcg64_refill):
+        reason = "this numpy's PCG64 streams differ from the C replica"
+    else:
+        reason = None
+        table["pcg64_seed"] = pcg64_seed
+        table["pcg64_refill"] = pcg64_refill
+    if reason is not None:
+        for name in ("pcg64_seed", "pcg64_refill"):
+            PROBE_FAILURES[name] = f"{reason}; the fleet banks draw through numpy"
     return table

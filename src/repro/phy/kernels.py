@@ -7,8 +7,10 @@ grid, FM0 pair decoding, envelope detection, the receive-filter
 recurrences, the receiver-noise synthesis, and the per-tag template
 combine.  The fleet tier's batched slot step (:func:`fleet_step`) is
 the other one: dozens of small array operations per slot over a few
-hundred networks.  This module routes each of those through one of two
-interchangeable backends:
+hundred networks; its RNG banks seed and refill thousands of PCG64
+streams per engine (:func:`pcg64_seed`, :func:`pcg64_refill`).  This
+module routes each of those through one of two interchangeable
+backends:
 
 * ``cext`` — a small C translation unit compiled once per process
   family with the system compiler and loaded via ctypes
@@ -58,7 +60,10 @@ whose arithmetic depends on how the host's numpy was built
 (``iq_clusters`` on ``np.abs``, ``fm0_chain`` on ``np.exp``) is
 registered only when a load-time probe shows it matching numpy byte
 for byte; elsewhere that entry runs its numpy reference (see
-:func:`kernel_info`'s ``composed``).
+:func:`kernel_info`'s ``composed``).  So are the PCG64 entries, which
+replay numpy's ``SeedSequence``, ``PCG64`` and ``Generator`` draws:
+numpy does not promise the same streams across versions.  They are
+also left out where the compiler has no ``__int128``.
 
 The GEMM-shaped slot combine (:func:`combine_templates`),
 :func:`bit_window_sums` and :func:`raw_bit_sums` are
@@ -79,7 +84,7 @@ import os
 import threading
 import warnings
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -108,6 +113,11 @@ MAX_FLEET_TAGS = 16
 #: ``correct_frequency_offset`` (``iq * np.exp(...)``) and of the offset
 #: estimate, whose temporaries hold one complex128 per sample.
 MAX_CHAIN_SAMPLES = 256 * 1024 // 16 - 1
+
+#: Integer bounds from here up run :func:`pcg64_refill`'s numpy twin:
+#: numpy draws them from 64-bit words, the compiled entry from 32-bit
+#: halves.
+PCG64_BOUND_LIMIT = 1 << 32
 
 _backend_override: Optional[str] = None
 
@@ -219,8 +229,8 @@ def kernel_info() -> Dict[str, object]:
     """Backend availability / selection summary for perf reports.
 
     ``fallback_reason`` explains an unrequested numpy fallback;
-    ``composed`` names fused compiled entries a load-time probe left
-    out (their numpy reference runs instead); ``routes`` names inputs
+    ``composed`` names compiled entries a load-time probe left out
+    (their numpy reference runs instead); ``routes`` names inputs
     a compiled entry always leaves to its numpy reference;
     ``cache_repairs`` lists cached libraries that failed verification
     and were rebuilt.
@@ -242,7 +252,9 @@ def kernel_info() -> Dict[str, object]:
         "routes": {
             "fleet_step": "energy-mode fleets (their supercapacitor physics "
             f"is float work) and rosters over {MAX_FLEET_TAGS} tags run the "
-            "engine's numpy step"
+            "engine's numpy step",
+            "pcg64_refill": "integer bounds outside [1, 2**32) run the numpy "
+            "twin",
         },
         "cache_repairs": list(_kernels_c.CACHE_REPAIRS),
         "kernels": sorted(_NUMPY_IMPL),
@@ -728,6 +740,57 @@ def _np_fleet_step(engine) -> None:
     engine._step_numpy()
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _pcg64_row(bitgen: np.random.PCG64) -> List[int]:
+    state = bitgen.state
+    value, inc = state["state"]["state"], state["state"]["inc"]
+    return [
+        value >> 64, value & _MASK64, inc >> 64, inc & _MASK64,
+        state["has_uint32"], state["uinteger"],
+    ]
+
+
+def _np_pcg64_seed(seeds: np.ndarray) -> np.ndarray:
+    states = np.empty((seeds.size, 6), dtype=np.uint64)
+    for row, seed in enumerate(seeds.tolist()):
+        states[row] = _pcg64_row(np.random.PCG64(seed))
+    return states
+
+
+def _np_pcg64_refill(
+    states: np.ndarray,
+    buf: np.ndarray,
+    cursor: np.ndarray,
+    needed: int,
+    bounds: Optional[np.ndarray],
+) -> None:
+    block = buf.shape[1]
+    low = np.flatnonzero(cursor + needed > block).tolist()
+    if not low:
+        return
+    bitgen = np.random.PCG64(0)
+    gen = np.random.Generator(bitgen)
+    for s in low:
+        cur = int(cursor[s])
+        rem = block - cur
+        buf[s, :rem] = buf[s, cur:]
+        hi, lo, inc_hi, inc_lo, has_uint32, uinteger = states[s].tolist()
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
+        }
+        if bounds is None:
+            buf[s, rem:] = gen.random(cur)
+        else:
+            buf[s, rem:] = gen.integers(0, int(bounds[s]), size=cur)
+        states[s] = _pcg64_row(bitgen)
+        cursor[s] = 0
+
+
 _NUMPY_IMPL: Dict[str, Callable] = {
     "median": _np_median,
     "mad_spread": _np_mad_spread,
@@ -749,6 +812,8 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "receiver_noise": _np_receiver_noise,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
     "fleet_step": _np_fleet_step,
+    "pcg64_seed": _np_pcg64_seed,
+    "pcg64_refill": _np_pcg64_refill,
 }
 
 
@@ -893,6 +958,71 @@ def fleet_step(engine) -> None:
     table["fleet_step"](engine)
 
 
+def pcg64_seed(seeds) -> np.ndarray:
+    """The PCG64 streams numpy seeds from ``seeds``, one row each.
+
+    Row ``s`` holds the fields of ``np.random.PCG64(seeds[s]).state`` as
+    uint64: state high and low words, increment high and low words,
+    ``has_uint32`` and ``uinteger``.  Seeds lie in [0, 2**64).  The
+    compiled entry replays numpy's ``SeedSequence`` and PCG64 seeding
+    (see :func:`pcg64_refill` for when it is registered).
+    """
+    seeds = np.ascontiguousarray(seeds, dtype=np.uint64).reshape(-1)
+    table = _active()
+    if "pcg64_seed" not in table:
+        table = _NUMPY_IMPL
+    return table["pcg64_seed"](seeds)
+
+
+def pcg64_refill(
+    states: np.ndarray,
+    buf: np.ndarray,
+    cursor: np.ndarray,
+    needed: int,
+    bounds: Optional[np.ndarray] = None,
+) -> None:
+    """Top up every stream holding fewer than ``needed`` unread draws.
+
+    ``states`` is a ``(S, 6)`` array of :func:`pcg64_seed` rows,
+    ``buf`` the ``(S, block)`` draws, ``cursor`` each stream's next
+    unread column.  A stream with ``cursor + needed > block`` moves its
+    unread draws to the front of its row (they were drawn first), fills
+    the rest with its next draws and rewinds its cursor to 0; its row
+    of ``states`` advances as numpy's generator would.  With ``bounds``
+    None the draws are ``Generator.random()`` doubles, else
+    ``Generator.integers(0, bounds[s])`` into int64 ``buf``.
+
+    The numpy twin sets one ``PCG64``'s state from each row and draws
+    through ``Generator``, the reference.  The compiled entry is
+    registered only where the compiler has ``__int128`` and a load-time
+    probe shows it matching the twin byte for byte (numpy does not
+    promise the same streams across versions); elsewhere the twin runs
+    and :func:`kernel_info`'s ``composed`` names the entry.  Bounds
+    outside [1, 2**32) run the twin on every backend.  Both work on
+    the same rows, so a run may switch backend between any two
+    refills.
+    """
+    n = cursor.shape[0]
+    if (
+        cursor.ndim != 1
+        or states.shape != (n, 6)
+        or buf.ndim != 2
+        or buf.shape[0] != n
+        or (bounds is not None and bounds.shape != (n,))
+    ):
+        raise ValueError("states, buf, cursor and bounds must agree per stream")
+    if n and not (cursor.min() >= 0 and cursor.max() <= buf.shape[1]):
+        raise ValueError("every cursor must lie within its block")
+    table = _active()
+    if "pcg64_refill" not in table or (
+        bounds is not None
+        and n
+        and not (bounds.min() >= 1 and bounds.max() < PCG64_BOUND_LIMIT)
+    ):
+        table = _NUMPY_IMPL
+    table["pcg64_refill"](states, buf, cursor, needed, bounds)
+
+
 # ---------------------------------------------------------------------------
 # structural kernels
 # ---------------------------------------------------------------------------
@@ -987,6 +1117,8 @@ __all__ = [
     "receiver_noise",
     "mix_sosfilt_decimate",
     "fleet_step",
+    "pcg64_seed",
+    "pcg64_refill",
     "bit_window_sums",
     "raw_bit_sums",
     "combine_templates",

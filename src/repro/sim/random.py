@@ -57,24 +57,27 @@ class RandomStreams:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
+        self._seed = as_index(seed, "seed")
         self._streams: Dict[str, np.random.Generator] = {}
 
     @property
     def seed(self) -> int:
         return self._seed
 
-    def stream(self, name: str) -> np.random.Generator:
-        """Return (creating if needed) the generator for ``name``.
+    def seed_of(self, name: str) -> int:
+        """The seed, in [0, 2**64), of ``name``'s generator.
 
-        The per-stream seed is derived by hashing the master seed with the
-        stream name, so streams are decorrelated but fully determined by
-        (seed, name).
+        It hashes the master seed with the stream name, so streams are
+        decorrelated but fully determined by (seed, name).
         """
+        digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
+        return int.from_bytes(digest[:8], "little")
+
+    def stream(self, name: str) -> np.random.Generator:
+        """Return (creating if needed) the generator for ``name``:
+        ``np.random.default_rng(self.seed_of(name))``."""
         if name not in self._streams:
-            digest = hashlib.sha256(f"{self._seed}:{name}".encode()).digest()
-            child_seed = int.from_bytes(digest[:8], "little")
-            self._streams[name] = np.random.default_rng(child_seed)
+            self._streams[name] = np.random.default_rng(self.seed_of(name))
         return self._streams[name]
 
     def fork(self, salt: str) -> "RandomStreams":

@@ -3,6 +3,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from repro.experiments.runner import collect_results
@@ -329,6 +330,35 @@ class TestRobustRunner:
         _write_checkpoint(ckpt, {"seed": 99, "quick": True}, {}, {})
         with pytest.raises(ResultsError, match="seed"):
             collect_results(medium, seed=7, quick=True, checkpoint=ckpt, resume=True)
+
+    @pytest.mark.parametrize(
+        "seed, expected", [(0.5, None), (True, None), ("1", None), (np.int64(7), 7)]
+    )
+    def test_seed_must_be_an_integer(
+        self, seed, expected, tiny_jobs, monkeypatch, medium
+    ):
+        import repro.experiments.runner as runner_mod
+
+        ran = []
+        monkeypatch.setattr(
+            runner_mod,
+            "_JOBS_BY_NAME",
+            {
+                name: (lambda m, s, q, job=job: ran.append(s) or job(m, s, q))
+                for name, job in tiny_jobs.items()
+            },
+        )
+        if expected is None:
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                collect_results(medium, seed=seed, quick=True)
+            assert ran == []  # refused before any job ran
+            return
+        doc = collect_results(medium, seed=seed, quick=True)
+        assert type(doc["seed"]) is int and doc["seed"] == expected
+        assert ran and all(type(s) is int for s in ran)
+        assert json.dumps(doc) == json.dumps(
+            collect_results(medium, seed=expected, quick=True)
+        )
 
     def test_resume_without_checkpoint_path_refused(self, tiny_jobs, medium):
         from repro.experiments.runner import ResultsError

@@ -1,11 +1,13 @@
 """Exactness battery for the compiled fleet step.
 
 ``repro.phy.kernels.fleet_step`` runs a fleet engine's vector lane as
-one C call per slot.  Its contract is stronger than equal slot logs:
-after any run, every array of engine state — tag firmware, reader
-ledger and rings, both RNG banks (buffers and cursors), the slot log,
-the capture memo and the summaries — must equal the numpy step's byte
-for byte, so that the two can be swapped mid-run.  The banks are
+one C call per slot, and its RNG banks seed and refill through the
+compiled PCG64 entries.  The contract is stronger than equal slot logs:
+after any build or run, every array of engine state — tag firmware,
+reader ledger and rings, both RNG banks (generator states, buffers and
+cursors), the slot log, the capture memo and the summaries — must
+equal the numpy backend's byte for byte, so that the two can be
+swapped mid-run.  The banks are
 shrunk here so that refills happen every few slots, and the
 overloaded roster lists a long-period tag before short ones, so that
 its eviction victim is not simply the lowest tid.
@@ -95,6 +97,7 @@ def engine_state(engine):
     for bank in ("_uniforms", "_offsets"):
         state[f"{bank}.buf"] = getattr(engine, bank)._buf
         state[f"{bank}.cursor"] = getattr(engine, bank)._cursor
+        state[f"{bank}.states"] = getattr(engine, bank)._states
     for name, _ in engine.log.FIELDS:
         state[f"log.{name}"] = getattr(engine.log, name)
     state["capture_cache"] = dict(engine._capture_cache)
@@ -112,12 +115,14 @@ def differing(a, b):
 
 
 def run_fleet(periods, config, backends, activation=None, resets=()):
-    """Step a fresh fleet N_SLOTS slots, on ``backends[k]`` in the k-th
-    equal stretch of the run; ``resets`` maps slot -> networks to
-    reset (None: all).  Returns the engine and its eviction count."""
-    engine = FleetEngine(
-        periods, specs_for_seeds(SEEDS), config=config, activation_slot=activation
-    )
+    """Build a fleet on ``backends[0]`` and step it N_SLOTS slots, on
+    ``backends[k]`` in the k-th equal stretch of the run; ``resets``
+    maps slot -> networks to reset (None: all).  Returns the engine and
+    its eviction count."""
+    with kernels.use_backend(backends[0]):
+        engine = FleetEngine(
+            periods, specs_for_seeds(SEEDS), config=config, activation_slot=activation
+        )
     stretch = -(-N_SLOTS // len(backends))
     evictions = 0
     for slot in range(N_SLOTS):
@@ -153,6 +158,19 @@ class TestStateMatchesNumpyStep:
         (numpy_state, numpy_evictions), (cext_state, cext_evictions) = runs.values()
         assert differing(numpy_state, cext_state) == []
         assert cext_evictions == numpy_evictions
+
+    @pytest.mark.parametrize("roster", ["stock12", "long_period"])
+    def test_built_state_is_byte_identical(self, roster, small_banks):
+        # Seeding and the first fills: the RNG banks are the whole
+        # difference between two builds.
+        small_banks(16)
+        built = []
+        for backend in ("numpy", "cext"):
+            with kernels.use_backend(backend):
+                built.append(engine_state(FleetEngine(
+                    ROSTERS[roster], specs_for_seeds(SEEDS), config=CONFIGS["real"]
+                )))
+        assert differing(*built) == []
 
     def test_overloaded_roster_evicts(self):
         _, evictions = run_fleet(ROSTERS["overloaded"], CONFIGS["real"], ["cext"])

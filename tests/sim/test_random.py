@@ -1,5 +1,6 @@
 """Tests for seeded random streams."""
 
+import numpy as np
 import pytest
 
 from repro.sim.random import (
@@ -52,6 +53,25 @@ class TestRandomStreams:
 
     def test_seed_property(self):
         assert RandomStreams(42).seed == 42
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [(0.5, None), (True, None), ("1", None), (np.int64(7), 7), (-7, -7)],
+    )
+    def test_seed_must_be_an_integer(self, seed, expected):
+        if expected is None:
+            with pytest.raises(ValueError, match="seed must be an integer"):
+                RandomStreams(seed)
+            return
+        streams = RandomStreams(seed)
+        assert type(streams.seed) is int and streams.seed == expected
+        assert streams.seed_of("x") == RandomStreams(expected).seed_of("x")
+
+    def test_stream_is_seeded_by_seed_of(self):
+        rs = RandomStreams(11).fork("tag2")
+        expected = np.random.default_rng(rs.seed_of("offset")).random(8)
+        assert (rs.stream("offset").random(8) == expected).all()
+        assert 0 <= rs.seed_of("offset") < 2**64
 
 
 class TestBufferedStreams:
