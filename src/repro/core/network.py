@@ -94,6 +94,26 @@ def derive_beacon_loss(
     return medium.beacon_loss_probability(name, config.dl_raw_rate_bps)
 
 
+#: Smallest value each slot-count argument of the ``run`` and
+#: ``run_until_converged`` methods takes.
+_SLOT_COUNT_MINIMUM = {"n_slots": 0, "streak": 1, "max_slots": 0}
+
+
+def slot_count(value, name: str) -> int:
+    """The run argument ``name`` (``n_slots``, ``streak`` or
+    ``max_slots``) as a plain ``int``, or a ``ValueError`` naming it.
+
+    An integer passes, numpy's included, if it is at least 0 (``streak``:
+    1); a bool or a float does not, since the stepping loops would read
+    ``True`` as one slot and ``2.5`` as a streak of three.
+    """
+    count = as_index(value, name)
+    minimum = _SLOT_COUNT_MINIMUM[name]
+    if count < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {count!r}")
+    return count
+
+
 def _check_plan_modulations(plan: "Mapping[str, LinkConfig]") -> None:
     """Raise a ``ValueError`` naming the tag and the modulation when an
     uplink plan names a modulation the registry does not hold (it would
@@ -430,8 +450,7 @@ class SlottedNetwork:
 
     def run(self, n_slots: int) -> List[SlotRecord]:
         """Run ``n_slots`` slots, returning their records."""
-        if n_slots < 0:
-            raise ValueError("slot count must be non-negative")
+        n_slots = slot_count(n_slots, "n_slots")
         start = len(self.records)
         for _ in range(n_slots):
             self.step()
@@ -448,9 +467,23 @@ class SlottedNetwork:
         collision-free slots — the paper's first-convergence-time metric
         (Sec. 6.4).  Returns the slot count including the streak, or
         None if ``max_slots`` elapse first.
+
+        A fresh plain network (nothing stepped yet, no fault schedule,
+        parked tag, uplink plan, rate controller or tag hook, at most
+        :data:`~repro.phy.kernels.MAX_FLEET_TAGS` tags, telemetry off)
+        runs on the compiled fleet lane when the ``cext`` kernel backend
+        is active, and its slot log and every piece of its state are
+        then written back as this loop would leave them (see
+        :mod:`repro.fleet.bridge`).  Direct pokes at a tag's state
+        machine before the first slot are outside that contract.
         """
-        if streak < 1:
-            raise ValueError("streak must be >= 1")
+        streak = slot_count(streak, "streak")
+        max_slots = slot_count(max_slots, "max_slots")
+        if type(self) is SlottedNetwork:
+            from repro.fleet import bridge
+
+            if bridge.decline_reason(self) is None:
+                return bridge.run_until_converged(self, streak, max_slots)
         clean = 0
         for i in range(max_slots):
             record = self.step()

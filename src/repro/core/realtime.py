@@ -20,7 +20,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 from repro.channel.medium import AcousticMedium, SlotObservation
-from repro.core.network import NetworkConfig, derive_beacon_loss, ideal_observation
+from repro.core.network import (
+    NetworkConfig,
+    derive_beacon_loss,
+    ideal_observation,
+    slot_count,
+)
 from repro.core.reader_protocol import ReaderMac, SlotRecord
 from repro.core.tag_protocol import TagMac
 from repro.phy.envelope import EnvelopeDetector
@@ -199,6 +204,8 @@ class RealtimeNetwork:
         self, streak: int = 32, max_slots: int = 100_000
     ) -> Optional[int]:
         """Physical-time analogue of the Fig. 15 measurement."""
+        streak = slot_count(streak, "streak")
+        max_slots = slot_count(max_slots, "max_slots")
         clean = 0
         done = 0
         while done < max_slots:

@@ -34,7 +34,12 @@ import numpy as np
 
 from repro import telemetry
 from repro.channel.medium import CLUSTER_DETECTION_PROBABILITY, AcousticMedium
-from repro.core.network import NetworkConfig, SlottedNetwork, derive_beacon_loss
+from repro.core.network import (
+    NetworkConfig,
+    SlottedNetwork,
+    derive_beacon_loss,
+    slot_count,
+)
 from repro.core.reader_protocol import SlotRecord
 from repro.fleet.reader import BatchReader
 from repro.fleet.rng import OffsetBank, UniformBank
@@ -180,6 +185,12 @@ class FleetEngine:
         self._vec_index = {name: i for i, name in enumerate(self._vec_names)}
         nv = self.n_vector = len(vec_specs)
         self.log = SlotLog(nv)
+        # run_until_converged's per-network tally: the collision-free
+        # streak, and the slot count at which it first reached the
+        # run's streak (-1 until then).  Updated in place, like every
+        # array the compiled step points at.
+        self._clean_streak = np.zeros(nv, dtype=np.int64)
+        self._converged_at = np.full(nv, -1, dtype=np.int64)
         if nv == 0:
             return
 
@@ -261,11 +272,78 @@ class FleetEngine:
         self._slot += 1
 
     def run(self, n_slots: int) -> None:
-        """Advance the whole fleet by ``n_slots`` slots."""
-        if n_slots < 0:
-            raise ValueError("slot count must be non-negative")
+        """Advance the whole fleet by ``n_slots`` slots, leaving the
+        state as many :meth:`step_all` calls leave.  A fleet without a
+        scalar lane runs them through :func:`repro.phy.kernels.fleet_run`."""
+        n_slots = slot_count(n_slots, "n_slots")
+        if self.n_vector and not self._scalar_steppers:
+            kernels.fleet_run(self, n_slots)
+            return
         for _ in range(n_slots):
             self.step_all()
+
+    def run_until_converged(
+        self, streak: int = 32, max_slots: int = 200_000
+    ) -> Dict[str, Optional[int]]:
+        """Step every network until each has seen ``streak``
+        consecutive collision-free slots, or ``max_slots`` slots pass.
+
+        Returns each network's first-convergence time, counted from
+        this call as :meth:`SlottedNetwork.run_until_converged
+        <repro.core.network.SlottedNetwork.run_until_converged>` counts
+        it: the slots up to and including the one completing its
+        streak, or None within ``max_slots``.  The networks step in
+        lockstep, so one that converged keeps stepping until the last
+        one does; a one-network engine stops on its network's slot,
+        leaving the state that network's sequential run leaves.
+        """
+        streak = slot_count(streak, "streak")
+        max_slots = slot_count(max_slots, "max_slots")
+        start = self._slot
+        self._clean_streak.fill(0)
+        self._converged_at.fill(-1)
+        if self.n_vector and not self._scalar_steppers:
+            kernels.fleet_run(self, max_slots, streak)
+            converged = {}
+        else:
+            converged = self._lockstep_until_converged(streak, max_slots)
+        converged.update(zip(self._vec_names, self._converged_at.tolist()))
+        return {
+            spec.name: converged[spec.name] - start
+            if converged[spec.name] >= 0
+            else None
+            for spec in self.specs
+        }
+
+    def _lockstep_until_converged(self, streak: int, max_slots: int) -> Dict[str, int]:
+        """:meth:`run_until_converged` one :meth:`step_all` at a time, as
+        a scalar lane needs; returns the scalar lane's convergence slot
+        counts (-1: not converged), the vector lane's being tracked in
+        its arrays."""
+        clean = dict.fromkeys(self._scalar_nets, 0)
+        converged = dict.fromkeys(self._scalar_nets, -1)
+        for _ in range(max_slots):
+            self.step_all()
+            done = not self.n_vector or self._track_streak(len(self.log) - 1, streak)
+            for name, net in self._scalar_nets.items():
+                clean[name] = 0 if net.records[-1].collision_detected else clean[name] + 1
+                if clean[name] >= streak and converged[name] < 0:
+                    converged[name] = self._slot
+                done = done and converged[name] >= 0
+            if done:
+                break
+        return converged
+
+    def _track_streak(self, row: int, streak: int) -> bool:
+        """Update every vector-lane network's collision-free streak from
+        log ``row``, the slot just run; a network reaching ``streak``
+        for the first time records the slot count.  Returns whether
+        every network has converged."""
+        clean = self._clean_streak
+        clean += 1
+        clean[self.log.buffers()[2][row]] = 0
+        self._converged_at[(clean >= streak) & (self._converged_at < 0)] = self._slot
+        return bool((self._converged_at >= 0).all())
 
     @property
     def energy(self) -> bool:
@@ -274,6 +352,17 @@ class FleetEngine:
 
     def _step_vector(self) -> None:
         kernels.fleet_step(self)
+
+    def _run_numpy(self, n_slots: int, streak: int) -> int:
+        """Up to ``n_slots`` numpy steps of the vector lane, tracking
+        and stopping on convergence for ``streak`` > 0: the reference
+        the compiled :func:`~repro.phy.kernels.fleet_run` reproduces."""
+        for done in range(1, n_slots + 1):
+            self._step_numpy()
+            self._slot += 1
+            if streak and self._track_streak(len(self.log) - 1, streak):
+                return done
+        return n_slots
 
     def _refill_banks(self) -> None:
         # Per slot a network draws at most one loss uniform per tag
@@ -575,24 +664,19 @@ class FleetEngine:
             return list(self._scalar_nets[name].records)
         row = self._vector_row(name)
         log = self.log
-        columns = zip(
-            log.n_transmitters[:, row].tolist(),
-            log.decoded_tid[:, row].tolist(),
-            log.collision[:, row].tolist(),
-            log.acked[:, row].tolist(),
-            log.empty_flag[:, row].tolist(),
-        )
-        return [
-            SlotRecord(
-                slot=slot,
-                n_transmitters=n_tx,
-                decoded=self._names[d] if d >= 0 else None,
-                collision_detected=collision,
-                acked=acked,
-                empty_flag=empty,
+        # Tid -1 (nothing decoded) indexes the trailing None.
+        decoded = map((self._names + [None]).__getitem__, log.decoded_tid[:, row].tolist())
+        return list(
+            map(
+                SlotRecord,
+                range(len(log)),
+                log.n_transmitters[:, row].tolist(),
+                decoded,
+                log.collision[:, row].tolist(),
+                log.acked[:, row].tolist(),
+                log.empty_flag[:, row].tolist(),
             )
-            for slot, (n_tx, d, collision, acked, empty) in enumerate(columns)
-        ]
+        )
 
     def scalar_network(self, name: str) -> SlottedNetwork:
         """The embedded sequential network behind a scalar-lane spec

@@ -25,7 +25,7 @@ moves forward.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +38,15 @@ UNIFORM_BLOCK = 1024
 #: streams.  Offset draws only happen on migrations, so a small block
 #: lasts a long time.
 OFFSET_BLOCK = 64
+
+
+def _tail(
+    states: np.ndarray, buf: np.ndarray, cursor: np.ndarray, stream: int
+) -> Tuple[Dict[str, object], list]:
+    return (
+        kernels._pcg64_state(states[stream].tolist()),
+        buf[stream, cursor[stream]:].tolist(),
+    )
 
 
 class UniformBank:
@@ -110,6 +119,12 @@ class UniformBank:
         self._cursor[stream] += 1
         return value
 
+    def tail(self, stream: int) -> Tuple[Dict[str, object], List[float]]:
+        """Where ``stream`` stands: numpy's ``PCG64.state`` of its
+        generator and the buffered draws not yet taken, which come
+        before that generator's next draws."""
+        return _tail(self._states, self._buf, self._cursor, stream)
+
 
 class OffsetBank:
     """Block-buffered slot offsets over N*T independent ``"offset"`` streams.
@@ -159,6 +174,16 @@ class OffsetBank:
             self._cursor.reshape(-1),
             needed,
             self._bounds,
+        )
+
+    def tail(self, network: int, tag: int) -> Tuple[Dict[str, object], List[int]]:
+        """:meth:`UniformBank.tail` for stream ``(network, tag)``."""
+        t = self._cursor.shape[1]
+        return _tail(
+            self._states,
+            self._buf.reshape(-1, self._block),
+            self._cursor.reshape(-1),
+            network * t + tag,
         )
 
     def take_masked(self, mask: np.ndarray, out: np.ndarray) -> None:

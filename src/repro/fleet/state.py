@@ -12,7 +12,7 @@ the same sorted-name order the sequential simulator assigns tids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
@@ -136,17 +136,28 @@ class SlotLog:
             for name, dtype in self.FIELDS
         }
 
-    def claim_row(self) -> int:
-        """Open the next row for writing in place and return its index
-        (its fields read 0 until written).  Growing replaces the
-        columns, so :meth:`buffers` move whenever :attr:`generation`
-        changes."""
-        if self._len == len(self._columns["n_transmitters"]):
+    def open_rows(self) -> Tuple[int, int]:
+        """``(row, free)``: the next row to write in place and the rows
+        free from it on (their fields read 0 until written).  When none
+        is free the columns first double.  Growing replaces them, so
+        :meth:`buffers` move whenever :attr:`generation` changes."""
+        capacity = len(self._columns["n_transmitters"])
+        if self._len == capacity:
             for name, column in self._columns.items():
                 self._columns[name] = np.concatenate((column, np.zeros_like(column)))
             self.generation += 1
-        self._len += 1
-        return self._len - 1
+            capacity *= 2
+        return self._len, capacity - self._len
+
+    def close_rows(self, count: int) -> None:
+        """Log the next ``count`` rows, written in place."""
+        self._len += count
+
+    def claim_row(self) -> int:
+        """Open the next row for writing in place and return its index."""
+        row, _ = self.open_rows()
+        self.close_rows(1)
+        return row
 
     def buffers(self) -> tuple:
         """The writable ``(capacity, N)`` columns, in :attr:`FIELDS` order."""

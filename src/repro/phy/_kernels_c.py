@@ -1,13 +1,13 @@
 """C-extension backend for :mod:`repro.phy.kernels`.
 
 A single small C translation unit holding the profiled scalar loops of
-the waveform hot path, the fleet engine's slot step and its PCG64
-stream seeding and refills, compiled once per process family with the
-system C compiler and loaded through :mod:`ctypes`.  The build is
-content-addressed: the shared object's file name embeds a hash of the
-source, the compiler, and the flags, so repeated processes load the
-cached ``.so`` without recompiling (``cache.kernel_build.hit`` /
-``.miss`` perf counters track this).  A cached library is loaded only
+the waveform hot path, the fleet engine's slot step and many-slot run
+and its PCG64 stream seeding and refills, compiled once per process
+family with the system C compiler and loaded through :mod:`ctypes`.
+The build is content-addressed: the shared object's file name embeds a
+hash of the source, the compiler, and the flags, so repeated processes
+load the cached ``.so`` without recompiling (``cache.kernel_build.hit``
+/ ``.miss`` perf counters track this).  A cached library is loaded only
 if its size and SHA-256 match the ``.sha256`` stamp written with it;
 one that does not is moved aside (``.bad-<pid>``) and rebuilt, and the
 repair is listed in :data:`CACHE_REPAIRS`.  Each compiling process
@@ -102,7 +102,8 @@ per-kernel exactness tests pin this.  The non-obvious equivalences:
   float operations are ``<`` comparisons of the engine's banked draws
   against the same doubles the numpy step compares them with; what it
   must keep is each stream's draw order (see ``fleet_tags`` and
-  ``fleet_digest``).
+  ``fleet_digest``).  The fleet run loops the step and counts each
+  network's collision-free streak in integers.
 * ``np.random.PCG64(seed)`` — numpy's ``SeedSequence``: the seed split
   into 32-bit words (one word below 2**32, two from 2**32 up),
   ``hashmix`` / ``mix`` into a four-word pool, ``generate_state(4,
@@ -173,7 +174,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro import perf
+from repro import perf, telemetry
 from repro.phy.kernels import MAX_HIST_BINS, _axis_rotation, _bit_grid_offset
 
 #: Environment variable overriding where compiled kernels are cached.
@@ -1304,9 +1305,13 @@ typedef struct {
     i64 *log_n_tx, *log_decoded;
     unsigned char *log_collision, *log_acked, *log_empty;
     /* scratch: transmit bitmask per network, unresolved bitmasks,
-     * (commits, evictions, unresolved count), period-long sieve */
+     * (commits, evictions, unresolved count, slots run), period-long
+     * sieve */
     i64 *tx, *pending, *out;
     unsigned char *sieve;
+    /* rk_fleet_run: collision-free streak per network, and slot + 1 of
+     * the slot on which it first reached the run's streak (-1: not yet) */
+    i64 *clean_streak, *converged_at;
 } FleetCtx;
 
 #define FLEET_REFILL 1
@@ -1737,6 +1742,44 @@ void rk_pcg64_refill(u64 *states, i64 n, void *buf, i64 block,
     }
 }
 #endif
+
+/* ---- fleet runs: many slots per call ------------------------------ */
+
+/* Called through the GOT: a new PLT entry would move every function
+ * above. */
+i64 rk_fleet_step(FleetCtx *c, i64 slot, i64 row) __attribute__((noplt));
+
+/* Up to n_slots slots of every network from (slot, row), writing log
+ * rows row... in place.  With streak > 0, each finished row's collision
+ * bytes update every network's collision-free streak, a network whose
+ * streak first reaches streak records slot + 1 of that row in
+ * converged_at, and the run also ends once every network has a record.
+ * Returns 0 after n_slots slots or that convergence, else the code of
+ * the rk_fleet_step that stopped it: FLEET_REFILL at a slot boundary,
+ * FLEET_RESOLVE mid-slot.  out[3] <- the slots finished. */
+i64 rk_fleet_run(FleetCtx *c, i64 slot, i64 row, i64 n_slots, i64 streak)
+{
+    i64 open = 0, done = 0, code = 0;
+    if (streak > 0)
+        for (i64 n = 0; n < c->n; n++) open += c->converged_at[n] < 0;
+    while (done < n_slots && (streak <= 0 || open > 0)) {
+        code = rk_fleet_step(c, slot + done, row + done);
+        if (code) break;
+        if (streak > 0) {
+            const unsigned char *col = c->log_collision + (row + done) * c->n;
+            for (i64 n = 0; n < c->n; n++) {
+                c->clean_streak[n] = col[n] ? 0 : c->clean_streak[n] + 1;
+                if (c->clean_streak[n] >= streak && c->converged_at[n] < 0) {
+                    c->converged_at[n] = slot + done + 1;
+                    open--;
+                }
+            }
+        }
+        done++;
+    }
+    c->out[3] = done;
+    return code;
+}
 """
 
 
@@ -2085,12 +2128,12 @@ class _FleetCtx(ctypes.Structure):
             "capture_tid", "capture_p",
             "log_n_tx", "log_decoded", "log_collision", "log_acked",
             "log_empty",
-            "tx", "pending", "out", "sieve",
+            "tx", "pending", "out", "sieve", "clean_streak", "converged_at",
         )
     ]
 
 
-#: ``rk_fleet_step`` / ``rk_fleet_finish`` return codes.
+#: ``rk_fleet_step`` / ``rk_fleet_finish`` / ``rk_fleet_run`` return codes.
 _FLEET_REFILL = 1
 _FLEET_RESOLVE = 2
 
@@ -2113,18 +2156,21 @@ class _FleetStepper:
     cyclic collector ran.
     """
 
-    def __init__(self, engine, step: Callable, finish: Callable) -> None:
+    def __init__(
+        self, engine, step: Callable, finish: Callable, run: Callable
+    ) -> None:
         from repro.channel.medium import CLUSTER_DETECTION_PROBABILITY
 
         self._step = step
         self._finish = finish
+        self._run = run
         n, t = engine.n_vector, engine.n_tags
         cfg = engine.config
         tags, reader = engine.tags, engine.reader
         uniforms, offsets = engine._uniforms, engine._offsets
         self.tx = np.zeros(n, dtype=np.int64)
         self.pending = np.zeros(n, dtype=np.int64)
-        self.out = np.zeros(3, dtype=np.int64)
+        self.out = np.zeros(4, dtype=np.int64)
         self.sieve = np.zeros(max(engine._periods_list), dtype=np.uint8)
         ctx = self.ctx = _FleetCtx(
             n=n,
@@ -2155,6 +2201,8 @@ class _FleetStepper:
             ("pending", self.pending, i64),
             ("out", self.out, i64),
             ("sieve", self.sieve, np.uint8),
+            ("clean_streak", engine._clean_streak, i64),
+            ("converged_at", engine._converged_at, i64),
         ]
         for name in (
             "offset", "slot_counter", "nack_count", "beacons_received",
@@ -2188,6 +2236,15 @@ class _FleetStepper:
         ctx.log_acked = _address(acked, np.bool_)
         ctx.log_empty = _address(empty, np.bool_)
 
+    def _resolve(self, engine, slot: int, row: int, code: int) -> None:
+        """Finish a slot left open on ``FLEET_RESOLVE``."""
+        while code == _FLEET_RESOLVE:
+            # In row order, as the numpy step meets them.
+            masks = self.pending[: self.out[2]].tolist()
+            for mask in dict.fromkeys(masks):
+                engine._resolve_mask(mask)
+            code = self._finish(self._ref, slot, row)
+
     def step(self, engine) -> None:
         slot = engine.slots_elapsed
         log = engine.log
@@ -2199,14 +2256,44 @@ class _FleetStepper:
         if code == _FLEET_REFILL:
             engine._refill_banks()
             code = self._step(self._ref, slot, row)
-        while code == _FLEET_RESOLVE:
-            # In row order, as the numpy step meets them.
-            masks = self.pending[: self.out[2]].tolist()
-            for mask in dict.fromkeys(masks):
-                engine._resolve_mask(mask)
-            code = self._finish(self._ref, slot, row)
+        self._resolve(engine, slot, row, code)
         out = self.out
         engine._close_compiled_slot(row, int(out[0]), int(out[1]))
+
+    def run(self, engine, n_slots: int, streak: int) -> int:
+        """Up to ``n_slots`` slots through ``rk_fleet_run``, re-entered
+        after each refill and resolve; returns the slots run.  Each call
+        fills only the log's free rows, so the log grows exactly as one
+        row per slot would grow it."""
+        log, out = engine.log, self.out
+        # Telemetry counts every slot as it closes.
+        per_call = n_slots if telemetry.active() is None else 1
+        done = 0
+        while done < n_slots:
+            row, free = log.open_rows()
+            if log.generation != self._log_generation:
+                self._point_log(log)
+            slot = engine.slots_elapsed
+            want = min(free, n_slots - done, per_call)
+            code = self._run(self._ref, slot, row, want, streak)
+            ran = int(out[3])
+            if code == _FLEET_RESOLVE:
+                self._resolve(engine, slot + ran, row + ran, code)
+                ran += 1
+            if ran:
+                log.close_rows(ran)
+                engine._slot += ran
+                done += ran
+                engine._close_compiled_slot(row + ran - 1, int(out[0]), int(out[1]))
+            if code == _FLEET_REFILL:
+                engine._refill_banks()
+            elif code == _FLEET_RESOLVE:
+                # The slot finished here: its streak is tracked here too.
+                if streak and engine._track_streak(row + ran - 1, streak):
+                    break
+            elif ran < want:
+                break  # every network has converged
+        return done
 
 
 def load() -> Dict[str, Callable]:
@@ -2290,6 +2377,8 @@ def load() -> Dict[str, Callable]:
     for fleet_entry in (lib.rk_fleet_step, lib.rk_fleet_finish):
         fleet_entry.restype = i64
         fleet_entry.argtypes = [ptr, i64, i64]
+    lib.rk_fleet_run.restype = i64
+    lib.rk_fleet_run.argtypes = [ptr, i64, i64, i64, i64]
     if lib.rk_fleet_ctx_size() != ctypes.sizeof(_FleetCtx):
         raise KernelBuildError("FleetCtx layout differs from its ctypes mirror")
     # The PCG64 entries are built only where the compiler has __int128.
@@ -2323,6 +2412,7 @@ def load() -> Dict[str, Callable]:
     c_mix = lib.rk_mix_sosfilt_dec
     c_fleet_step = lib.rk_fleet_step
     c_fleet_finish = lib.rk_fleet_finish
+    c_fleet_run = lib.rk_fleet_run
 
     def median(x: np.ndarray) -> float:
         a = np.asarray(x, dtype=np.float64)
@@ -2624,12 +2714,18 @@ def load() -> Dict[str, Callable]:
         )
         return lane.cc[:m].copy()
 
-    def fleet_step(engine) -> None:
+    def fleet_stepper(engine) -> _FleetStepper:
         stepper = engine._compiled_stepper
         if stepper is None or stepper._step is not c_fleet_step:
-            stepper = _FleetStepper(engine, c_fleet_step, c_fleet_finish)
+            stepper = _FleetStepper(engine, c_fleet_step, c_fleet_finish, c_fleet_run)
             engine._compiled_stepper = stepper
-        stepper.step(engine)
+        return stepper
+
+    def fleet_step(engine) -> None:
+        fleet_stepper(engine).step(engine)
+
+    def fleet_run(engine, n_slots: int, streak: int) -> int:
+        return fleet_stepper(engine).run(engine, n_slots, streak)
 
     def pcg64_seed(seeds: np.ndarray) -> np.ndarray:
         states = np.empty((seeds.size, 6), dtype=np.uint64)
@@ -2672,6 +2768,7 @@ def load() -> Dict[str, Callable]:
         "receiver_noise": receiver_noise,
         "mix_sosfilt_decimate": mix_sosfilt_decimate,
         "fleet_step": fleet_step,
+        "fleet_run": fleet_run,
     }
     # numpy picks its complex-abs loop by CPU; the fused detector's
     # replica matches the FMA loops only, so it is registered where it

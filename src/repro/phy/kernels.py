@@ -5,10 +5,11 @@ a handful of numpy-bound inner loops: the order statistics inside
 :meth:`ReaderReceiveChain.project` / ``schmitt``, the per-bit sampling
 grid, FM0 pair decoding, envelope detection, the receive-filter
 recurrences, the receiver-noise synthesis, and the per-tag template
-combine.  The fleet tier's batched slot step (:func:`fleet_step`) is
-the other one: dozens of small array operations per slot over a few
-hundred networks; its RNG banks seed and refill thousands of PCG64
-streams per engine (:func:`pcg64_seed`, :func:`pcg64_refill`).  This
+combine.  The fleet tier's batched slot step (:func:`fleet_step`, and
+:func:`fleet_run` for many slots) is the other one: dozens of small
+array operations per slot over a few hundred networks; its RNG banks
+seed and refill thousands of PCG64 streams per engine
+(:func:`pcg64_seed`, :func:`pcg64_refill`).  This
 module routes each of those through one of two interchangeable
 backends:
 
@@ -50,8 +51,9 @@ non-FM0 demodulators), :func:`schmitt_full` (spread + thresholds +
 state track), :func:`iq_clusters` (the whole IQ-cluster collision
 detector: settling trim, energy guard, plateau filter, constellation
 histogram, smoothing and peak count), :func:`receiver_noise` (the
-complex noise build and its filter), and :func:`fleet_step` (a whole
-slot of a fleet engine's vector lane).  The fusions eliminate the per-call
+complex noise build and its filter), :func:`fleet_step` (a whole
+slot of a fleet engine's vector lane) and :func:`fleet_run` (many such
+slots).  The fusions eliminate the per-call
 dispatch/marshalling overhead that otherwise dominates sub-100-us
 stages.  The compiled table also holds each fused entry's stages
 (``median``, ``project_center``, ``cluster_histogram``, ...), which the
@@ -253,6 +255,7 @@ def kernel_info() -> Dict[str, object]:
             "fleet_step": "energy-mode fleets (their supercapacitor physics "
             f"is float work) and rosters over {MAX_FLEET_TAGS} tags run the "
             "engine's numpy step",
+            "fleet_run": "routed as fleet_step, to the engine's numpy run",
             "pcg64_refill": "integer bounds outside [1, 2**32) run the numpy "
             "twin",
         },
@@ -740,6 +743,10 @@ def _np_fleet_step(engine) -> None:
     engine._step_numpy()
 
 
+def _np_fleet_run(engine, n_slots: int, streak: int) -> int:
+    return engine._run_numpy(n_slots, streak)
+
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -750,6 +757,17 @@ def _pcg64_row(bitgen: np.random.PCG64) -> List[int]:
         value >> 64, value & _MASK64, inc >> 64, inc & _MASK64,
         state["has_uint32"], state["uinteger"],
     ]
+
+
+def _pcg64_state(row: List[int]) -> Dict[str, object]:
+    """numpy's ``PCG64.state`` for one :func:`pcg64_seed` row."""
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = row
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+        "has_uint32": has_uint32,
+        "uinteger": uinteger,
+    }
 
 
 def _np_pcg64_seed(seeds: np.ndarray) -> np.ndarray:
@@ -776,13 +794,7 @@ def _np_pcg64_refill(
         cur = int(cursor[s])
         rem = block - cur
         buf[s, :rem] = buf[s, cur:]
-        hi, lo, inc_hi, inc_lo, has_uint32, uinteger = states[s].tolist()
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
-        }
+        bitgen.state = _pcg64_state(states[s].tolist())
         if bounds is None:
             buf[s, rem:] = gen.random(cur)
         else:
@@ -812,6 +824,7 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "receiver_noise": _np_receiver_noise,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
     "fleet_step": _np_fleet_step,
+    "fleet_run": _np_fleet_run,
     "pcg64_seed": _np_pcg64_seed,
     "pcg64_refill": _np_pcg64_refill,
 }
@@ -956,6 +969,32 @@ def fleet_step(engine) -> None:
     if engine.energy or engine.n_tags > MAX_FLEET_TAGS:
         table = _NUMPY_IMPL
     table["fleet_step"](engine)
+
+
+def fleet_run(engine, n_slots: int, streak: int = 0) -> int:
+    """Advance a fleet engine's vector lane by up to ``n_slots`` slots.
+
+    Returns the slots run; the engine's slot count advances with them.
+    The state left is what as many :func:`fleet_step` calls leave.  With
+    ``streak`` > 0 the run also tracks each network's collision-free
+    streak from the slot log (``engine._clean_streak``, counted from
+    its value at the call), records in ``engine._converged_at`` the
+    engine slot count at which it first reaches ``streak``, and stops
+    once every network has such a record.  The engine's scalar lane is
+    not stepped: callers keep the two lanes in lockstep.
+
+    The numpy backend loops the engine's numpy step, the reference.
+    The compiled one runs the slots in one C call (``rk_fleet_run``, a
+    loop around the compiled step), left and re-entered only to refill
+    the RNG banks, to resolve a new transmitter set's capture verdict,
+    and to grow the slot log, whose free rows it fills in place.  While
+    telemetry is active it runs one slot per call, so that counters
+    are emitted per slot.  Routed like :func:`fleet_step`.
+    """
+    table = _active()
+    if engine.energy or engine.n_tags > MAX_FLEET_TAGS:
+        table = _NUMPY_IMPL
+    return table["fleet_run"](engine, n_slots, streak)
 
 
 def pcg64_seed(seeds) -> np.ndarray:
@@ -1117,6 +1156,7 @@ __all__ = [
     "receiver_noise",
     "mix_sosfilt_decimate",
     "fleet_step",
+    "fleet_run",
     "pcg64_seed",
     "pcg64_refill",
     "bit_window_sums",

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro import telemetry
-from repro.core.network import SlottedNetwork
+from repro.core.network import SlottedNetwork, slot_count
 from repro.core.reader_protocol import SlotRecord
 from repro.core.slot_schedule import offsets_conflict
 from repro.core.tag_protocol import TagMac
@@ -209,8 +209,7 @@ class NetworkSupervisor:
 
     def run(self, n_slots: int) -> List[SlotRecord]:
         """Run ``n_slots`` supervised slots, returning their records."""
-        if n_slots < 0:
-            raise ValueError("slot count must be non-negative")
+        n_slots = slot_count(n_slots, "n_slots")
         start = len(self.network.records)
         for _ in range(n_slots):
             self.step()
@@ -221,8 +220,8 @@ class NetworkSupervisor:
     ) -> Optional[int]:
         """Supervised analogue of
         :meth:`~repro.core.network.SlottedNetwork.run_until_converged`."""
-        if streak < 1:
-            raise ValueError("streak must be >= 1")
+        streak = slot_count(streak, "streak")
+        max_slots = slot_count(max_slots, "max_slots")
         clean = 0
         for i in range(max_slots):
             record = self.step()

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
-from typing import Callable, Dict, Type, TypeVar
+from typing import Callable, Dict, Sequence, Type, TypeVar
 
 import numpy as np
 
@@ -90,14 +90,20 @@ class RandomStreams:
         return RandomStreams(int.from_bytes(digest[:8], "little"))
 
 
-def _served_in_blocks(fill: Callable[[], "list[_T]"]) -> Callable[[], _T]:
-    """A zero-argument draw serving ``fill()``'s blocks in order.
+def _served_in_blocks(
+    fill: Callable[[], "list[_T]"], head: Sequence[_T] = ()
+) -> Callable[[], _T]:
+    """A zero-argument draw serving ``head``, then ``fill()``'s blocks
+    in order.
 
     ``iter(fill, None)`` calls ``fill`` whenever the previous block is
     used up and ``chain`` flattens the blocks, so the returned
     ``__next__`` is C code: a draw runs no Python frame.
     """
-    return itertools.chain.from_iterable(iter(fill, None)).__next__
+    blocks = itertools.chain.from_iterable(iter(fill, None))
+    if head:
+        blocks = itertools.chain(head, blocks)
+    return blocks.__next__
 
 
 class BufferedUniforms:
@@ -108,7 +114,8 @@ class BufferedUniforms:
     the stream's sequence while each draw costs a list read instead of
     a numpy call, an order of magnitude less.  The generator runs up to
     one block ahead, so every consumer of the stream must draw through
-    this object.
+    this object.  ``head`` holds draws already taken from ``gen`` (a
+    block left unread), served before its next block.
 
     >>> gen = RandomStreams(3).stream("slots")
     >>> buffered = BufferedUniforms(RandomStreams(3).stream("slots"))
@@ -116,11 +123,13 @@ class BufferedUniforms:
     True
     """
 
-    def __init__(self, gen: np.random.Generator) -> None:
+    def __init__(
+        self, gen: np.random.Generator, head: Sequence[float] = ()
+    ) -> None:
         #: Next uniform in [0, 1), as ``gen.random()`` would return it.
         #: An attribute, not a method, so hot loops call C code directly.
         self.random: Callable[[], float] = _served_in_blocks(
-            lambda: gen.random(UNIFORM_BLOCK).tolist()
+            lambda: gen.random(UNIFORM_BLOCK).tolist(), head
         )
 
 
@@ -131,14 +140,19 @@ class BufferedPicker:
     ``gen.integers(0, high, size=k)`` gives the same values as ``k``
     successive ``gen.integers(0, high)`` calls, so a picker whose bound
     never changes (a tag's period) can be served from blocks like
-    :class:`BufferedUniforms`.  Calling it with another bound is an
-    error: the buffered values were drawn for ``high``.
+    :class:`BufferedUniforms`, ``head`` included.  Calling it with
+    another bound is an error: the buffered values were drawn for
+    ``high``.
     """
 
-    def __init__(self, gen: np.random.Generator, high: int) -> None:
+    def __init__(
+        self, gen: np.random.Generator, high: int, head: Sequence[int] = ()
+    ) -> None:
+        #: The generator the picks come from.
+        self.gen = gen
         self.high = high
         self._next: Callable[[], int] = _served_in_blocks(
-            lambda: gen.integers(0, high, size=PICK_BLOCK).tolist()
+            lambda: gen.integers(0, high, size=PICK_BLOCK).tolist(), head
         )
 
     def __call__(self, high: int) -> int:

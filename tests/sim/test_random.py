@@ -100,3 +100,27 @@ class TestBufferedStreams:
         picker = BufferedPicker(RandomStreams(0).stream("offset"), 8)
         with pytest.raises(ValueError, match="below 8"):
             picker(4)
+
+    @pytest.mark.parametrize("taken", [0, 1, 37, UNIFORM_BLOCK - 1])
+    def test_head_resumes_a_stream_with_unread_draws(self, taken):
+        # A stream drawn as a block with ``taken`` values read: the
+        # unread rest as head, then the same generator, continue it.
+        gen = RandomStreams(4).stream("slots")
+        block = gen.random(UNIFORM_BLOCK).tolist()
+        resumed = BufferedUniforms(gen, head=block[taken:])
+        scalar = RandomStreams(4).stream("slots")
+        for _ in range(taken):
+            scalar.random()
+        n = 2 * UNIFORM_BLOCK
+        assert [resumed.random() for _ in range(n)] == [
+            scalar.random() for _ in range(n)
+        ]
+
+    def test_picker_head_comes_first(self):
+        gen = RandomStreams(5).stream("offset")
+        head = gen.integers(0, 16, size=10).tolist()[3:]
+        picker = BufferedPicker(gen, 16, head=head)
+        assert picker.gen is gen
+        scalar = RandomStreams(5).stream("offset")
+        expected = [int(scalar.integers(0, 16)) for _ in range(3 + 2 * PICK_BLOCK)]
+        assert [picker(16) for _ in range(2 * PICK_BLOCK)] == expected[3:]
