@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro import telemetry
 from repro.analysis.recovery import recovery_report, slots_to_reconverge
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.faults.schedule import FaultEvent, FaultSchedule
@@ -61,7 +60,8 @@ class RecoveryTrial:
     trace_signature: str
     replay_identical: bool
     #: Fault events the controller applied/cleared during the measured
-    #: run, consumed from the unified telemetry layer (not the trace).
+    #: run, counted from its fault trace (the same events it adds to
+    #: ``faults.applied`` / ``faults.cleared`` when a registry is active).
     faults_applied: int = 0
     faults_cleared: int = 0
 
@@ -99,19 +99,7 @@ def run_figR(
             ]
         )
         n_slots = warmup_slots + burst + measure_slots
-        tel = telemetry.active()
-        if tel is None:
-            with telemetry.collecting() as local:
-                net, recorder = _run_once(schedule, seed, n_slots)
-                snap = local.snapshot()
-            applied = snap.total("faults.applied")
-            cleared = snap.total("faults.cleared")
-        else:
-            before = tel.snapshot()
-            net, recorder = _run_once(schedule, seed, n_slots)
-            after = tel.snapshot()
-            applied = after.total("faults.applied") - before.total("faults.applied")
-            cleared = after.total("faults.cleared") - before.total("faults.cleared")
+        net, recorder = _run_once(schedule, seed, n_slots)
         report = recovery_report(net.records, schedule.last_clear_slot, streak)
         _, replay = _run_once(schedule, seed, n_slots)
         trials.append(
@@ -121,8 +109,8 @@ def run_figR(
                 collisions_after_clear=report.collisions_after_clear,
                 trace_signature=recorder.signature(),
                 replay_identical=replay.signature() == recorder.signature(),
-                faults_applied=int(applied),
-                faults_cleared=int(cleared),
+                faults_applied=recorder.count("fault.apply"),
+                faults_cleared=recorder.count("fault.clear"),
             )
         )
     return trials

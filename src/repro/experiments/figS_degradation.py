@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import telemetry
 from repro.analysis.recovery import slots_to_reconverge
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.experiments.figR_recovery import RECOVERY_PERIODS, RECOVERY_STREAK
@@ -104,47 +103,22 @@ def _measure(
     streak: int,
     with_policies: bool,
 ) -> Tuple[Optional[int], int, int, int]:
-    tel = telemetry.active()
-    if tel is None:
-        # Stand-alone call (CLI, tests): bring up a local registry so
-        # the policy tallies below always come from the unified
-        # telemetry layer rather than a bespoke ledger walk.
-        with telemetry.collecting() as local:
-            return _measure_into(local, schedule, seed, n_slots, streak, with_policies)
-    return _measure_into(tel, schedule, seed, n_slots, streak, with_policies)
-
-
-def _measure_into(
-    tel,
-    schedule: FaultSchedule,
-    seed: int,
-    n_slots: int,
-    streak: int,
-    with_policies: bool,
-) -> Tuple[Optional[int], int, int, int]:
     net = SlottedNetwork(
         RECOVERY_PERIODS,
         config=NetworkConfig(seed=seed, ideal_channel=True),
         faults=schedule,
     )
-    # Counters are monotone, so the before/after snapshot delta is this
-    # arm's contribution even when an outer run (the experiment runner)
-    # owns the registry.
-    before = tel.snapshot()
+    actions = violations = 0
     if with_policies:
         supervisor = NetworkSupervisor(net)
         supervisor.run(n_slots)
+        # The supervisor's append-only ledgers hold exactly what it
+        # adds to ``resilience.policy_actions`` and
+        # ``resilience.violations`` when a registry is active.
+        actions = len(supervisor.actions)
+        violations = len(supervisor.violations)
     else:
         net.run(n_slots)
-    after = tel.snapshot()
-    actions = int(
-        after.total("resilience.policy_actions")
-        - before.total("resilience.policy_actions")
-    )
-    violations = int(
-        after.total("resilience.violations")
-        - before.total("resilience.violations")
-    )
     clear = schedule.last_clear_slot if len(schedule) else 0
     reconverge = slots_to_reconverge(net.records, clear, streak)
     collisions = sum(1 for r in net.records[clear:] if r.collision_detected)

@@ -20,9 +20,10 @@ The shared arm is the cautionary tale: at the ``near`` preset the
 readers' own carriers bury every tag's 5–10 mV backscatter (worst-case
 SIR collapses to ~2 dB and goodput to zero), while the planner keeps
 the worst tag above :data:`repro.multireader.MIN_TAG_SIR_DB`.  Handoffs
-are counted from telemetry — under interference the overlap-zone tags'
-home links degrade and :class:`~repro.multireader.MultiReaderNetwork`
-re-homes them live.
+are counted from the network's ``handoffs`` tally (the events it adds
+to ``multireader.handoffs`` when a registry is active) — under
+interference the overlap-zone tags' home links degrade and
+:class:`~repro.multireader.MultiReaderNetwork` re-homes them live.
 
 Goodput is measured over the trailing window only, so each cell's
 convergence transient is excluded and the numbers compare steady-state
@@ -35,7 +36,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import telemetry
 from repro.core.network import NetworkConfig
 from repro.multireader import (
     CarrierPlan,
@@ -99,29 +99,6 @@ def _measure(
     n_slots: int,
     measure_slots: int,
 ) -> Tuple[float, float, int, int, int]:
-    tel = telemetry.active()
-    if tel is None:
-        # Stand-alone call (CLI, tests): bring up a local registry so
-        # the handoff tallies always come from the unified telemetry
-        # layer rather than a bespoke ledger walk.
-        with telemetry.collecting() as local:
-            return _measure_into(
-                local, n_readers, spacing, seed, shared, n_slots, measure_slots
-            )
-    return _measure_into(
-        tel, n_readers, spacing, seed, shared, n_slots, measure_slots
-    )
-
-
-def _measure_into(
-    tel,
-    n_readers: int,
-    spacing: str,
-    seed: int,
-    shared: bool,
-    n_slots: int,
-    measure_slots: int,
-) -> Tuple[float, float, int, int, int]:
     deployment = deployment_for(n_readers, spacing=spacing)
     plan = CarrierPlan.shared(deployment) if shared else None
     net = MultiReaderNetwork(
@@ -130,14 +107,7 @@ def _measure_into(
         config=NetworkConfig(seed=seed),
         plan=plan,
     )
-    # Counters are monotone, so the before/after snapshot delta is this
-    # arm's contribution even when an outer run owns the registry.
-    before = tel.snapshot()
     net.run(n_slots)
-    after = tel.snapshot()
-    handoffs = int(
-        after.total("multireader.handoffs") - before.total("multireader.handoffs")
-    )
     goodput = net.aggregate_goodput(last_n_slots=measure_slots)
     worst_sir = net.worst_sir_db()
     plan_used = plan if plan is not None else plan_carriers(deployment)
@@ -146,7 +116,7 @@ def _measure_into(
         worst_sir,
         plan_used.n_carriers_used(),
         len(net.overlap_tags),
-        handoffs,
+        net.handoffs,
     )
 
 

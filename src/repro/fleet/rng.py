@@ -40,6 +40,19 @@ UNIFORM_BLOCK = 1024
 OFFSET_BLOCK = 64
 
 
+def _none_short(cursor: np.ndarray, block: int, needed: int) -> bool:
+    """Whether every cursor lies in ``[0, block - needed]``: no stream
+    is short of ``needed`` draws, so a refill would change nothing.
+    Anything else, a cursor outside its block included, goes to
+    :func:`~repro.phy.kernels.pcg64_refill` and its checks.  Read as
+    unsigned, a negative cursor exceeds every bound, so one reduction
+    checks both ends."""
+    return (
+        cursor.size > 0
+        and cursor.view(np.uint64).max() <= block - max(needed, 0)
+    )
+
+
 def _tail(
     states: np.ndarray, buf: np.ndarray, cursor: np.ndarray, stream: int
 ) -> Tuple[Dict[str, object], list]:
@@ -80,6 +93,8 @@ class UniformBank:
             raise ValueError(
                 f"cannot guarantee {needed} draws from a {self._block}-wide buffer"
             )
+        if _none_short(self._cursor, self._block, needed):
+            return
         kernels.pcg64_refill(self._states, self._buf, self._cursor, needed)
 
     def take_grid(self, width: int) -> np.ndarray:
@@ -168,6 +183,8 @@ class OffsetBank:
             raise ValueError(
                 f"cannot guarantee {needed} draws from a {self._block}-wide buffer"
             )
+        if _none_short(self._cursor, self._block, needed):
+            return
         kernels.pcg64_refill(
             self._states,
             self._buf.reshape(-1, self._block),

@@ -27,6 +27,7 @@ from typing import Deque, Dict, Optional, Tuple
 
 from repro import telemetry
 from repro.core.reader_protocol import SlotRecord
+from repro.sim.random import as_index
 
 #: Default sliding-window length (slots) for the health counters.
 DEFAULT_HEALTH_WINDOW = 64
@@ -111,6 +112,7 @@ class LinkHealthMonitor:
     """
 
     def __init__(self, network, window: int = DEFAULT_HEALTH_WINDOW) -> None:
+        window = as_index(window, "window")
         if window < 1:
             raise ValueError("health window must be >= 1 slot")
         self.network = network

@@ -46,6 +46,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 from repro.core.reader_protocol import SlotRecord
 from repro.core.state_machine import TagState
 from repro.core.tag_protocol import TagMac
+from repro.sim.random import as_index
 
 if TYPE_CHECKING:
     from repro.resilience.supervisor import InvariantViolation, NetworkSupervisor
@@ -119,6 +120,7 @@ class BeaconResyncPolicy(RecoveryPolicy):
 
     def __init__(self, max_retries: int = 12) -> None:
         super().__init__()
+        max_retries = as_index(max_retries, "max_retries")
         if max_retries < 1:
             raise ValueError("max_retries must be >= 1")
         self.max_retries = max_retries
@@ -181,6 +183,12 @@ class BackoffRejoinPolicy(RecoveryPolicy):
         stagger_step: int = 3,
     ) -> None:
         super().__init__()
+        base_holdoff = as_index(base_holdoff, "base_holdoff")
+        max_holdoff = as_index(max_holdoff, "max_holdoff")
+        settle_window_periods = as_index(settle_window_periods, "settle_window_periods")
+        max_attempts = as_index(max_attempts, "max_attempts")
+        stagger_mod = as_index(stagger_mod, "stagger_mod")
+        stagger_step = as_index(stagger_step, "stagger_step")
         if base_holdoff < 1:
             raise ValueError("base_holdoff must be >= 1 slot")
         if max_holdoff < base_holdoff:
@@ -273,6 +281,7 @@ class SlotLeasePolicy(RecoveryPolicy):
 
     def __init__(self, lease_misses: int = 3) -> None:
         super().__init__()
+        lease_misses = as_index(lease_misses, "lease_misses")
         if lease_misses < 1:
             raise ValueError("lease_misses must be >= 1")
         self.lease_misses = lease_misses

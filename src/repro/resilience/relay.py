@@ -35,6 +35,7 @@ from typing import Dict, Set
 
 from repro.core.reader_protocol import SlotRecord
 from repro.resilience.policies import RecoveryPolicy
+from repro.sim.random import as_index
 
 
 class RelayFallbackPolicy(RecoveryPolicy):
@@ -55,6 +56,10 @@ class RelayFallbackPolicy(RecoveryPolicy):
         retry_every_periods: int = 4,
     ) -> None:
         super().__init__()
+        engage_misses = as_index(engage_misses, "engage_misses")
+        absent_after_periods = as_index(absent_after_periods, "absent_after_periods")
+        reroute_failures = as_index(reroute_failures, "reroute_failures")
+        retry_every_periods = as_index(retry_every_periods, "retry_every_periods")
         if engage_misses < 1:
             raise ValueError("engage_misses must be >= 1")
         if absent_after_periods < 1:

@@ -23,7 +23,9 @@ protocol state):
 * every committed offset lies in ``[0, period)``;
 * no two committed assignments conflict (schedule consistency /
   no double-booked slot) — only when future-collision avoidance is on,
-  since the ablation baseline commits blindly;
+  since the ablation baseline commits blindly; the pairwise scan
+  reruns only on a slot whose committed ledger differs from the last
+  one scanned;
 * the eviction ledger never holds a tag without a commitment (the
   stale-assignment leak class found in the PR-3 audit);
 * every tag's local offset lies in ``[0, period)``.
@@ -47,6 +49,7 @@ from repro.core.slot_schedule import offsets_conflict
 from repro.core.tag_protocol import TagMac
 from repro.resilience.health import DEFAULT_HEALTH_WINDOW, LinkHealthMonitor
 from repro.resilience.policies import PolicyAction, RecoveryPolicy, default_policies
+from repro.sim.random import as_index
 
 
 class ResilienceError(RuntimeError):
@@ -133,6 +136,10 @@ class NetworkSupervisor:
         max_hard_resets: int = 2,
         health_window: int = DEFAULT_HEALTH_WINDOW,
     ) -> None:
+        policy_grace = as_index(policy_grace, "policy_grace")
+        restart_grace = as_index(restart_grace, "restart_grace")
+        max_hard_resets = as_index(max_hard_resets, "max_hard_resets")
+        health_window = as_index(health_window, "health_window")
         if policy_grace < 1:
             raise ValueError("policy_grace must be >= 1 slot")
         if restart_grace < 1:
@@ -168,6 +175,11 @@ class NetworkSupervisor:
         self._violation_streak = 0
         self._restarted_this_episode = False
         self._hard_resets = 0
+        # The last committed ledger scanned for double bookings and the
+        # conflicts found.  Compared by content, not by a version
+        # counter: corruption paths write ``reader._committed`` directly.
+        self._scanned_ledger: Optional[Dict[str, int]] = None
+        self._double_booked: List[str] = []
 
     # -- policy registration hooks (called from RecoveryPolicy.attach) -----
 
@@ -253,16 +265,16 @@ class NetworkSupervisor:
                     )
                 )
         if reader.enable_future_avoidance:
-            pairs = sorted((t, periods[t], o) for t, o in committed.items())
-            for (a, pa, oa), (b, pb, ob) in itertools.combinations(pairs, 2):
-                if offsets_conflict(pa, oa, pb, ob):
-                    violations.append(
-                        InvariantViolation(
-                            slot,
-                            "double_booked",
-                            f"{a}({pa},{oa}) conflicts with {b}({pb},{ob})",
-                        )
-                    )
+            if committed != self._scanned_ledger:
+                pairs = sorted((t, periods[t], o) for t, o in committed.items())
+                self._double_booked = [
+                    f"{a}({pa},{oa}) conflicts with {b}({pb},{ob})"
+                    for (a, pa, oa), (b, pb, ob) in itertools.combinations(pairs, 2)
+                    if offsets_conflict(pa, oa, pb, ob)
+                ]
+                self._scanned_ledger = committed
+            for detail in self._double_booked:
+                violations.append(InvariantViolation(slot, "double_booked", detail))
         stale = reader.evicting() - committed.keys()
         if stale:
             violations.append(

@@ -15,6 +15,7 @@ from repro.fleet import (
     UniformBank,
     specs_for_seeds,
 )
+from repro.phy import kernels
 
 PERIODS = {"tag1": 4, "tag2": 8, "tag3": 8}
 
@@ -105,6 +106,97 @@ class TestOffsetBank:
         first = out[0, 0]
         bank.take_masked(np.array([[True]]), out)
         assert (first, out[0, 0]) == (ref[0], ref[1])
+
+
+def _spy_refill(monkeypatch):
+    """Count the cursors every ``kernels.pcg64_refill`` call sees."""
+    calls = []
+    refill = kernels.pcg64_refill
+
+    def spy(states, buf, cursor, needed, bounds=None):
+        calls.append(cursor.tolist())
+        return refill(states, buf, cursor, needed, bounds)
+
+    monkeypatch.setattr(kernels, "pcg64_refill", spy)
+    return calls
+
+
+class TestRefillReturns:
+    """``ensure`` calls the refill kernel only when a stream is short."""
+
+    def test_uniform_bank_skips_the_kernel_until_a_stream_is_short(
+        self, monkeypatch
+    ):
+        bank = UniformBank([0, 1, 2], block=16)
+        calls = _spy_refill(monkeypatch)
+        reference = [
+            np.random.Generator(np.random.PCG64(s)).random(40) for s in range(3)
+        ]
+        drawn = [row.tolist() for row in bank.take_grid(12)]
+        bank.ensure(4)  # every cursor at 12 = block - needed
+        assert calls == []
+        drawn[1].append(bank.take_scalar(1))
+        bank.ensure(4)  # stream 1 is one draw short
+        assert calls == [[12, 13, 12]]
+        for _ in range(6):
+            bank.ensure(4)
+            for row, values in zip(drawn, bank.take_grid(4).tolist()):
+                row.extend(values)
+        assert len(calls) > 1
+        for s, row in enumerate(drawn):
+            assert row == reference[s][: len(row)].tolist()
+
+    def test_offset_bank_skips_the_kernel_until_a_stream_is_short(
+        self, monkeypatch
+    ):
+        periods = [4, 8]
+        bank = OffsetBank([[0, 1], [2, 3]], periods, block=8)
+        calls = _spy_refill(monkeypatch)
+        reference = {
+            (i, j): np.random.Generator(np.random.PCG64(2 * i + j)).integers(
+                0, periods[j], size=30
+            )
+            for i in range(2)
+            for j in range(2)
+        }
+        out = np.zeros((2, 2), dtype=np.int64)
+        only = np.array([[False, True], [False, False]])
+        for _ in range(4):
+            bank.take_masked(only, out)
+        bank.ensure(4)  # stream (0, 1) at 4 = block - needed
+        assert calls == []
+        bank.take_masked(only, out)
+        bank.ensure(4)  # now one draw short
+        assert calls == [[0, 5, 0, 0]]
+        drawn = {key: [] for key in reference}
+        for k in range(25):
+            bank.ensure(1)
+            bank.take_masked(np.ones((2, 2), dtype=bool), out)
+            for (i, j), values in drawn.items():
+                values.append(out[i, j])
+        for (i, j), values in drawn.items():
+            start = 5 if (i, j) == (0, 1) else 0
+            assert values == reference[i, j][start : start + 25].tolist()
+
+    @pytest.mark.parametrize("cursor", [-1, 17])
+    def test_out_of_range_cursor_still_reaches_the_kernel_and_raises(
+        self, monkeypatch, cursor
+    ):
+        bank = UniformBank([0, 1], block=16)
+        calls = _spy_refill(monkeypatch)
+        bank._cursor[1] = cursor
+        with pytest.raises(ValueError, match="within its block"):
+            bank.ensure(1)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cursor", [-1, 9])
+    def test_out_of_range_offset_cursor_still_raises(self, monkeypatch, cursor):
+        bank = OffsetBank([[0, 1]], [4, 8], block=8)
+        calls = _spy_refill(monkeypatch)
+        bank._cursor[0, 1] = cursor
+        with pytest.raises(ValueError, match="within its block"):
+            bank.ensure(1)
+        assert len(calls) == 1
 
 
 class TestFleetSpec:
