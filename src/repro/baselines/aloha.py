@@ -16,8 +16,9 @@ distributed slot allocation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Tuple
+from typing import Dict, Mapping
 
 import numpy as np
 
@@ -88,15 +89,24 @@ class AlohaSimulation:
     ) -> None:
         if not charge_times_s:
             raise ValueError("need at least one tag")
-        for tag, t in charge_times_s.items():
-            if t <= 0:
-                raise ValueError(f"charge time for {tag!r} must be positive")
-        if duration_s <= 0 or packet_duration_s <= 0:
-            raise ValueError("durations must be positive")
+        # Finite as well as positive: an infinite run never ends, and a
+        # NaN one slips past a plain ``<= 0`` test.
+        positive = [
+            (f"charge time for {tag!r}", t) for tag, t in charge_times_s.items()
+        ]
+        positive += [
+            ("duration_s", duration_s),
+            ("packet_duration_s", packet_duration_s),
+        ]
+        for name, value in positive:
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not 0 < resume_fraction <= 1:
             raise ValueError("resume fraction must be in (0, 1]")
-        if noise_std < 0:
-            raise ValueError("noise std must be non-negative")
+        if not (math.isfinite(noise_std) and noise_std >= 0):
+            raise ValueError(
+                f"noise_std must be non-negative and finite, got {noise_std!r}"
+            )
         self.charge_times_s = dict(charge_times_s)
         self.duration_s = duration_s
         self.packet_duration_s = packet_duration_s
@@ -112,52 +122,72 @@ class AlohaSimulation:
         First cycle charges from empty; every later cycle resumes from
         LTH.  Charging is paused during transmission, so each cycle is
         charge + packet airtime.
+
+        The cycles are drawn as one block of normals and summed with
+        ``cumsum``, which adds in cycle order, so every start is the
+        float an event-by-event loop reaches.  Such a loop draws one
+        normal per start plus the one whose start falls past the end;
+        the generator is rewound and advanced by exactly that many, so
+        later tags see the same stream.
         """
-        starts: List[float] = []
-        t = full_charge_s * max(0.0, 1.0 + self.noise_std * rng.normal())
-        while t < self.duration_s:
-            starts.append(t)
-            recharge = (
-                full_charge_s
-                * self.resume_fraction
-                * max(0.0, 1.0 + self.noise_std * rng.normal())
-            )
-            t += self.packet_duration_s + recharge
-        return np.asarray(starts)
+        size = self._block_size(full_charge_s)
+        state = rng.bit_generator.state
+        while True:
+            scale = 1.0 + self.noise_std * rng.normal(size=size)
+            # max(0.0, x) per element; np.maximum would differ on -0.0.
+            scale = np.where(scale > 0.0, scale, 0.0)
+            steps = self.packet_duration_s + (
+                full_charge_s * self.resume_fraction
+            ) * scale
+            steps[0] = full_charge_s * scale[0]
+            times = np.cumsum(steps)
+            n = int(np.searchsorted(times, self.duration_s, side="left"))
+            if n < size:
+                break
+            size *= 2
+            rng.bit_generator.state = state
+        if n + 1 < size:
+            rng.bit_generator.state = state
+            rng.normal(size=n + 1)
+        return times[:n]
+
+    def _block_size(self, full_charge_s: float) -> int:
+        """First guess at how many normals one tag draws: the count at
+        the nominal cycle plus a margin.  A short guess only costs a
+        redraw of twice as many."""
+        cycle = self.packet_duration_s + full_charge_s * self.resume_fraction
+        return int(self.duration_s / cycle * 1.05) + 16
 
     def run(self) -> AlohaResult:
         """Generate all transmissions and count pairwise overlaps."""
         rng = np.random.default_rng(self.seed)
         tags = sorted(self.charge_times_s)
-        events: List[Tuple[float, int]] = []  # (start, tag_index)
-        counts: List[int] = []
-        for idx, tag in enumerate(tags):
-            starts = self._tag_transmission_starts(self.charge_times_s[tag], rng)
-            counts.append(len(starts))
-            events.extend((float(s), idx) for s in starts)
-        events.sort()
-
-        collided = [0] * len(tags)
-        collided_flags = [False] * len(events)
+        starts = [
+            self._tag_transmission_starts(self.charge_times_s[tag], rng)
+            for tag in tags
+        ]
+        counts = [len(s) for s in starts]
+        times = np.concatenate(starts)
+        owners = np.repeat(np.arange(len(tags)), counts)
+        order = np.lexsort((owners, times))
+        times = times[order]
+        owners = owners[order]
         # Two packets overlap iff their starts differ by less than one
-        # packet duration; sweep the sorted starts with a window.
-        for i in range(len(events)):
-            start_i, tag_i = events[i]
-            j = i + 1
-            while j < len(events) and events[j][0] - start_i < self.packet_duration_s:
-                collided_flags[i] = True
-                collided_flags[j] = True
-                j += 1
-        for flag, (_, tag_idx) in zip(collided_flags, events):
-            if flag:
-                collided[tag_idx] += 1
+        # packet duration.  On sorted starts the gap to the next start
+        # is the smallest one ahead (float subtraction rounds
+        # monotonically), so each start only needs its neighbours.
+        close = np.diff(times) < self.packet_duration_s
+        flags = np.zeros(len(times), dtype=bool)
+        flags[:-1] |= close
+        flags[1:] |= close
+        collided = np.bincount(owners[flags], minlength=len(tags))
 
         per_tag = {
             tag: TagAlohaStats(
                 tag=tag,
                 charge_time_s=self.charge_times_s[tag],
                 total_tx=counts[idx],
-                collided_tx=collided[idx],
+                collided_tx=int(collided[idx]),
             )
             for idx, tag in enumerate(tags)
         }

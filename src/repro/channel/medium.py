@@ -143,6 +143,11 @@ class AcousticMedium:
         self._carrier_response = 1.0
         self._foreign_carriers: Tuple[ForeignCarrier, ...] = ()
         self._interference_power: Dict[float, float] = {}
+        # Penalty-free uplink_packet_success results, keyed by (tag, bit
+        # rate, packet bits), valid for the propagation generation they
+        # were computed at.
+        self._packet_success: Dict[Tuple[str, float, int], float] = {}
+        self._packet_success_links = self._propagation.generation
         self._channel_generation = 0
 
     @property
@@ -170,6 +175,8 @@ class AcousticMedium:
             self._reference_tag, self._source
         )
         self._interference_power.clear()
+        # The packet-success memo follows the propagation model's
+        # generation, which invalidate_cache just bumped.
         self._channel_generation += 1
 
     # -- carrier plan (multi-reader frequency division) ----------------------
@@ -212,6 +219,7 @@ class AcousticMedium:
         self._carrier_frequency_hz = frequency_hz
         self._carrier_response = response
         self._interference_power.clear()
+        self._packet_success.clear()
         self._channel_generation += 1
         return True
 
@@ -238,6 +246,7 @@ class AcousticMedium:
             return False
         self._foreign_carriers = tup
         self._interference_power.clear()
+        self._packet_success.clear()
         self._channel_generation += 1
         return True
 
@@ -416,10 +425,34 @@ class AcousticMedium:
         Combines per-bit errors with a small rate-dependent burst-loss
         floor (sync slips and transient disturbances grow slightly with
         bit rate, mirroring the mild upward trend of Fig. 12b).
+
+        Penalty-free results are memoised until the channel changes:
+        the slot loop asks again for every lone transmitter.
         """
         if packet_bits <= 0:
             raise ValueError("packet must contain at least one bit")
-        ber = self.uplink_bit_error_rate(tag, bit_rate_bps, penalty_db)
+        if penalty_db:
+            return self._packet_success_of(
+                tag, bit_rate_bps, packet_bits, penalty_db
+            )
+        links = self._propagation.generation
+        if links != self._packet_success_links:
+            # Another medium on the same propagation model dropped its
+            # links; the budgets memoised here used them.
+            self._packet_success.clear()
+            self._packet_success_links = links
+        key = (tag, bit_rate_bps, packet_bits)
+        success = self._packet_success.get(key)
+        if success is None:
+            success = self._packet_success_of(tag, bit_rate_bps, packet_bits, 0.0)
+            self._packet_success[key] = success
+        return success
+
+    def _packet_success_of(
+        self, tag: str, bit_rate_bps: float, packet_bits: int, penalty_db: float
+    ) -> float:
+        """:meth:`uplink_packet_success` computed afresh."""
+        ber =self.uplink_bit_error_rate(tag, bit_rate_bps, penalty_db)
         clean_bits = (1.0 - ber) ** packet_bits
         burst = BASE_BURST_LOSS * (1.0 + bit_rate_bps / 1500.0)
         return clean_bits * (1.0 - min(burst, 1.0))

@@ -65,6 +65,10 @@ class PropagationModel:
         self._source_v = source_amplitude_v
         self._frequency = frequency_hz
         self._cache: Dict[tuple, LinkBudget] = {}
+        #: Bumped by :meth:`invalidate_cache`.  Media sharing this model
+        #: (one per reader of a multi-reader deployment) compare it to
+        #: tell that links they memoised results from were dropped.
+        self.generation = 0
 
     @property
     def biw(self) -> BiWModel:
@@ -105,3 +109,4 @@ class PropagationModel:
     def invalidate_cache(self) -> None:
         """Drop cached links (call after mutating the BiW model)."""
         self._cache.clear()
+        self.generation += 1

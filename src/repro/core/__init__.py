@@ -27,7 +27,7 @@ from repro.core.state_machine import (
     TagState,
     TagStateMachine,
 )
-from repro.core.tag_protocol import TagDecision, TagMac
+from repro.core.tag_protocol import TagMac
 
 __all__ = [
     "DEFAULT_SLOT_DURATION_S",
@@ -54,6 +54,5 @@ __all__ = [
     "DEFAULT_NACK_THRESHOLD",
     "TagState",
     "TagStateMachine",
-    "TagDecision",
     "TagMac",
 ]

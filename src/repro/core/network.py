@@ -397,11 +397,11 @@ class SlottedNetwork:
                     tag.transmitted_last_slot = False
                 continue
             if hooks is None:
-                if tag.on_beacon(beacon).transmit:
+                if tag.on_beacon(beacon):
                     transmitters.append(name)
             elif tag.on_beacon(
                 hooks.beacon_for(name, beacon)
-            ).transmit and hooks.transmit_allowed(name):
+            ) and hooks.transmit_allowed(name):
                 transmitters.append(name)
         observation = self._observe(transmitters)
         if ctl is not None:

@@ -50,6 +50,18 @@ _BEACONS = {
 class SlotRecord:
     """Reader-side log entry for one elapsed slot."""
 
+    # A long run logs one record per slot; without a per-instance
+    # ``__dict__`` each is smaller and quicker to build.  A tuple, not
+    # ``dataclass(slots=True)``, which needs Python 3.10.
+    __slots__ = (
+        "slot",
+        "n_transmitters",
+        "decoded",
+        "collision_detected",
+        "acked",
+        "empty_flag",
+    )
+
     slot: int
     n_transmitters: int
     decoded: Optional[str]

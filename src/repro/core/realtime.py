@@ -169,12 +169,11 @@ class RealtimeNetwork:
     def _deliver_beacon(self, name: str, beacon: DownlinkBeacon) -> None:
         rt = self.tags[name]
         self._rearm_watchdog(rt)
-        decision = rt.mac.on_beacon(beacon)
-        if decision.transmit:
+        if rt.mac.on_beacon(beacon):
             start = self.sim.now + TAG_TURNAROUND_S
             rt.transmitting_until = start + self.ul_airtime_s
             self._transmitters_this_slot.append(name)
-            self.trace.emit(start, "ul", name, offset=decision.offset)
+            self.trace.emit(start, "ul", name, offset=rt.mac.offset)
 
     def _rearm_watchdog(self, rt: _TagRuntime) -> None:
         if rt.watchdog is not None:

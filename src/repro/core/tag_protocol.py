@@ -16,7 +16,6 @@ Wraps the state machine with everything a deployed tag tracks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 from repro import telemetry
@@ -64,15 +63,6 @@ class TagUplinkHook(Protocol):
         """Called when the tag transmits; False when the frame went
         elsewhere, so the reader does not hear it this slot."""
         ...
-
-
-@dataclass
-class TagDecision:
-    """What the tag does in the slot a beacon just opened."""
-
-    transmit: bool
-    offset: int
-    state: TagState
 
 
 class TagMac:
@@ -150,12 +140,14 @@ class TagMac:
         transmission slots through a competitive process")."""
         return self.late_arrival and not self.ever_settled
 
-    def on_beacon(self, beacon: DownlinkBeacon) -> TagDecision:
-        """Process a received beacon; returns this slot's decision.
+    def on_beacon(self, beacon: DownlinkBeacon) -> bool:
+        """Process a received beacon; returns whether the tag transmits
+        to the reader in the slot this beacon opens.
 
         Order of operations mirrors the tag firmware: apply last-slot
         feedback (gated on having transmitted), apply RESET, then decide
-        whether to transmit in the slot this beacon opens.
+        whether to transmit.  The offset and state the decision left
+        behind are :attr:`offset` and :attr:`state`.
         """
         self.beacons_received += 1
         self.consecutive_beacon_losses = 0
@@ -194,23 +186,22 @@ class TagMac:
             # competition: feedback and RESET were processed above, but
             # the tag stays silent and burns one hold-off slot.
             self.rejoin_holdoff -= 1
-            return TagDecision(False, machine.offset, machine.state)
+            return False
 
         if counter % machine.period != machine.offset:
-            return TagDecision(False, machine.offset, machine.state)
+            return False
         if self.is_new and self.respect_empty_flag and not beacon.empty:
             # Predicted-busy slot: a newcomer defers and immediately
             # re-rolls its offset rather than provoking a collision.
             if machine.state is TagState.MIGRATE:
                 machine.on_nack()  # re-pick without transmitting
-            return TagDecision(False, machine.offset, machine.state)
+            return False
 
         self.transmissions += 1
         self.transmitted_last_slot = True
-        transmit = True
         if uplink is not None:
-            transmit = uplink.to_reader(self)
-        return TagDecision(transmit, machine.offset, machine.state)
+            return uplink.to_reader(self)
+        return True
 
     def cold_boot(self) -> None:
         """Drop all protocol state, as an MCU reboot does: the state
@@ -241,12 +232,13 @@ class TagMac:
             # the rebooted tag processes its first beacon.
             self._recovery.on_power_cycle(self)
 
-    def on_beacon_loss(self) -> TagDecision:
+    def on_beacon_loss(self) -> bool:
         """The watchdog fired: no beacon arrived for this slot.
 
-        The tag cannot transmit (it has no slot-boundary reference) and
-        its counter stops incrementing — the desynchronisation analysed
-        in Sec. 5.4.  The refinement sends it straight back to MIGRATE.
+        The tag cannot transmit (it has no slot-boundary reference), so
+        the verdict is always False, and its counter stops incrementing
+        — the desynchronisation analysed in Sec. 5.4.  The refinement
+        sends it straight back to MIGRATE.
         """
         self.beacons_missed += 1
         self.consecutive_beacon_losses += 1
@@ -267,6 +259,4 @@ class TagMac:
                 and self.machine.state is TagState.MIGRATE
             ):
                 tel.inc("mac.tag.demotions", tag=self.tag_name)
-        return TagDecision(
-            transmit=False, offset=self.machine.offset, state=self.machine.state
-        )
+        return False

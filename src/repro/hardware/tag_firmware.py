@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.tag_protocol import TagDecision, TagMac
+from repro.core.tag_protocol import TagMac
 from repro.hardware.firmware import (
     Fm0ModulatorIsr,
     GpioEvent,
@@ -75,7 +75,9 @@ class TagFirmware:
         self._payload = payload_source if payload_source is not None else lambda: 0
         self._beacon_end_s = 0.0
         self.transmissions: List[ScheduledTransmission] = []
-        self.decisions: List[TagDecision] = []
+        #: The MAC's transmit verdict for every beacon and watchdog
+        #: expiry, in order.
+        self.decisions: List[bool] = []
 
     # -- interrupt entry points ------------------------------------------------
 
@@ -92,9 +94,9 @@ class TagFirmware:
 
     def _on_beacon(self, beacon: DownlinkBeacon) -> None:
         """The software interrupt: run the network state machine."""
-        decision = self.mac.on_beacon(beacon)
-        self.decisions.append(decision)
-        if decision.transmit:
+        transmit = self.mac.on_beacon(beacon)
+        self.decisions.append(transmit)
+        if transmit:
             packet = UplinkPacket(tid=self.mac.tid, payload=self._payload() & 0xFFF)
             events = self.modulator.transmit(
                 packet.to_bits(), start_s=self._beacon_end_s + TURNAROUND_S

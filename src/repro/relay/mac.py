@@ -77,12 +77,6 @@ class RelayReaderMac(ReaderMac):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._forward_grants: Dict[str, Assignment] = {}
-        # Shadow the per-slot overrides with the base implementations
-        # until the first grant: with no grants they reduce to the base
-        # behaviour anyway, and a reader that never grants must not pay
-        # a wrapper frame per slot (the bench_smoke relay-off gate).
-        self._compute_empty_flag = super()._compute_empty_flag
-        self._decide_ack = super()._decide_ack
 
     # -- grant management ---------------------------------------------------
 
@@ -107,9 +101,12 @@ class RelayReaderMac(ReaderMac):
         self._forward_grants[source] = Assignment(
             f"relay:{source}", period, offset
         )
-        # Expose the grant-aware overrides (shadowed since __init__).
-        self.__dict__.pop("_compute_empty_flag", None)
-        self.__dict__.pop("_decide_ack", None)
+        # Install the grant-aware seams here, not in __init__: a reader
+        # that never grants runs the base seams, with no wrapper frame
+        # per slot (the bench_smoke relay-off gate) and no bound method
+        # of itself in its own __dict__ (a reference cycle).
+        self._compute_empty_flag = self._grant_aware_empty_flag
+        self._decide_ack = self._grant_aware_ack
         return offset
 
     def release_forwarding(self, source: str) -> bool:
@@ -135,7 +132,9 @@ class RelayReaderMac(ReaderMac):
         )
         return others
 
-    def _compute_empty_flag(self, slot: int) -> bool:
+    def _grant_aware_empty_flag(self, slot: int) -> bool:
+        """:meth:`_compute_empty_flag` that keeps granted slots
+        non-EMPTY (installed by :meth:`grant_forwarding`)."""
         empty = super()._compute_empty_flag(slot)
         if empty and self._forward_grants and self.enable_empty_flag:
             # A granted slot is reserved even when no frame is buffered:
@@ -144,7 +143,9 @@ class RelayReaderMac(ReaderMac):
                 return False
         return empty
 
-    def _decide_ack(self, tag: str, slot: int) -> bool:
+    def _grant_aware_ack(self, tag: str, slot: int) -> bool:
+        """:meth:`_decide_ack` that ACKs relayed traffic in its granted
+        slot (installed by :meth:`grant_forwarding`)."""
         if self._forward_grants and self._grant_slot_source(slot) == tag:
             # Relayed traffic: the terminal relay forwarded a frame of
             # ``tag`` (the route source) in its granted slot.  ACK the

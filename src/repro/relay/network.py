@@ -14,8 +14,9 @@ The network runs the base slot loop unchanged and hooks in through its
 seams: a slot-opening check that retires routes whose grant vanished,
 each engaged source's MAC (a :class:`~repro.core.tag_protocol.TagUplinkHook`
 that applies the T2T ACK override and diverts frames into the chain),
-the forwarding block inside :meth:`_observe`, and decode attribution
-plus delivery credit in :meth:`_close_slot`.
+and, once the first route engages, the forwarding block ahead of
+:meth:`_observe` and decode attribution plus delivery credit around
+:meth:`_close_slot`.
 
 Zero-cost-when-off contract: until a route engages, the forwarding
 seams are the base implementations and the slot-opening check is one
@@ -87,13 +88,6 @@ class RelaySlottedNetwork(SlottedNetwork):
         self._relay_rng = None
         # This slot's forwards: terminal relay -> source it carries.
         self._forwards: Dict[str, str] = {}
-        # Shadow the forwarding seams with the base implementations
-        # until the first route engages: route-less they reduce to the
-        # base behaviour anyway, and a network that never relays must
-        # not pay a wrapper frame per slot (the bench_smoke relay-off
-        # gate), as RelayReaderMac does for its grant-aware overrides.
-        self._observe = super()._observe
-        self._close_slot = super()._close_slot
 
     # -- route management ---------------------------------------------------
 
@@ -157,9 +151,13 @@ class RelaySlottedNetwork(SlottedNetwork):
         )
         self.routes[source] = route
         self.tags[source].attach_uplink(self)
-        # Expose the forwarding seams (shadowed since __init__).
-        self.__dict__.pop("_observe", None)
-        self.__dict__.pop("_close_slot", None)
+        # Install the forwarding seams here, not in __init__: a network
+        # that never relays runs the base seams, with no wrapper frame
+        # per slot (the bench_smoke relay-off gate) and no bound method
+        # of itself in its own __dict__, a reference cycle that would
+        # leave it and its slot log to the cyclic collector.
+        self._observe = self._forwarding_observe
+        self._close_slot = self._forwarding_close_slot
         tel = telemetry.active()
         if tel is not None:
             tel.inc("relay.engaged", tag=source)
@@ -250,7 +248,9 @@ class RelaySlottedNetwork(SlottedNetwork):
         self._pending_t2t_ack[name] = ok
         return False
 
-    def _observe(self, transmitters: List[str]) -> SlotObservation:
+    def _forwarding_observe(self, transmitters: List[str]) -> SlotObservation:
+        """:meth:`_observe` with this slot's forwards added (installed
+        by :meth:`engage_route`)."""
         routes = self.routes
         if routes:
             # Forwarding in granted slots (cut-through).
@@ -265,7 +265,9 @@ class RelaySlottedNetwork(SlottedNetwork):
                     transmitters.append(relay_name)
         return super()._observe(transmitters)
 
-    def _close_slot(self, observation: SlotObservation) -> SlotRecord:
+    def _forwarding_close_slot(self, observation: SlotObservation) -> SlotRecord:
+        """:meth:`_close_slot` with relayed decodes attributed to their
+        sources (installed by :meth:`engage_route`)."""
         forwards = self._forwards
         if not forwards:
             return super()._close_slot(observation)

@@ -1,12 +1,18 @@
 """Tests for the ALOHA baseline (Appendix B)."""
 
+import math
+import re
+
+import numpy as np
 import pytest
 
+from baselines.oracles import run_reference
 from repro.baselines.aloha import (
     AlohaSimulation,
     PACKET_DURATION_S,
     RESUME_FRACTION,
 )
+from repro.experiments.fig19_aloha import deployment_charge_times
 
 
 class TestMechanics:
@@ -59,6 +65,79 @@ class TestMechanics:
             AlohaSimulation({"a": 1.0}, duration_s=0.0)
         with pytest.raises(ValueError):
             AlohaSimulation({"a": 1.0}, resume_fraction=0.0)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize(
+        "field", ["duration_s", "packet_duration_s", "noise_std", "charge"]
+    )
+    def test_rejects_non_finite(self, field, value):
+        # An infinite run never ended; NaN ones silently gave zero
+        # transmissions (a NaN duration or charge time) or airtime-only
+        # cycles (a NaN noise std).
+        if field == "charge":
+            charge_times, kwargs, name = {"tag1": value}, {}, "'tag1'"
+        else:
+            charge_times, kwargs, name = {"tag1": 5.0}, {field: value}, field
+        with pytest.raises(ValueError, match=re.escape(name) + ".*finite"):
+            AlohaSimulation(charge_times, **kwargs)
+
+
+class TestBlockSweepMatchesReference:
+    """The numpy run against the event-by-event loop it replaced."""
+
+    @pytest.fixture(scope="class")
+    def charge_times(self, medium):
+        return deployment_charge_times(medium)
+
+    @staticmethod
+    def assert_matches(sim):
+        want, want_starts, want_states = run_reference(sim)
+        rng = np.random.default_rng(sim.seed)
+        tags = sorted(sim.charge_times_s)
+        for tag, starts, state in zip(tags, want_starts, want_states):
+            got = sim._tag_transmission_starts(sim.charge_times_s[tag], rng)
+            assert got.dtype == starts.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), starts.view(np.uint64)), tag
+            assert rng.bit_generator.state == state, tag
+        result = sim.run()
+        assert result == want
+        assert all(
+            type(s.total_tx) is int and type(s.collided_tx) is int
+            for s in result.per_tag.values()
+        )
+
+    @pytest.mark.parametrize("duration_s", [4000.0, 10_000.0, 7321.77])
+    def test_forty_seeds(self, charge_times, duration_s):
+        for seed in range(40):
+            self.assert_matches(
+                AlohaSimulation(charge_times, duration_s=duration_s, seed=seed)
+            )
+
+    def test_noise_free(self, charge_times):
+        for duration_s in (4000.0, 7321.77):
+            self.assert_matches(
+                AlohaSimulation(
+                    charge_times, duration_s=duration_s, noise_std=0.0, seed=3
+                )
+            )
+
+    @pytest.mark.parametrize("first_block", [1, 7])
+    def test_first_block_too_short(self, charge_times, monkeypatch, first_block):
+        # Every tag outgrows its first block and redraws from the
+        # rewound generator, doubling until the run's end is covered.
+        monkeypatch.setattr(
+            AlohaSimulation, "_block_size", lambda self, full: first_block
+        )
+        for seed in (0, 1):
+            self.assert_matches(
+                AlohaSimulation(charge_times, duration_s=1234.5, seed=seed)
+            )
+
+    def test_no_transmission_fits(self):
+        # The first charge already outlasts the run: one draw, no starts.
+        self.assert_matches(
+            AlohaSimulation({"a": 50.0, "b": 60.0}, duration_s=10.0, seed=2)
+        )
 
 
 class TestPaperScale:

@@ -30,8 +30,7 @@ def settled_tag(name, tid, period, offset):
     # Walk to its slot, transmit, and take the ACK.
     while tag.slot_counter % period != offset:
         tag.on_beacon(NACK)
-    decision = tag.on_beacon(NACK)
-    assert decision.transmit
+    assert tag.on_beacon(NACK) is True
     tag.on_beacon(ACK)
     assert tag.ever_settled
     return tag
@@ -55,11 +54,11 @@ class TestEffectiveOffsetShift:
         # at local slot G, i.e. ≡ 0 (mod 8)... one more beacon makes its
         # local ≡ 1 — but globally that slot is ≡ 2: shifted by one.
         global_slot = tag.slot_counter + 1  # one lost beacon
-        decision = tag.on_beacon(ACK)  # local 0 -> no tx
+        assert tag.on_beacon(ACK) is False  # local 0 -> no tx
         global_slot += 1
-        decision = tag.on_beacon(ACK)  # local 1 (its offset) -> transmits
+        transmit = tag.on_beacon(ACK)  # local 1 (its offset) -> transmits
         global_slot += 1
-        assert decision.transmit
+        assert transmit is True
         # Ground truth: the transmission happened at global ≡ 2 (mod 8),
         # the unoccupied slot of Fig. 8(b).
         assert (global_slot - 1) % 8 == 2
@@ -83,7 +82,7 @@ class TestStationaryNeighbours:
         # adjustments are confined to the errant tag.
         b = settled_tag("B", 1, 8, 3)
         for _ in range(24):
-            decision = b.on_beacon(ACK)
+            b.on_beacon(ACK)
             if b.slot_counter % 8 == 4:  # just transmitted at offset 3
                 pass
         assert b.ever_settled

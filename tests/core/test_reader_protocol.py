@@ -1,9 +1,12 @@
 """Tests for the reader-side MAC."""
 
+import pickle
+from dataclasses import asdict
+
 import pytest
 
 from repro.channel.medium import SlotObservation
-from repro.core.reader_protocol import ReaderMac
+from repro.core.reader_protocol import ReaderMac, SlotRecord
 
 
 def obs(transmitters=(), decoded=None, collision=False):
@@ -232,6 +235,24 @@ class TestRecords:
     def test_invalid_period_rejected(self):
         with pytest.raises(ValueError):
             ReaderMac({"a": 3})
+
+    def test_record_is_slotted_and_pickles(self):
+        r = ReaderMac({"a": 4, "b": 4})
+        _, record = run_slot(r, decoded="a", transmitters=["a"])
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.note = "x"
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy) is SlotRecord
+        assert copy == record
+        assert asdict(copy) == asdict(record) == {
+            "slot": 0,
+            "n_transmitters": 1,
+            "decoded": "a",
+            "collision_detected": False,
+            "acked": True,
+            "empty_flag": True,
+        }
 
 
 class TestEvictionCornerCases:

@@ -33,10 +33,10 @@ class TestSlotCounting:
 
     def test_transmits_at_matching_slot(self):
         tag = make_tag(period=4, offsets=[2])
-        first = [tag.on_beacon(BEACON).transmit for _ in range(3)]  # slots 0-2
+        first = [tag.on_beacon(BEACON) for _ in range(3)]  # slots 0-2
         assert first == [False, False, True]
         tag.on_beacon(ACK)  # slot 3: feedback settles the tag at offset 2
-        rest = [tag.on_beacon(ACK).transmit for _ in range(8)]  # slots 4-11
+        rest = [tag.on_beacon(ACK) for _ in range(8)]  # slots 4-11
         assert rest == [False, False, True, False] * 2
 
     def test_counter_stalls_on_beacon_loss(self):
@@ -58,7 +58,7 @@ class TestFeedbackGating:
 
     def test_ack_after_transmission_settles(self):
         tag = make_tag(period=4, offsets=[0])
-        assert tag.on_beacon(BEACON).transmit  # slot 0: transmits
+        assert tag.on_beacon(BEACON) is True  # slot 0: transmits
         tag.on_beacon(ACK)  # feedback for slot 0
         assert tag.state is TagState.SETTLE
         assert tag.ever_settled
@@ -76,7 +76,7 @@ class TestFeedbackGating:
         assert tag.transmitted_last_slot
         tag.on_beacon(ACK)
         # Settled at offset 0 -> transmits again at slot 4, not slot 1.
-        assert not tag.on_beacon(ACK).transmit or tag.slot_counter % 4 == 0
+        assert tag.on_beacon(ACK) is False or tag.slot_counter % 4 == 0
 
 
 class TestReset:
@@ -93,18 +93,17 @@ class TestReset:
 class TestEmptyFlagGating:
     def test_late_tag_defers_when_slot_predicted_busy(self):
         tag = make_tag(period=4, offsets=[0, 2], late_arrival=True)
-        decision = tag.on_beacon(DownlinkBeacon(empty=False))
-        assert not decision.transmit
+        assert tag.on_beacon(DownlinkBeacon(empty=False)) is False
         assert tag.offset == 2  # re-rolled instead of colliding
 
     def test_late_tag_transmits_when_empty(self):
         tag = make_tag(period=4, offsets=[0], late_arrival=True)
-        assert tag.on_beacon(DownlinkBeacon(empty=True)).transmit
+        assert tag.on_beacon(DownlinkBeacon(empty=True)) is True
 
     def test_early_tag_ignores_empty_flag(self):
         # Sec. 5.5: "only newly arriving tags respond to the EMPTY flag".
         tag = make_tag(period=4, offsets=[0], late_arrival=False)
-        assert tag.on_beacon(DownlinkBeacon(empty=False)).transmit
+        assert tag.on_beacon(DownlinkBeacon(empty=False)) is True
 
     def test_late_tag_stops_obeying_after_first_settle(self):
         tag = make_tag(period=4, offsets=[0], late_arrival=True)
@@ -115,12 +114,12 @@ class TestEmptyFlagGating:
         tag.on_beacon(DownlinkBeacon(empty=True))  # slot 3
         # Slot 4 is the tag's scheduled slot; settled tags transmit
         # regardless of the EMPTY prediction.
-        assert tag.on_beacon(DownlinkBeacon(empty=False)).transmit
+        assert tag.on_beacon(DownlinkBeacon(empty=False)) is True
 
     def test_gating_can_be_disabled(self):
         tag = make_tag(period=4, offsets=[0], late_arrival=True,
                        respect_empty_flag=False)
-        assert tag.on_beacon(DownlinkBeacon(empty=False)).transmit
+        assert tag.on_beacon(DownlinkBeacon(empty=False)) is True
 
 
 class TestBeaconLoss:
@@ -134,7 +133,7 @@ class TestBeaconLoss:
 
     def test_no_transmission_during_loss(self):
         tag = make_tag(period=4, offsets=[0, 0])
-        assert not tag.on_beacon_loss().transmit
+        assert tag.on_beacon_loss() is False
 
 
 class TestConsecutiveBeaconLoss:
@@ -251,11 +250,11 @@ class TestPowerCycleRejoin:
         tag = make_tag(period=2, offsets=[0])
         tag.rejoin_holdoff = 4
         decisions = [tag.on_beacon(BEACON) for _ in range(4)]
-        assert all(not d.transmit for d in decisions)
+        assert decisions == [False] * 4
         assert tag.rejoin_holdoff == 0
         assert tag.slot_counter == 4  # counter keeps tracking beacons
         # Holdoff drained: slot 4 matches offset 0 mod 2, so it speaks.
-        assert tag.on_beacon(BEACON).transmit
+        assert tag.on_beacon(BEACON) is True
 
     def test_holdoff_still_processes_feedback_and_reset(self):
         tag = make_tag(period=4, offsets=[0, 3])

@@ -36,7 +36,7 @@ class TestFirmwarePipeline:
         fw = make_firmware()
         feed_beacon(fw, DownlinkBeacon(empty=True))
         assert fw.beacons_decoded == 1
-        assert len(fw.decisions) == 1
+        assert fw.decisions == [True]
         assert fw.mac.slot_counter == 1
 
     def test_transmission_scheduled_after_turnaround(self):

@@ -5,6 +5,8 @@ trip the escalation ladder on protocol-legal state, and (with the
 default policies) the network eventually reconverges once the last
 fault clears."""
 
+from dataclasses import asdict
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.network import NetworkConfig, SlottedNetwork
@@ -72,8 +74,8 @@ class TestSupervisedChaos:
     def test_supervised_replay_is_deterministic(self, schedule):
         net_a, sup_a = supervised_run(schedule, seed=3)
         net_b, sup_b = supervised_run(schedule, seed=3)
-        assert [r.__dict__ for r in net_a.records] == [
-            r.__dict__ for r in net_b.records
+        assert [asdict(r) for r in net_a.records] == [
+            asdict(r) for r in net_b.records
         ]
         assert [a.to_jsonable() for a in sup_a.actions] == [
             a.to_jsonable() for a in sup_b.actions

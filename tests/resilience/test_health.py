@@ -1,5 +1,7 @@
 """Tests for the link-health watchdog."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.network import NetworkConfig, SlottedNetwork
@@ -108,8 +110,8 @@ class TestLinkHealthMonitor:
         watched = build(seed=3)
         monitor = LinkHealthMonitor(watched)
         monitored_run(watched, monitor, 300)
-        assert [r.__dict__ for r in plain.records] == [
-            r.__dict__ for r in watched.records
+        assert [asdict(r) for r in plain.records] == [
+            asdict(r) for r in watched.records
         ]
 
     def test_report_covers_every_tag(self):

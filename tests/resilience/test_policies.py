@@ -1,6 +1,7 @@
 """Tests for the individual recovery policies."""
 
 import itertools
+from dataclasses import asdict
 
 import pytest
 
@@ -35,7 +36,7 @@ def make_tag(period=4, offsets=None, tid=1):
 def settle(tag):
     """Drive the tag into SETTLE at its current offset."""
     while tag.state is not TagState.SETTLE:
-        decision = tag.on_beacon(ACK if tag.transmitted_last_slot else BEACON)
+        tag.on_beacon(ACK if tag.transmitted_last_slot else BEACON)
     return tag
 
 
@@ -254,7 +255,7 @@ class TestDefaultPolicies:
             sup = NetworkSupervisor(net)
             sup.run(700)
             return (
-                [r.__dict__ for r in net.records],
+                [asdict(r) for r in net.records],
                 [a.to_jsonable() for a in sup.actions],
             )
 

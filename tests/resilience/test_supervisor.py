@@ -1,5 +1,7 @@
 """Tests for the supervised stepping loop and its escalation ladder."""
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.network import NetworkConfig, SlottedNetwork
@@ -30,8 +32,8 @@ class TestZeroCostContract:
         supervised = build(seed=3)
         sup = NetworkSupervisor(supervised, policies=())
         sup.run(500)
-        assert [r.__dict__ for r in plain.records] == [
-            r.__dict__ for r in supervised.records
+        assert [asdict(r) for r in plain.records] == [
+            asdict(r) for r in supervised.records
         ]
         assert sup.violations == []
         assert sup.actions == []
@@ -48,8 +50,8 @@ class TestZeroCostContract:
         plain.run(500)
         supervised = build(seed=7, schedule=schedule)
         NetworkSupervisor(supervised, policies=()).run(500)
-        assert [r.__dict__ for r in plain.records] == [
-            r.__dict__ for r in supervised.records
+        assert [asdict(r) for r in plain.records] == [
+            asdict(r) for r in supervised.records
         ]
 
     def test_no_hooks_installed_without_tag_side_policies(self):

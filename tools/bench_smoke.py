@@ -196,6 +196,30 @@ def telemetry_overhead_check() -> bool:
     return ok
 
 
+def _interleaved_ratio(build_wrapped, build_plain) -> float:
+    """Best-of-repeats wall time of ``OVERHEAD_SLOTS`` slots on the
+    wrapped network over the plain one.
+
+    Both paths are warmed once, then the timed repeats alternate, so
+    neither interpreter warm-up nor a host phase change between two
+    blocks of runs can bias one leg.
+    """
+
+    def one_run(build) -> float:
+        net = build()
+        start = time.perf_counter()
+        net.run(OVERHEAD_SLOTS)
+        return time.perf_counter() - start
+
+    one_run(build_wrapped)
+    one_run(build_plain)
+    wrapped = plain = float("inf")
+    for _ in range(OVERHEAD_REPEATS):
+        wrapped = min(wrapped, one_run(build_wrapped))
+        plain = min(plain, one_run(build_plain))
+    return wrapped / plain
+
+
 def multireader_overhead_check() -> bool:
     """Time a single-reader MultiReaderNetwork against the plain loop.
 
@@ -210,23 +234,15 @@ def multireader_overhead_check() -> bool:
 
     periods = {f"tag{i}": p for i, p in enumerate((4, 8, 8, 16, 16, 32), start=1)}
 
-    def timed(multi: bool) -> float:
-        best = float("inf")
-        for _ in range(OVERHEAD_REPEATS):
-            config = NetworkConfig(seed=0, ideal_channel=True)
-            net = (
-                MultiReaderNetwork(
-                    periods, deployment=deployment_for(1), config=config
-                )
-                if multi
-                else SlottedNetwork(periods, config=config)
-            )
-            start = time.perf_counter()
-            net.run(OVERHEAD_SLOTS)
-            best = min(best, time.perf_counter() - start)
-        return best
+    def config():
+        return NetworkConfig(seed=0, ideal_channel=True)
 
-    ratio = timed(multi=True) / timed(multi=False)
+    ratio = _interleaved_ratio(
+        lambda: MultiReaderNetwork(
+            periods, deployment=deployment_for(1), config=config()
+        ),
+        lambda: SlottedNetwork(periods, config=config()),
+    )
     ok = ratio <= MAX_RATIO_MULTIREADER
     print(
         f"single-reader multireader overhead over {OVERHEAD_SLOTS} slots: "
@@ -252,30 +268,15 @@ def relay_overhead_check() -> bool:
 
     periods = {f"tag{i}": p for i, p in enumerate((4, 8, 8, 16, 16, 32), start=1)}
 
-    def build(relay: bool):
-        config = NetworkConfig(seed=0, ideal_channel=True)
-        if relay:
-            return RelaySlottedNetwork(
-                periods, config=config, relaying_enabled=False
-            )
-        return SlottedNetwork(periods, config=config)
+    def config():
+        return NetworkConfig(seed=0, ideal_channel=True)
 
-    def one_run(relay: bool) -> float:
-        net = build(relay)
-        start = time.perf_counter()
-        net.run(OVERHEAD_SLOTS)
-        return time.perf_counter() - start
-
-    # Warm both paths once, then interleave the timed repeats so
-    # interpreter warm-up cannot bias whichever leg runs first.
-    one_run(True)
-    one_run(False)
-    best = {True: float("inf"), False: float("inf")}
-    for _ in range(OVERHEAD_REPEATS):
-        for relay in (True, False):
-            best[relay] = min(best[relay], one_run(relay))
-
-    ratio = best[True] / best[False]
+    ratio = _interleaved_ratio(
+        lambda: RelaySlottedNetwork(
+            periods, config=config(), relaying_enabled=False
+        ),
+        lambda: SlottedNetwork(periods, config=config()),
+    )
     ok = ratio <= MAX_RATIO_RELAY
     print(
         f"relay-off overhead over {OVERHEAD_SLOTS} slots: "

@@ -29,6 +29,7 @@ import argparse
 import os
 import secrets
 import sys
+from dataclasses import asdict
 from typing import List, Optional
 
 sys.path.insert(
@@ -104,7 +105,7 @@ def run_trial(seed: int, n_faults: int, max_duration: int) -> List[str]:
     plain.run(n_slots)
     off = build()
     NetworkSupervisor(off, policies=()).run(n_slots)
-    if [r.__dict__ for r in plain.records] != [r.__dict__ for r in off.records]:
+    if [asdict(r) for r in plain.records] != [asdict(r) for r in off.records]:
         failures.append("no-policy supervised trace diverged from plain run")
 
     return failures
@@ -179,7 +180,7 @@ def run_relay_trial(seed: int, n_faults: int, max_duration: int) -> List[str]:
         faults=schedule,
     )
     plain.run(n_slots)
-    if [r.__dict__ for r in off.records] != [r.__dict__ for r in plain.records]:
+    if [asdict(r) for r in off.records] != [asdict(r) for r in plain.records]:
         failures.append("relay-off trace diverged from plain run")
 
     return failures
