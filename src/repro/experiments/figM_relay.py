@@ -168,20 +168,3 @@ def format_figM(trials: Sequence[RelayDepthTrial]) -> str:
         f"{DEEP_DEPTH}) rescued by relaying"
     )
     return "\n".join(lines)
-
-
-def summarize_figM(trials: Sequence[RelayDepthTrial]) -> Dict[str, object]:
-    """JSON-able summary keyed by tag (experiment-runner fragment)."""
-    out: Dict[str, object] = {}
-    for t in trials:
-        out[t.tag] = {
-            "depth": t.depth,
-            "direct_delivery": t.direct_delivery,
-            "relayed_delivery": t.relayed_delivery,
-            "route": list(t.route) if t.route else None,
-            "hops": t.hops,
-            "relayed_frames": t.relayed_frames,
-            "dropped_frames": t.dropped_frames,
-            "verdict": t.verdict,
-        }
-    return out

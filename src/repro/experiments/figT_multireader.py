@@ -194,28 +194,3 @@ def format_figT(trials: Sequence[MultiReaderTrial]) -> str:
         f"{best.spacing} spacing)"
     )
     return "\n".join(lines)
-
-
-def summarize_figT(trials: Sequence[MultiReaderTrial]) -> Dict[str, object]:
-    """JSON-able summary keyed by geometry (experiment-runner fragment)."""
-    out: Dict[str, object] = {}
-    for t in trials:
-        key = f"r{t.n_readers}_{t.spacing.strip('-') or 'anchor'}"
-        out[key] = {
-            "n_readers": t.n_readers,
-            "spacing": t.spacing,
-            "planned_goodput": t.planned_goodput,
-            "shared_goodput": t.shared_goodput,
-            "planned_worst_sir_db": (
-                None if math.isinf(t.planned_worst_sir_db) else t.planned_worst_sir_db
-            ),
-            "shared_worst_sir_db": (
-                None if math.isinf(t.shared_worst_sir_db) else t.shared_worst_sir_db
-            ),
-            "n_carriers_used": t.n_carriers_used,
-            "n_overlap_tags": t.n_overlap_tags,
-            "planned_handoffs": t.planned_handoffs,
-            "shared_handoffs": t.shared_handoffs,
-            "verdict": t.verdict,
-        }
-    return out

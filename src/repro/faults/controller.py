@@ -113,13 +113,11 @@ class FaultController:
         rng: np.random.Generator,
         injectors: Optional[Iterable[FaultInjector]] = None,
         recorder: Optional[TraceRecorder] = None,
-        record_slots: bool = True,
     ) -> None:
         self.schedule = schedule
         self.network = network
         self.rng = rng
         self.trace = recorder if recorder is not None else TraceRecorder()
-        self.record_slots = record_slots
         self.state = FaultState()
 
         self._injectors = list(injectors) if injectors is not None else default_injectors()
@@ -180,8 +178,6 @@ class FaultController:
     def on_slot_end(self, slot: int, record) -> None:
         """Record the slot outcome (for golden traces and post-hoc
         recovery analysis)."""
-        if not self.record_slots:
-            return
         self.trace.emit(
             float(slot),
             "slot",

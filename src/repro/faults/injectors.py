@@ -208,6 +208,13 @@ class ChannelFaultInjector(FaultInjector):
     name = "channel"
     kinds = CHANNEL_KINDS
 
+    def bind(self, controller) -> None:
+        super().bind(controller)
+        # The joint offset this injector's network last derived its
+        # channel from.  Cells of a multi-reader deployment share one
+        # BiW, so the BiW's own offset may already be another cell's.
+        self._applied_offset_db = controller.network.medium.biw.joint_loss_offset_db
+
     def apply(self, event: FaultEvent, rng: np.random.Generator) -> None:
         self._refresh()
 
@@ -231,11 +238,13 @@ class ChannelFaultInjector(FaultInjector):
         self._set_joint_offset(joint_offset)
 
     def _set_joint_offset(self, offset_db: float) -> None:
+        if offset_db == self._applied_offset_db:
+            return
+        self._applied_offset_db = offset_db
         network = self.controller.network
         medium = network.medium
-        if medium.biw.joint_loss_offset_db == offset_db:
-            return
-        medium.biw.set_joint_loss_offset_db(offset_db)
+        if medium.biw.joint_loss_offset_db != offset_db:
+            medium.biw.set_joint_loss_offset_db(offset_db)
         # invalidate_channel_cache bumps the medium's channel
         # generation, which the waveform tier's link cache follows on
         # its own.

@@ -1,10 +1,13 @@
 """Batched fleet-scale slot engine.
 
-Steps N independent slot-tier networks — "a factory line of BiWs" —
-one slot per vectorised call, with per-network slot logs byte-identical
-to N sequential :class:`~repro.core.network.SlottedNetwork` runs under
-the same seeds.  See docs/FLEET.md for the architecture, the
-structure-of-arrays layout, and the determinism contract.
+Steps N independent plain slot-tier networks — "a factory line of
+BiWs" — one slot or many per vectorised call, with per-network slot
+logs byte-identical to N sequential
+:class:`~repro.core.network.SlottedNetwork` runs under the same seeds.
+Faulted and supervised networks run on their own, as a
+``SlottedNetwork`` or under a ``NetworkSupervisor``.  See
+docs/FLEET.md for the architecture, the structure-of-arrays layout,
+and the determinism contract.
 """
 
 from repro.fleet.engine import FleetEngine

@@ -146,7 +146,7 @@ def run_until_converged(
         [FleetSpec(_NAME, net.config.seed)],
         config=net.config,
         activation_slot=net.activation_slot,
-        medium_factory=lambda: net.medium,
+        medium=net.medium,
     )
     slots = engine.run_until_converged(streak, max_slots)[_NAME]
     _write_back(net, engine)

@@ -3,17 +3,16 @@
 :class:`FleetEngine` holds N independent deployments of one BiW
 scenario (same tag roster, periods, channel and protocol config;
 different seeds) and advances all of them one slot per
-:meth:`step_all` call.  Two lanes run in lockstep:
-
-* the **vector lane** — plain networks stepped over structure-of-arrays
-  state (:class:`~repro.fleet.state.TagArrays`,
-  :class:`~repro.fleet.reader.BatchReader`, block-buffered RNG banks),
-  one compiled call per slot (:func:`repro.phy.kernels.fleet_step`) or
-  the numpy step it reproduces;
-* the **scalar lane** — networks with a fault schedule or a resilience
-  supervisor attached, embedded as real
-  :class:`~repro.core.network.SlottedNetwork` objects so the rich
-  fault/recovery semantics stay exactly the sequential ones.
+:meth:`step_all` call, or many per :meth:`run`.  Every network is a
+plain one, stepped over structure-of-arrays state
+(:class:`~repro.fleet.state.TagArrays`,
+:class:`~repro.fleet.reader.BatchReader`, block-buffered RNG banks)
+by one compiled call for any number of slots
+(:func:`repro.phy.kernels.fleet_run`) or by the numpy step it
+reproduces.  A network with a fault schedule or a resilience
+supervisor runs as its own
+:class:`~repro.core.network.SlottedNetwork` or
+:class:`~repro.resilience.supervisor.NetworkSupervisor`.
 
 Determinism contract: for every network, the per-slot log produced
 here is **byte-identical** to a sequential run of the same scenario
@@ -27,19 +26,13 @@ itself (multi-transmitter capture arbitration calls
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro import telemetry
 from repro.channel.medium import CLUSTER_DETECTION_PROBABILITY, AcousticMedium
-from repro.core.network import (
-    NetworkConfig,
-    SlottedNetwork,
-    derive_beacon_loss,
-    slot_count,
-)
+from repro.core.network import NetworkConfig, derive_beacon_loss, slot_count
 from repro.core.reader_protocol import SlotRecord
 from repro.fleet.reader import BatchReader
 from repro.fleet.rng import OffsetBank, UniformBank
@@ -56,24 +49,20 @@ class FleetEngine:
     tag_periods:
         Shared tag roster (name -> period), as for ``SlottedNetwork``.
     specs:
-        One :class:`~repro.fleet.state.FleetSpec` per network.  Specs
-        with faults or a supervisor run on the scalar lane.
+        One :class:`~repro.fleet.state.FleetSpec` per network.
     config:
         Shared :class:`NetworkConfig`; its ``seed`` field is ignored —
         each network uses its spec's seed.
     activation_slot:
         Shared staggered-activation map (plain mode only).
-    medium_factory:
-        Builds one channel per scalar-lane network plus one for the
-        vector lane (fault injectors mutate their network's medium, so
-        instances must not be shared).  Defaults to ``AcousticMedium``.
+    medium:
+        The shared channel.  Defaults to a fresh ``AcousticMedium``.
     energy:
         Run every network as an
         :class:`~repro.core.energy_network.EnergyAwareNetwork`: live
         supercapacitor accounting gates participation, and brownouts
         cold-boot the MAC.  Incompatible with ``activation_slot``
-        (activation emerges from the physics); specs with fault
-        schedules ride the scalar lane as faulted energy networks.
+        (activation emerges from the physics).
     """
 
     #: Keys of a :meth:`summary` scorecard, in order.
@@ -93,7 +82,7 @@ class FleetEngine:
         specs: Sequence[FleetSpec],
         config: Optional[NetworkConfig] = None,
         activation_slot=None,
-        medium_factory: Optional[Callable[[], AcousticMedium]] = None,
+        medium: Optional[AcousticMedium] = None,
         energy: bool = False,
         sensor_samples_per_slot: float = 0.0,
         sensor_sample_duration_s: float = 1.0e-3,
@@ -103,15 +92,14 @@ class FleetEngine:
             raise ValueError("need at least one tag")
         if not specs:
             raise ValueError("need at least one network")
-        names_seen = set()
-        for spec in specs:
-            if spec.name in names_seen:
+        self._rows: Dict[str, int] = {}
+        for row, spec in enumerate(specs):
+            if spec.name in self._rows:
                 raise ValueError(f"duplicate network name {spec.name!r}")
-            names_seen.add(spec.name)
+            self._rows[spec.name] = row
         self.config = config if config is not None else NetworkConfig()
         self.specs = list(specs)
-        self._factory = medium_factory if medium_factory is not None else AcousticMedium
-        self._medium = self._factory()
+        self._medium = medium if medium is not None else AcousticMedium()
         for tag in tag_periods:
             if tag not in self._medium.biw.mounts:
                 raise KeyError(f"tag {tag!r} is not mounted on the BiW")
@@ -130,60 +118,18 @@ class FleetEngine:
         self._tid_by_name = {n: i for i, n in enumerate(self._names)}
         self.n_tags = len(self._names)
         self.n_networks = len(self.specs)
-        self._tag_periods = dict(tag_periods)
 
         self._slot = 0
-        self._build_scalar_lane(
-            sensor_samples_per_slot, sensor_sample_duration_s, initial_capacitor_v
-        )
         self._build_vector_lane(
             sensor_samples_per_slot, sensor_sample_duration_s, initial_capacitor_v
         )
 
     # -- construction --------------------------------------------------------
 
-    def _build_scalar_lane(
-        self, samples: float, sample_s: float, initial_v: float
-    ) -> None:
-        self._scalar_nets: Dict[str, SlottedNetwork] = {}
-        self._scalar_steppers: List[Callable[[], SlotRecord]] = []
-        for spec in self.specs:
-            if spec.vectorizable:
-                continue
-            cfg = replace(self.config, seed=spec.seed)
-            if self._energy:
-                from repro.core.energy_network import EnergyAwareNetwork
-
-                net: SlottedNetwork = EnergyAwareNetwork(
-                    self._tag_periods,
-                    self._factory(),
-                    cfg,
-                    sensor_samples_per_slot=samples,
-                    sensor_sample_duration_s=sample_s,
-                    initial_capacitor_v=initial_v,
-                    faults=spec.faults,
-                )
-            else:
-                net = SlottedNetwork(
-                    self._tag_periods,
-                    self._factory(),
-                    cfg,
-                    activation_slot=self.activation_slot,
-                    faults=spec.faults,
-                )
-            stepper: Callable[[], SlotRecord] = net.step
-            if spec.supervisor_factory is not None:
-                stepper = spec.supervisor_factory(net).step
-            self._scalar_nets[spec.name] = net
-            self._scalar_steppers.append(stepper)
-
     def _build_vector_lane(
         self, samples: float, sample_s: float, initial_v: float
     ) -> None:
-        vec_specs = [s for s in self.specs if s.vectorizable]
-        self._vec_names = [s.name for s in vec_specs]
-        self._vec_index = {name: i for i, name in enumerate(self._vec_names)}
-        nv = self.n_vector = len(vec_specs)
+        nv = self.n_networks
         self.log = SlotLog(nv)
         # run_until_converged's per-network tally: the collision-free
         # streak, and the slot count at which it first reached the
@@ -191,12 +137,10 @@ class FleetEngine:
         # array the compiled step points at.
         self._clean_streak = np.zeros(nv, dtype=np.int64)
         self._converged_at = np.full(nv, -1, dtype=np.int64)
-        if nv == 0:
-            return
 
         slot_seeds = []
         offset_seeds = []
-        for spec in vec_specs:
+        for spec in self.specs:
             streams = RandomStreams(spec.seed)
             slot_seeds.append(streams.seed_of("slots"))
             offset_seeds.append(
@@ -265,22 +209,13 @@ class FleetEngine:
 
     def step_all(self) -> None:
         """Advance every network in the fleet by one slot."""
-        if self.n_vector:
-            self._step_vector()
-        for stepper in self._scalar_steppers:
-            stepper()
-        self._slot += 1
+        kernels.fleet_run(self, 1)
 
     def run(self, n_slots: int) -> None:
-        """Advance the whole fleet by ``n_slots`` slots, leaving the
-        state as many :meth:`step_all` calls leave.  A fleet without a
-        scalar lane runs them through :func:`repro.phy.kernels.fleet_run`."""
-        n_slots = slot_count(n_slots, "n_slots")
-        if self.n_vector and not self._scalar_steppers:
-            kernels.fleet_run(self, n_slots)
-            return
-        for _ in range(n_slots):
-            self.step_all()
+        """Advance the whole fleet by ``n_slots`` slots through
+        :func:`repro.phy.kernels.fleet_run`, leaving the state as many
+        :meth:`step_all` calls leave."""
+        kernels.fleet_run(self, slot_count(n_slots, "n_slots"))
 
     def run_until_converged(
         self, streak: int = 32, max_slots: int = 200_000
@@ -302,40 +237,14 @@ class FleetEngine:
         start = self._slot
         self._clean_streak.fill(0)
         self._converged_at.fill(-1)
-        if self.n_vector and not self._scalar_steppers:
-            kernels.fleet_run(self, max_slots, streak)
-            converged = {}
-        else:
-            converged = self._lockstep_until_converged(streak, max_slots)
-        converged.update(zip(self._vec_names, self._converged_at.tolist()))
+        kernels.fleet_run(self, max_slots, streak)
         return {
-            spec.name: converged[spec.name] - start
-            if converged[spec.name] >= 0
-            else None
-            for spec in self.specs
+            spec.name: slot - start if slot >= 0 else None
+            for spec, slot in zip(self.specs, self._converged_at.tolist())
         }
 
-    def _lockstep_until_converged(self, streak: int, max_slots: int) -> Dict[str, int]:
-        """:meth:`run_until_converged` one :meth:`step_all` at a time, as
-        a scalar lane needs; returns the scalar lane's convergence slot
-        counts (-1: not converged), the vector lane's being tracked in
-        its arrays."""
-        clean = dict.fromkeys(self._scalar_nets, 0)
-        converged = dict.fromkeys(self._scalar_nets, -1)
-        for _ in range(max_slots):
-            self.step_all()
-            done = not self.n_vector or self._track_streak(len(self.log) - 1, streak)
-            for name, net in self._scalar_nets.items():
-                clean[name] = 0 if net.records[-1].collision_detected else clean[name] + 1
-                if clean[name] >= streak and converged[name] < 0:
-                    converged[name] = self._slot
-                done = done and converged[name] >= 0
-            if done:
-                break
-        return converged
-
     def _track_streak(self, row: int, streak: int) -> bool:
-        """Update every vector-lane network's collision-free streak from
+        """Update every network's collision-free streak from
         log ``row``, the slot just run; a network reaching ``streak``
         for the first time records the slot count.  Returns whether
         every network has converged."""
@@ -350,13 +259,10 @@ class FleetEngine:
         """Whether the networks run the energy tier's physics."""
         return self._energy
 
-    def _step_vector(self) -> None:
-        kernels.fleet_step(self)
-
     def _run_numpy(self, n_slots: int, streak: int) -> int:
-        """Up to ``n_slots`` numpy steps of the vector lane, tracking
-        and stopping on convergence for ``streak`` > 0: the reference
-        the compiled :func:`~repro.phy.kernels.fleet_run` reproduces."""
+        """Up to ``n_slots`` numpy steps, tracking and stopping on
+        convergence for ``streak`` > 0: the reference the compiled
+        :func:`~repro.phy.kernels.fleet_run` reproduces."""
         for done in range(1, n_slots + 1):
             self._step_numpy()
             self._slot += 1
@@ -372,9 +278,9 @@ class FleetEngine:
         self._offsets.ensure(4)
 
     def _step_numpy(self) -> None:
-        """The vector lane's slot as numpy array operations: the
-        reference the compiled :func:`~repro.phy.kernels.fleet_step`
-        reproduces."""
+        """One slot of every network as numpy array operations: the
+        reference the compiled :func:`~repro.phy.kernels.fleet_run`
+        reproduces slot for slot."""
         slot = self._slot
         self._refill_banks()
 
@@ -388,8 +294,8 @@ class FleetEngine:
             lost = eligible & (u < self._beacon_loss[None, :])
         else:
             active = np.nonzero(self._activation <= slot)[0]
-            eligible = np.zeros((self.n_vector, self.n_tags), dtype=bool)
-            lost = np.zeros((self.n_vector, self.n_tags), dtype=bool)
+            eligible = np.zeros((self.n_networks, self.n_tags), dtype=bool)
+            lost = np.zeros((self.n_networks, self.n_tags), dtype=bool)
             if active.size:
                 eligible[:, active] = True
                 u = self._uniforms.take_grid(active.size)
@@ -495,9 +401,8 @@ class FleetEngine:
 
     def _arbitrate(self, transmit: np.ndarray, n_tx: np.ndarray):
         """Receive-chain verdict per network: (decoded tid | -1, collision)."""
-        nv = self.n_vector
-        decoded_tid = np.full(nv, -1, dtype=np.int64)
-        collision = np.zeros(nv, dtype=bool)
+        decoded_tid = np.full(self.n_networks, -1, dtype=np.int64)
+        collision = np.zeros(self.n_networks, dtype=bool)
         single = n_tx == 1
         if self.config.ideal_channel:
             if single.any():
@@ -592,10 +497,10 @@ class FleetEngine:
         """Aggregate the slot's counters into the active registry.
 
         Metric names match the sequential tier's; values are summed
-        over the vector lane (counters only, so cross-process merges
-        stay order-independent).
+        over the fleet (counters only, so cross-process merges stay
+        order-independent).
         """
-        tel.inc("mac.slots", self.n_vector)
+        tel.inc("mac.slots", self.n_networks)
         idle = int((n_tx == 0).sum())
         if idle:
             tel.inc("mac.idle_slots", idle)
@@ -633,17 +538,10 @@ class FleetEngine:
     def request_reset(self, names: Optional[Sequence[str]] = None) -> None:
         """Broadcast RESET in the selected networks' next beacons
         (all networks when ``names`` is None)."""
-        targets = list(names) if names is not None else [s.name for s in self.specs]
-        mask = np.zeros(max(self.n_vector, 1), dtype=bool)
-        for name in targets:
-            if name in self._vec_index:
-                mask[self._vec_index[name]] = True
-            elif name in self._scalar_nets:
-                self._scalar_nets[name].reset()
-            else:
-                raise KeyError(f"unknown network {name!r}")
-        if self.n_vector and mask.any():
-            self.reader.request_reset(mask[: self.n_vector])
+        rows = slice(None) if names is None else [self._vector_row(n) for n in names]
+        mask = np.zeros(self.n_networks, dtype=bool)
+        mask[rows] = True
+        self.reader.request_reset(mask)
 
     # -- results -------------------------------------------------------------
 
@@ -652,7 +550,7 @@ class FleetEngine:
         return self._slot
 
     def _vector_row(self, name: str) -> int:
-        row = self._vec_index.get(name)
+        row = self._rows.get(name)
         if row is None:
             raise KeyError(f"unknown network {name!r}")
         return row
@@ -660,8 +558,6 @@ class FleetEngine:
     def records(self, name: str) -> List[SlotRecord]:
         """One network's slot log, as a fresh list of sequential-tier
         ``SlotRecord``s."""
-        if name in self._scalar_nets:
-            return list(self._scalar_nets[name].records)
         row = self._vector_row(name)
         log = self.log
         # Tid -1 (nothing decoded) indexes the trailing None.
@@ -678,24 +574,13 @@ class FleetEngine:
             )
         )
 
-    def scalar_network(self, name: str) -> SlottedNetwork:
-        """The embedded sequential network behind a scalar-lane spec
-        (faulted or supervised) — e.g. to inspect a faulted energy
-        network's per-tag ``energy_log``.  Raises for vector-lane
-        specs, whose state lives in the SoA arrays instead."""
-        if name not in self._scalar_nets:
-            raise KeyError(f"{name!r} is not a scalar-lane network")
-        return self._scalar_nets[name]
-
     def settled_fraction(self, name: str) -> float:
         """Fraction of activated tags currently settled, per network."""
-        if name in self._scalar_nets:
-            return self._scalar_nets[name].settled_fraction()
         row = self._vector_row(name)
         return self._settled_fractions(slice(row, row + 1))[0]
 
     def _settled_fractions(self, rows: slice) -> List[float]:
-        """Settled fraction of each vector-lane network in ``rows``."""
+        """Settled fraction of each network in ``rows``."""
         if self._energy:
             active = np.ones(self.n_tags, dtype=bool)
         else:
@@ -706,25 +591,12 @@ class FleetEngine:
 
     def summary(self, name: str) -> Dict[str, object]:
         """Deterministic per-network scorecard (runner result rows)."""
-        if name in self._scalar_nets:
-            net = self._scalar_nets[name]
-            records = net.records
-            values = (
-                name,
-                len(records),
-                sum(r.decoded is not None for r in records),
-                sum(r.acked for r in records),
-                sum(r.collision_detected for r in records),
-                sum(r.n_transmitters == 0 for r in records),
-                net.settled_fraction(),
-            )
-            return dict(zip(self.SUMMARY_KEYS, values))
         row = self._vector_row(name)
         return self._vector_summaries(slice(row, row + 1))[0]
 
     def _vector_summaries(self, rows: slice) -> List[Dict[str, object]]:
-        """Scorecards of the vector-lane networks in ``rows``: each
-        tally is one reduction over their slot-log columns."""
+        """Scorecards of the networks in ``rows``: each tally is one
+        reduction over their slot-log columns."""
         log = self.log
         tallies = (
             (log.decoded_tid[:, rows] >= 0).sum(axis=0),
@@ -733,9 +605,9 @@ class FleetEngine:
             (log.n_transmitters[:, rows] == 0).sum(axis=0),
         )
         return [
-            dict(zip(self.SUMMARY_KEYS, (name, len(log), *values)))
-            for name, *values in zip(
-                self._vec_names[rows],
+            dict(zip(self.SUMMARY_KEYS, (spec.name, len(log), *values)))
+            for spec, *values in zip(
+                self.specs[rows],
                 *(t.tolist() for t in tallies),
                 self._settled_fractions(rows),
             )
@@ -743,13 +615,7 @@ class FleetEngine:
 
     def summaries(self) -> List[Dict[str, object]]:
         """Scorecards for every network, in spec order."""
-        vector = {}
-        if self.n_vector:
-            vector = dict(zip(self._vec_names, self._vector_summaries(slice(None))))
-        return [
-            vector[spec.name] if spec.name in vector else self.summary(spec.name)
-            for spec in self.specs
-        ]
+        return self._vector_summaries(slice(None))
 
     def aggregate_tag_slots(self) -> int:
         """Total (network x tag x slot) work units stepped so far."""

@@ -2,65 +2,48 @@
 
 One fleet holds N independent deployments of the same BiW scenario —
 identical tag roster, periods, activation map, channel, and protocol
-config, differing only in their RNG seed (and optionally in an attached
-fault schedule or supervisor, which routes a network onto the scalar
-escape lane).  All hot per-(network, tag) protocol state lives in
-stacked numpy arrays indexed ``[network, tid]``, with the tag axis in
-the same sorted-name order the sequential simulator assigns tids.
+config, differing only in their RNG seed.  All hot per-(network, tag)
+protocol state lives in stacked numpy arrays indexed ``[network,
+tid]``, with the tag axis in the same sorted-name order the sequential
+simulator assigns tids.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from repro.sim.random import as_index
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.network import SlottedNetwork
-    from repro.faults.schedule import FaultSchedule
-    from repro.resilience.supervisor import NetworkSupervisor
-
 
 @dataclass(frozen=True)
 class FleetSpec:
-    """One network's identity within a fleet.
+    """One network's name and seed within a fleet.
 
-    ``faults`` and ``supervisor_factory`` opt the network out of the
-    vectorised lane: rich fault injection and resilience supervision
-    keep their exact sequential semantics by running a real
-    :class:`~repro.core.network.SlottedNetwork` inside the fleet's
-    lockstep loop (the *scalar lane*).  Plain networks — the fleet-scale
-    common case — step through the batched kernels.
+    The name must be a non-empty string, and the seed an integer (a
+    fractional or bool seed would alias another network's).
     """
 
     name: str
     seed: int
-    faults: "Optional[FaultSchedule]" = None
-    supervisor_factory: "Optional[Callable[[SlottedNetwork], NetworkSupervisor]]" = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name:
             raise ValueError(f"name must be a non-empty string, got {self.name!r}")
         object.__setattr__(self, "seed", as_index(self.seed, "seed"))
 
-    @property
-    def vectorizable(self) -> bool:
-        """Whether this network can ride the batched kernels."""
-        return self.faults is None and self.supervisor_factory is None
-
 
 def specs_for_seeds(seeds, prefix: str = "net") -> list:
-    """Convenience: one plain :class:`FleetSpec` per seed, named
+    """Convenience: one :class:`FleetSpec` per seed, named
     ``<prefix><index>`` in the given order."""
     return [FleetSpec(name=f"{prefix}{i}", seed=s) for i, s in enumerate(seeds)]
 
 
 @dataclass
 class TagArrays:
-    """Stacked tag-MAC state, one row per vector-lane network.
+    """Stacked tag-MAC state, one row per network.
 
     Mirrors :class:`~repro.core.tag_protocol.TagMac` plus its embedded
     :class:`~repro.core.state_machine.TagStateMachine` field-for-field;
@@ -105,9 +88,9 @@ class TagArrays:
 
 
 class SlotLog:
-    """Columnar per-slot log for the vector lane.
+    """Columnar per-slot log of a fleet.
 
-    One row per slot, one column per vector-lane network, append-only.
+    One row per slot, one column per network, append-only.
     Each field reads back as a read-only ``(slots, N)`` array, so a
     per-network tally is one column reduction; the engine materialises
     the sequential tier's :class:`~repro.core.reader_protocol.SlotRecord`

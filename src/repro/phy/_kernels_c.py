@@ -2146,7 +2146,7 @@ def _address(array: np.ndarray, dtype) -> int:
 
 
 class _FleetStepper:
-    """One engine's compiled vector lane.
+    """One engine's compiled slot loop.
 
     Every array the C step reads or writes belongs to the engine, which
     updates them in place on its numpy step too, so their pointers are
@@ -2156,15 +2156,12 @@ class _FleetStepper:
     cyclic collector ran.
     """
 
-    def __init__(
-        self, engine, step: Callable, finish: Callable, run: Callable
-    ) -> None:
+    def __init__(self, engine, finish: Callable, run: Callable) -> None:
         from repro.channel.medium import CLUSTER_DETECTION_PROBABILITY
 
-        self._step = step
         self._finish = finish
         self._run = run
-        n, t = engine.n_vector, engine.n_tags
+        n, t = engine.n_networks, engine.n_tags
         cfg = engine.config
         tags, reader = engine.tags, engine.reader
         uniforms, offsets = engine._uniforms, engine._offsets
@@ -2244,21 +2241,6 @@ class _FleetStepper:
             for mask in dict.fromkeys(masks):
                 engine._resolve_mask(mask)
             code = self._finish(self._ref, slot, row)
-
-    def step(self, engine) -> None:
-        slot = engine.slots_elapsed
-        log = engine.log
-        row = log.claim_row()
-        # The numpy step may have grown the log too.
-        if log.generation != self._log_generation:
-            self._point_log(log)
-        code = self._step(self._ref, slot, row)
-        if code == _FLEET_REFILL:
-            engine._refill_banks()
-            code = self._step(self._ref, slot, row)
-        self._resolve(engine, slot, row, code)
-        out = self.out
-        engine._close_compiled_slot(row, int(out[0]), int(out[1]))
 
     def run(self, engine, n_slots: int, streak: int) -> int:
         """Up to ``n_slots`` slots through ``rk_fleet_run``, re-entered
@@ -2374,9 +2356,8 @@ def load() -> Dict[str, Callable]:
     lib.rk_mix_sosfilt_dec.argtypes = [ptr, ptr, i64, ptr, i64, i64, ptr, ptr]
     lib.rk_fleet_ctx_size.restype = i64
     lib.rk_fleet_ctx_size.argtypes = []
-    for fleet_entry in (lib.rk_fleet_step, lib.rk_fleet_finish):
-        fleet_entry.restype = i64
-        fleet_entry.argtypes = [ptr, i64, i64]
+    lib.rk_fleet_finish.restype = i64
+    lib.rk_fleet_finish.argtypes = [ptr, i64, i64]
     lib.rk_fleet_run.restype = i64
     lib.rk_fleet_run.argtypes = [ptr, i64, i64, i64, i64]
     if lib.rk_fleet_ctx_size() != ctypes.sizeof(_FleetCtx):
@@ -2410,7 +2391,6 @@ def load() -> Dict[str, Callable]:
     c_env = lib.rk_envelope_rc
     c_noise = lib.rk_receiver_noise
     c_mix = lib.rk_mix_sosfilt_dec
-    c_fleet_step = lib.rk_fleet_step
     c_fleet_finish = lib.rk_fleet_finish
     c_fleet_run = lib.rk_fleet_run
 
@@ -2714,18 +2694,12 @@ def load() -> Dict[str, Callable]:
         )
         return lane.cc[:m].copy()
 
-    def fleet_stepper(engine) -> _FleetStepper:
-        stepper = engine._compiled_stepper
-        if stepper is None or stepper._step is not c_fleet_step:
-            stepper = _FleetStepper(engine, c_fleet_step, c_fleet_finish, c_fleet_run)
-            engine._compiled_stepper = stepper
-        return stepper
-
-    def fleet_step(engine) -> None:
-        fleet_stepper(engine).step(engine)
-
     def fleet_run(engine, n_slots: int, streak: int) -> int:
-        return fleet_stepper(engine).run(engine, n_slots, streak)
+        stepper = engine._compiled_stepper
+        if stepper is None or stepper._run is not c_fleet_run:
+            stepper = _FleetStepper(engine, c_fleet_finish, c_fleet_run)
+            engine._compiled_stepper = stepper
+        return stepper.run(engine, n_slots, streak)
 
     def pcg64_seed(seeds: np.ndarray) -> np.ndarray:
         states = np.empty((seeds.size, 6), dtype=np.uint64)
@@ -2767,7 +2741,6 @@ def load() -> Dict[str, Callable]:
         "envelope_rc": envelope_rc,
         "receiver_noise": receiver_noise,
         "mix_sosfilt_decimate": mix_sosfilt_decimate,
-        "fleet_step": fleet_step,
         "fleet_run": fleet_run,
     }
     # numpy picks its complex-abs loop by CPU; the fused detector's

@@ -5,13 +5,12 @@ a handful of numpy-bound inner loops: the order statistics inside
 :meth:`ReaderReceiveChain.project` / ``schmitt``, the per-bit sampling
 grid, FM0 pair decoding, envelope detection, the receive-filter
 recurrences, the receiver-noise synthesis, and the per-tag template
-combine.  The fleet tier's batched slot step (:func:`fleet_step`, and
-:func:`fleet_run` for many slots) is the other one: dozens of small
-array operations per slot over a few hundred networks; its RNG banks
-seed and refill thousands of PCG64 streams per engine
-(:func:`pcg64_seed`, :func:`pcg64_refill`).  This
-module routes each of those through one of two interchangeable
-backends:
+combine.  The fleet tier's batched slot step (:func:`fleet_run`, for
+one slot or many) is the other one: dozens of small array operations
+per slot over a few hundred networks; its RNG banks seed and refill
+thousands of PCG64 streams per engine (:func:`pcg64_seed`,
+:func:`pcg64_refill`).  This module routes each of those through one
+of two interchangeable backends:
 
 * ``cext`` — a small C translation unit compiled once per process
   family with the system compiler and loaded via ctypes
@@ -51,11 +50,10 @@ non-FM0 demodulators), :func:`schmitt_full` (spread + thresholds +
 state track), :func:`iq_clusters` (the whole IQ-cluster collision
 detector: settling trim, energy guard, plateau filter, constellation
 histogram, smoothing and peak count), :func:`receiver_noise` (the
-complex noise build and its filter), :func:`fleet_step` (a whole
-slot of a fleet engine's vector lane) and :func:`fleet_run` (many such
-slots).  The fusions eliminate the per-call
-dispatch/marshalling overhead that otherwise dominates sub-100-us
-stages.  The compiled table also holds each fused entry's stages
+complex noise build and its filter) and :func:`fleet_run` (whole
+slots of a fleet engine, as many as asked).  The fusions eliminate the
+per-call dispatch/marshalling overhead that otherwise dominates
+sub-100-us stages.  The compiled table also holds each fused entry's stages
 (``median``, ``project_center``, ``cluster_histogram``, ...), which the
 exactness battery compares with their numpy twins.  A fused entry
 whose arithmetic depends on how the host's numpy was built
@@ -252,10 +250,9 @@ def kernel_info() -> Dict[str, object]:
         "fallback_reason": fallback_reason,
         "composed": dict(_kernels_c.PROBE_FAILURES) if _compiled else {},
         "routes": {
-            "fleet_step": "energy-mode fleets (their supercapacitor physics "
+            "fleet_run": "energy-mode fleets (their supercapacitor physics "
             f"is float work) and rosters over {MAX_FLEET_TAGS} tags run the "
             "engine's numpy step",
-            "fleet_run": "routed as fleet_step, to the engine's numpy run",
             "pcg64_refill": "integer bounds outside [1, 2**32) run the numpy "
             "twin",
         },
@@ -739,10 +736,6 @@ def _np_fm0_chain(
     return baseband, offset, raw, tuple(alignments)
 
 
-def _np_fleet_step(engine) -> None:
-    engine._step_numpy()
-
-
 def _np_fleet_run(engine, n_slots: int, streak: int) -> int:
     return engine._run_numpy(n_slots, streak)
 
@@ -823,7 +816,6 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "envelope_rc": _np_envelope_rc,
     "receiver_noise": _np_receiver_noise,
     "mix_sosfilt_decimate": _np_mix_sosfilt_decimate,
-    "fleet_step": _np_fleet_step,
     "fleet_run": _np_fleet_run,
     "pcg64_seed": _np_pcg64_seed,
     "pcg64_refill": _np_pcg64_refill,
@@ -948,48 +940,34 @@ def mix_sosfilt_decimate(
     return _active()["mix_sosfilt_decimate"](x, lo, sos, decimation)
 
 
-def fleet_step(engine) -> None:
-    """Advance a fleet engine's vector lane by one slot.
-
-    ``engine`` is a :class:`~repro.fleet.engine.FleetEngine`.  The numpy
-    backend runs the engine's own step, the reference.  The
-    compiled one runs every network's beacon, beacon-loss draws, tag
-    firmware, arbitration and reader digest (placement, viability and
-    eviction included) in one C call on the engine's arrays, and
-    writes the slot-log row in place.  Its state is integers and
-    booleans, its only float work ``<`` comparisons of the same banked
-    draws, and every stream's draws are taken in the numpy step's
-    per-stream order, so the two leave byte-identical state.  Capture
-    verdicts stay with the engine: a slot meeting a new transmitter set
-    returns to Python once to resolve it.  Energy-mode fleets and
-    rosters over :data:`MAX_FLEET_TAGS` tags run the numpy step on
-    every backend.
-    """
-    table = _active()
-    if engine.energy or engine.n_tags > MAX_FLEET_TAGS:
-        table = _NUMPY_IMPL
-    table["fleet_step"](engine)
-
-
 def fleet_run(engine, n_slots: int, streak: int = 0) -> int:
-    """Advance a fleet engine's vector lane by up to ``n_slots`` slots.
+    """Advance a fleet engine by up to ``n_slots`` slots.
 
-    Returns the slots run; the engine's slot count advances with them.
-    The state left is what as many :func:`fleet_step` calls leave.  With
-    ``streak`` > 0 the run also tracks each network's collision-free
-    streak from the slot log (``engine._clean_streak``, counted from
-    its value at the call), records in ``engine._converged_at`` the
-    engine slot count at which it first reaches ``streak``, and stops
-    once every network has such a record.  The engine's scalar lane is
-    not stepped: callers keep the two lanes in lockstep.
+    ``engine`` is a :class:`~repro.fleet.engine.FleetEngine`.  Returns
+    the slots run; the engine's slot count advances with them, and
+    ``n_slots`` = 1 is its ``step_all``.  With ``streak`` > 0 the run
+    also tracks each network's collision-free streak from the slot log
+    (``engine._clean_streak``, counted from its value at the call),
+    records in ``engine._converged_at`` the engine slot count at which
+    it first reaches ``streak``, and stops once every network has such
+    a record.
 
-    The numpy backend loops the engine's numpy step, the reference.
-    The compiled one runs the slots in one C call (``rk_fleet_run``, a
-    loop around the compiled step), left and re-entered only to refill
-    the RNG banks, to resolve a new transmitter set's capture verdict,
-    and to grow the slot log, whose free rows it fills in place.  While
+    The numpy backend loops the engine's own numpy step, the
+    reference.  The compiled one runs every network's beacon,
+    beacon-loss draws, tag firmware, arbitration and reader digest
+    (placement, viability and eviction included) on the engine's
+    arrays, for all the slots in one C call (``rk_fleet_run``, a loop
+    around the compiled slot), and writes the slot log's free rows in
+    place.  Its state is integers and booleans, its only float work
+    ``<`` comparisons of the same banked draws, and every stream's
+    draws are taken in the numpy step's per-stream order, so the two
+    leave byte-identical state: the whole engine, not only its slot
+    log.  The C call is left and re-entered only to refill the RNG
+    banks, to grow the slot log, and to resolve a new transmitter
+    set's capture verdict, which stays with the engine.  While
     telemetry is active it runs one slot per call, so that counters
-    are emitted per slot.  Routed like :func:`fleet_step`.
+    are emitted per slot.  Energy-mode fleets and rosters over
+    :data:`MAX_FLEET_TAGS` tags run the numpy step on every backend.
     """
     table = _active()
     if engine.energy or engine.n_tags > MAX_FLEET_TAGS:
@@ -1155,7 +1133,6 @@ __all__ = [
     "envelope_rc",
     "receiver_noise",
     "mix_sosfilt_decimate",
-    "fleet_step",
     "fleet_run",
     "pcg64_seed",
     "pcg64_refill",

@@ -27,13 +27,12 @@ from repro.channel.biw import onvo_l60
 from repro.channel.medium import AcousticMedium
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.experiments.configs import pattern
-from repro.fleet import FleetEngine, FleetSpec, bridge, specs_for_seeds
+from repro.fleet import FleetEngine, bridge, specs_for_seeds
 from repro.fleet import engine as engine_module
 from repro.fleet.rng import OffsetBank, UniformBank
 from repro.phy import kernels
 from repro.phy.modulation import LinkConfig
 from repro.phy.rate import RateController
-from repro.resilience.supervisor import NetworkSupervisor
 
 PATTERNS = [f"c{i}" for i in range(1, 10)]
 
@@ -308,9 +307,9 @@ def differing(a, b):
     return sorted(key for key in a if a[key] != b[key])
 
 
-def build(periods, config, seeds=range(12), backend="cext", specs=None):
+def build(periods, config, seeds=range(12), backend="cext"):
     with kernels.use_backend(backend):
-        return FleetEngine(periods, specs or specs_for_seeds(seeds), config=config)
+        return FleetEngine(periods, specs_for_seeds(seeds), config=config)
 
 
 #: Run lengths crossing the log's 64, 128, 256 and 512-row growths,
@@ -387,21 +386,6 @@ class TestRunMatchesStepAll:
         assert engines[0]._compiled_stepper is None
         assert differing(*(full_state(e) for e in engines)) == []
 
-    def test_scalar_lane_keeps_lockstep(self):
-        specs = [
-            FleetSpec("plain", 3),
-            FleetSpec("supervised", 4, supervisor_factory=NetworkSupervisor),
-        ]
-        engines = [
-            build(ROSTERS["overloaded"], NetworkConfig(), specs=specs) for _ in range(2)
-        ]
-        with kernels.use_backend("cext"):
-            engines[0].run(150)
-            for _ in range(150):
-                engines[1].step_all()
-        assert [e.summaries() for e in engines[:1]] == [engines[1].summaries()]
-        assert differing(*(full_state(e) for e in engines)) == []
-
 
 def sequential_convergence(periods, config, seed, streak=32, max_slots=MAX_SLOTS):
     with kernels.use_backend("numpy"):
@@ -451,27 +435,6 @@ class TestRunUntilConverged:
         assert got == expected
         assert engine.records("net0") == net.records
 
-    def test_mixed_lanes_match_sequential(self):
-        periods = ROSTERS["overloaded"]
-        specs = [
-            FleetSpec("plain", 3),
-            FleetSpec("supervised", 4, supervisor_factory=NetworkSupervisor),
-            FleetSpec("plain2", 5),
-        ]
-        engine = build(periods, NetworkConfig(), specs=specs)
-        with kernels.use_backend("cext"):
-            result = engine.run_until_converged(max_slots=3000)
-        with kernels.use_backend("numpy"):
-            supervised = NetworkSupervisor(
-                SlottedNetwork(periods, config=NetworkConfig(seed=4))
-            )
-            expected = {
-                "plain": sequential_convergence(periods, NetworkConfig(), 3, max_slots=3000),
-                "supervised": supervised.run_until_converged(max_slots=3000),
-                "plain2": sequential_convergence(periods, NetworkConfig(), 5, max_slots=3000),
-            }
-        assert result == expected
-
     def test_unconverged_networks_read_none(self):
         engine = build(ROSTERS["overloaded"], NetworkConfig(), range(3))
         with kernels.use_backend("cext"):
@@ -482,7 +445,7 @@ class TestRunUntilConverged:
     def test_kernel_info_lists_the_run_route(self):
         info = kernels.kernel_info()
         assert "fleet_run" in info["kernels"] and "fleet_run" in kernels._compiled
-        assert "fleet_step" in info["routes"]["fleet_run"]
+        assert "energy-mode" in info["routes"]["fleet_run"]
 
 
 def test_stepping_after_a_run_continues_the_sequential_log():

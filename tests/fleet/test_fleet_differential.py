@@ -4,8 +4,8 @@ Every per-network slot log the fleet engine emits must be
 *byte-identical* to the log of a sequential
 :class:`~repro.core.network.SlottedNetwork` run under the same seed —
 across dense and sparse topologies, real and ideal channels, protocol
-ablations, staggered activation, mid-run RESET, fault injection,
-supervised recovery, and the energy tier's supercapacitor physics.
+ablations, staggered activation, mid-run RESET, and the energy tier's
+supercapacitor physics.
 """
 
 from dataclasses import replace
@@ -15,7 +15,7 @@ import pytest
 
 from repro.core.energy_network import EnergyAwareNetwork
 from repro.core.network import NetworkConfig, SlottedNetwork
-from repro.fleet import FleetEngine, FleetSpec, specs_for_seeds
+from repro.fleet import FleetEngine, specs_for_seeds
 
 SEEDS = [1, 7, 23]
 
@@ -120,72 +120,9 @@ class TestPlainScenarios:
             assert engine.records(spec.name) == net.records
 
 
-class TestFaultedAndSupervised:
-    @staticmethod
-    def _schedule():
-        from repro.faults.schedule import FaultEvent, FaultSchedule
-
-        return FaultSchedule(
-            [
-                FaultEvent(
-                    slot=40,
-                    duration=20,
-                    kind="beacon_loss",
-                    target="tag1",
-                    magnitude=0.5,
-                ),
-                FaultEvent(
-                    slot=80, duration=10, kind="noise_burst", magnitude=12.0
-                ),
-                FaultEvent(slot=120, duration=5, kind="brownout", target="tag3"),
-                FaultEvent(slot=160, duration=1, kind="reader_restart"),
-            ]
-        )
-
-    def test_mixed_fleet_matches_sequential(self):
-        """Vector-lane, faulted, and supervised specs interleaved in one
-        engine each reproduce their sequential twin exactly."""
-        from repro.resilience import NetworkSupervisor
-
-        specs = [
-            FleetSpec(name="plain0", seed=SEEDS[0]),
-            FleetSpec(name="faulted", seed=SEEDS[1], faults=self._schedule()),
-            FleetSpec(name="plain1", seed=SEEDS[2]),
-            FleetSpec(
-                name="supervised",
-                seed=SEEDS[0],
-                supervisor_factory=NetworkSupervisor,
-            ),
-        ]
-        engine = FleetEngine(DENSE_PERIODS, specs)
-        for _ in range(240):
-            engine.step_all()
-
-        plain0 = sequential_records(DENSE_PERIODS, SEEDS[0], 240)
-        assert engine.records("plain0") == plain0
-        assert engine.records("plain1") == sequential_records(
-            DENSE_PERIODS, SEEDS[2], 240
-        )
-        faulted = SlottedNetwork(
-            DENSE_PERIODS,
-            config=NetworkConfig(seed=SEEDS[1]),
-            faults=self._schedule(),
-        )
-        faulted.run(240)
-        assert engine.records("faulted") == faulted.records
-        supervised = NetworkSupervisor(
-            SlottedNetwork(DENSE_PERIODS, config=NetworkConfig(seed=SEEDS[0]))
-        )
-        supervised.run(240)
-        assert engine.records("supervised") == supervised.network.records
-        # And the faults did change the story vs the plain twin.
-        assert engine.records("faulted") != plain0
-
-
 class TestEnergyFaultedTier:
-    """Fault schedules on the energy tier: the scalar lane must carry
-    faulted :class:`EnergyAwareNetwork` twins byte-identically while
-    plain specs in the same engine stay on the vector lane."""
+    """Fault schedules on the energy tier, which the fleet engine does
+    not carry: a faulted :class:`EnergyAwareNetwork` runs on its own."""
 
     @staticmethod
     def _schedule():
@@ -207,87 +144,21 @@ class TestEnergyFaultedTier:
             ]
         )
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"sensor_samples_per_slot": 40.0},
-            {"initial_capacitor_v": 2.4},
-        ],
-        ids=["default", "sensing", "precharged"],
-    )
-    def test_faulted_energy_spec_matches_sequential(self, kwargs):
-        """A mixed energy fleet: two plain vector-lane specs bracket a
-        faulted scalar-lane spec; every slot log matches its sequential
-        twin and the plain specs keep their DeviceArrays physics."""
-        names = sorted(DENSE_PERIODS)
-        specs = [
-            FleetSpec(name="plain0", seed=SEEDS[0]),
-            FleetSpec(name="faulted", seed=SEEDS[1], faults=self._schedule()),
-            FleetSpec(name="plain1", seed=SEEDS[2]),
-        ]
-        engine = FleetEngine(DENSE_PERIODS, specs, energy=True, **kwargs)
-        for _ in range(400):
-            engine.step_all()
-
-        for name, seed in (("plain0", SEEDS[0]), ("plain1", SEEDS[2])):
-            net = EnergyAwareNetwork(
-                DENSE_PERIODS, config=NetworkConfig(seed=seed), **kwargs
-            )
-            net.run(400)
-            assert engine.records(name) == net.records
-        faulted = EnergyAwareNetwork(
-            DENSE_PERIODS,
-            config=NetworkConfig(seed=SEEDS[1]),
-            faults=self._schedule(),
-            **kwargs,
-        )
-        faulted.run(400)
-        assert engine.records("faulted") == faulted.records
-
-        # Energy-ledger parity for the scalar lane, bit for bit.
-        scalar = engine.scalar_network("faulted")
-        for t in names:
-            assert (
-                scalar.devices[t].capacitor_v == faulted.devices[t].capacitor_v
-            )
-            for field in ("activations", "brownouts", "slots_dark", "slots_lit"):
-                assert getattr(scalar.energy_log[t], field) == getattr(
-                    faulted.energy_log[t], field
-                )
-
-        # Plain specs stayed on the vector lane with DeviceArrays physics.
-        with pytest.raises(KeyError):
-            engine.scalar_network("plain0")
-        plain0 = EnergyAwareNetwork(
-            DENSE_PERIODS, config=NetworkConfig(seed=SEEDS[0]), **kwargs
-        )
-        plain0.run(400)
-        voltages = np.asarray([plain0.devices[t].capacitor_v for t in names])
-        assert (engine.devices.capacitor_v[0] == voltages).all()
-
-        # And the injected energy faults changed the story.
-        assert engine.records("faulted") != sequential_energy_records(
-            DENSE_PERIODS, SEEDS[1], 400, **kwargs
-        )
-
     def test_injected_brownout_counts_dark_slots(self):
         """The injected-brownout window shows up in the energy ledger:
         the targeted tag rides harvest-only physics while dark."""
-        engine = FleetEngine(
+        faulted = EnergyAwareNetwork(
             DENSE_PERIODS,
-            [FleetSpec(name="faulted", seed=SEEDS[0], faults=self._schedule())],
-            energy=True,
+            config=NetworkConfig(seed=SEEDS[0]),
+            faults=self._schedule(),
         )
-        for _ in range(400):
-            engine.step_all()
-        scalar = engine.scalar_network("faulted")
+        faulted.run(400)
         plain = EnergyAwareNetwork(
             DENSE_PERIODS, config=NetworkConfig(seed=SEEDS[0])
         )
         plain.run(400)
         assert (
-            scalar.energy_log["tag2"].slots_dark
+            faulted.energy_log["tag2"].slots_dark
             > plain.energy_log["tag2"].slots_dark
         )
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from fleet.oracles import summary_from_records
 
+from repro.channel.medium import AcousticMedium
 from repro.core.energy_network import EnergyAwareNetwork
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.experiments.runner import FleetRunner
@@ -18,20 +19,6 @@ from repro.fleet import (
 from repro.phy import kernels
 
 PERIODS = {"tag1": 4, "tag2": 8, "tag3": 8}
-
-
-def fault_schedule():
-    from repro.faults.schedule import FaultEvent, FaultSchedule
-
-    return FaultSchedule(
-        [
-            FaultEvent(
-                slot=10, duration=15, kind="beacon_loss", target="tag1", magnitude=0.5
-            ),
-            FaultEvent(slot=40, duration=5, kind="brownout", target="tag3"),
-            FaultEvent(slot=70, duration=1, kind="reader_restart"),
-        ]
-    )
 
 
 class TestUniformBank:
@@ -204,15 +191,6 @@ class TestFleetSpec:
         specs = specs_for_seeds([9, 8, 7])
         assert [s.name for s in specs] == ["net0", "net1", "net2"]
         assert [s.seed for s in specs] == [9, 8, 7]
-        assert all(s.vectorizable for s in specs)
-
-    def test_faulted_spec_is_not_vectorizable(self):
-        from repro.faults.schedule import FaultEvent, FaultSchedule
-
-        schedule = FaultSchedule(
-            [FaultEvent(slot=1, duration=1, kind="beacon_loss")]
-        )
-        assert not FleetSpec(name="x", seed=0, faults=schedule).vectorizable
 
 
 class TestSlotLog:
@@ -299,6 +277,12 @@ class TestFleetEngineValidation:
         with pytest.raises(KeyError):
             engine.request_reset(["nope"])
 
+    def test_reset_naming_an_unknown_network_queues_nothing(self):
+        engine = FleetEngine(PERIODS, specs_for_seeds([0, 1]))
+        with pytest.raises(KeyError, match="unknown network 'nope'"):
+            engine.request_reset(["net0", "nope"])
+        assert not engine.reader.pending_reset.any()
+
 
 class TestFleetEngineQueries:
     def test_summaries_follow_spec_order_and_slot_count(self):
@@ -353,17 +337,13 @@ class TestFleetEngineQueries:
         assert total("mac.decodes") == decodes
         assert total("mac.collisions") == collisions
 
-    def test_records_are_fresh_lists_on_both_lanes(self):
-        specs = [
-            FleetSpec(name="v", seed=0),
-            FleetSpec(name="f", seed=1, faults=fault_schedule()),
-        ]
-        engine = FleetEngine(PERIODS, specs)
+    def test_records_are_fresh_lists(self):
+        engine = FleetEngine(PERIODS, specs_for_seeds([0, 1]))
         engine.run(20)
-        for name in ("v", "f"):
-            engine.records(name).clear()
-            assert len(engine.records(name)) == 20
-            assert engine.summary(name)["slots"] == 20
+        for spec in engine.specs:
+            engine.records(spec.name).clear()
+            assert len(engine.records(spec.name)) == 20
+            assert engine.summary(spec.name)["slots"] == 20
 
     @pytest.mark.parametrize("query", ["records", "summary", "settled_fraction"])
     def test_unknown_network_raises_one_message(self, query):
@@ -395,46 +375,36 @@ class TestSummaryOracle:
             twins.append((spec.name, net))
         self._check(engine, twins)
 
-    def test_mixed_fleet_with_faulted_and_supervised_specs(self):
-        from repro.resilience import NetworkSupervisor
+    def test_given_medium(self):
+        def lossy_medium():
+            medium = AcousticMedium()
+            medium.biw.set_joint_loss_offset_db(30.0)
+            medium.invalidate_channel_cache()
+            return medium
 
-        specs = [
-            FleetSpec(name="plain0", seed=3),
-            FleetSpec(name="faulted", seed=1, faults=fault_schedule()),
-            FleetSpec(name="plain1", seed=2),
-            FleetSpec(name="supervised", seed=3, supervisor_factory=NetworkSupervisor),
-        ]
-        engine = FleetEngine(PERIODS, specs)
+        engine = FleetEngine(
+            PERIODS, specs_for_seeds(self.SEEDS), medium=lossy_medium()
+        )
         engine.run(131)
-        plain0 = SlottedNetwork(PERIODS, config=NetworkConfig(seed=3))
-        faulted = SlottedNetwork(
-            PERIODS, config=NetworkConfig(seed=1), faults=fault_schedule()
-        )
-        plain1 = SlottedNetwork(PERIODS, config=NetworkConfig(seed=2))
-        supervised = NetworkSupervisor(
-            SlottedNetwork(PERIODS, config=NetworkConfig(seed=3))
-        )
-        for stepper in (plain0, faulted, plain1, supervised):
-            stepper.run(131)
-        twins = [
-            ("plain0", plain0),
-            ("faulted", faulted),
-            ("plain1", plain1),
-            ("supervised", supervised.network),
-        ]
+        twins = []
+        for spec in engine.specs:
+            net = SlottedNetwork(
+                PERIODS, config=NetworkConfig(seed=spec.seed), medium=lossy_medium()
+            )
+            net.run(131)
+            twins.append((spec.name, net))
         self._check(engine, twins)
+        stock = FleetEngine(PERIODS, specs_for_seeds(self.SEEDS))
+        stock.run(131)
+        assert stock.summaries() != engine.summaries()
 
     def test_energy_mode(self):
-        specs = specs_for_seeds(self.SEEDS) + [
-            FleetSpec(name="faulted", seed=4, faults=fault_schedule())
-        ]
+        specs = specs_for_seeds(self.SEEDS + [4])
         engine = FleetEngine(PERIODS, specs, energy=True)
         engine.run(131)
         twins = []
         for spec in specs:
-            net = EnergyAwareNetwork(
-                PERIODS, config=NetworkConfig(seed=spec.seed), faults=spec.faults
-            )
+            net = EnergyAwareNetwork(PERIODS, config=NetworkConfig(seed=spec.seed))
             net.run(131)
             twins.append((spec.name, net))
         self._check(engine, twins)

@@ -1,16 +1,16 @@
 """Exactness battery for the compiled fleet step.
 
-``repro.phy.kernels.fleet_step`` runs a fleet engine's vector lane as
-one C call per slot, and its RNG banks seed and refill through the
-compiled PCG64 entries.  The contract is stronger than equal slot logs:
-after any build or run, every array of engine state — tag firmware,
-reader ledger and rings, both RNG banks (generator states, buffers and
-cursors), the slot log, the capture memo and the summaries — must
-equal the numpy backend's byte for byte, so that the two can be
-swapped mid-run.  The banks are
-shrunk here so that refills happen every few slots, and the
-overloaded roster lists a long-period tag before short ones, so that
-its eviction victim is not simply the lowest tid.
+``repro.phy.kernels.fleet_run`` runs a fleet engine's slots in one C
+call (``step_all`` is its one-slot run), and its RNG banks seed and
+refill through the compiled PCG64 entries.  The contract is stronger
+than equal slot logs: after any build or run, every array of engine
+state — tag firmware, reader ledger and rings, both RNG banks
+(generator states, buffers and cursors), the slot log, the capture
+memo and the summaries — must equal the numpy backend's byte for
+byte, so that the two can be swapped mid-run.  The banks are shrunk
+here so that refills happen every few slots, and the overloaded roster
+lists a long-period tag before short ones, so that its eviction victim
+is not simply the lowest tid.
 """
 
 from functools import partial
@@ -85,7 +85,7 @@ def small_banks(monkeypatch):
 
 
 def engine_state(engine):
-    """Every piece of vector-lane state, as comparable values."""
+    """Every piece of the engine's array state, as comparable values."""
     tags, reader = engine.tags, engine.reader
     state = {f"tags.{name}": getattr(tags, name) for name in vars(tags)}
     for name in (
@@ -205,9 +205,9 @@ class TestStateMatchesNumpyStep:
 class TestRouting:
     def test_kernel_info_lists_the_entry_and_its_numpy_route(self):
         info = kernels.kernel_info()
-        assert "fleet_step" in info["kernels"]
-        assert "energy-mode" in info["routes"]["fleet_step"]
-        assert "fleet_step" in kernels._compiled
+        assert "fleet_run" in info["kernels"]
+        assert "energy-mode" in info["routes"]["fleet_run"]
+        assert "fleet_run" in kernels._compiled
 
     def test_energy_fleets_keep_the_numpy_step(self):
         engine = FleetEngine(

@@ -3,11 +3,12 @@ contract (byte-identical slot logs across seeds, topologies, and fault
 schedules), frequency-space division beating the shared carrier,
 overlap-zone handoff, and reader-tier fault injection."""
 
+import copy
 import dataclasses
 
 import pytest
 
-from repro.core.network import NetworkConfig, SlottedNetwork
+from repro.core.network import NetworkConfig, SlottedNetwork, derive_beacon_loss
 from repro.faults.schedule import FaultEvent, FaultSchedule
 from repro.multireader import (
     CarrierPlan,
@@ -48,6 +49,77 @@ def fault_schedule():
             FaultEvent(slot=160, duration=1, kind="reader_restart"),
         ]
     )
+
+
+class TestSharedBiWChannelFaults:
+    """Every cell of a deployment rides one BiW, so a junction-loss
+    step must re-derive every cell's channel, not only the channel of
+    the first cell to apply it."""
+
+    PERIODS = {
+        "tag1": 8, "tag2": 8, "tag5": 16, "tag9": 16, "tag10": 32, "tag6": 32,
+    }
+
+    @staticmethod
+    def _assert_every_cell_fresh(net):
+        for reader, cell in net.cells.items():
+            medium, rate = cell.medium, cell.config.ul_raw_rate_bps
+            fresh = copy.deepcopy(medium)
+            fresh.invalidate_channel_cache()
+            for tag in cell.tags:
+                where = (reader, tag)
+                assert cell.beacon_loss_probability_for(tag) == derive_beacon_loss(
+                    cell.config, fresh, tag
+                ), where
+                assert medium.backscatter_amplitude_v(
+                    tag
+                ) == fresh.backscatter_amplitude_v(tag), where
+                assert medium.uplink_sir_db(tag, rate) == fresh.uplink_sir_db(
+                    tag, rate
+                ), where
+
+    def test_junction_loss_reaches_every_cell(self):
+        net = MultiReaderNetwork(
+            self.PERIODS,
+            deployment=deployment_for(2),
+            config=NetworkConfig(seed=3),
+            faults=FaultSchedule(
+                [FaultEvent(slot=50, duration=200, kind="junction_loss", magnitude=4.0)]
+            ),
+        )
+        assert len(net.cells) == 2
+        biw = net.deployment.biw
+        net.run(60)
+        assert biw.joint_loss_offset_db == 4.0
+        self._assert_every_cell_fresh(net)
+        net.run(200)  # the fault cleared at slot 250
+        assert biw.joint_loss_offset_db == 0.0
+        self._assert_every_cell_fresh(net)
+
+    def test_stacked_junction_faults_step_every_cell(self):
+        # A second fault raises the shared offset while the first is
+        # active, then clears under it: every cell follows both steps.
+        net = MultiReaderNetwork(
+            self.PERIODS,
+            deployment=deployment_for(3),
+            config=NetworkConfig(seed=5),
+            faults=FaultSchedule(
+                [
+                    FaultEvent(
+                        slot=30, duration=100, kind="junction_loss", magnitude=4.0
+                    ),
+                    FaultEvent(
+                        slot=60, duration=30, kind="junction_loss", magnitude=2.0
+                    ),
+                ]
+            ),
+        )
+        assert len(net.cells) == 3
+        biw = net.deployment.biw
+        for n_slots, offset in ((40, 4.0), (30, 6.0), (30, 4.0), (40, 0.0)):
+            net.run(n_slots)
+            assert biw.joint_loss_offset_db == offset
+            self._assert_every_cell_fresh(net)
 
 
 class TestSingleReaderZeroCostOff:

@@ -258,5 +258,5 @@ class TestLoadProbe:
         for name in ("pcg64_seed", "pcg64_refill"):
             assert name not in kernels._compiled
             assert "PCG64 streams differ" in info["composed"][name]
-        assert "fleet_step" in kernels._compiled
+        assert "fleet_run" in kernels._compiled
         assert fleet_run() == reference

@@ -106,6 +106,13 @@ def test_version_string():
         ("repro.phy.kernels", "sosfilt_complex"),
         ("repro.experiments.runner", "main"),
         ("repro.experiments.runner", "build_parser"),
+        ("repro.phy.kernels", "fleet_step"),
+        ("repro.fleet", "FleetEngine.scalar_network"),
+        ("repro.fleet", "FleetSpec.vectorizable"),
+        ("repro.fleet", "FleetSpec.faults"),
+        ("repro.fleet", "FleetSpec.supervisor_factory"),
+        ("repro.experiments.figT_multireader", "summarize_figT"),
+        ("repro.experiments.figM_relay", "summarize_figM"),
     ],
 )
 def test_removed_surface_stays_gone(module, attribute):
@@ -116,8 +123,10 @@ def test_removed_surface_stays_gone(module, attribute):
     result buffer went in 1.14.0; the second kernel switch, the kernel
     trampolines no caller used and the runner module's own CLI went in
     1.17.0; the bit-grid wrapper no caller used and the complex filter
-    the receiver-noise kernel replaced went in 1.19.0.  Nothing may
-    quietly reintroduce them."""
+    the receiver-noise kernel replaced went in 1.19.0; the fleet
+    engine's scalar lane, the spec fields that routed onto it, its
+    second compiled entry and the experiment summaries nothing called
+    went in 1.25.0.  Nothing may quietly reintroduce them."""
     owner = importlib.import_module(module)
     *path, name = attribute.split(".")
     for part in path:
