@@ -59,7 +59,7 @@ from repro.phy import (
     pie_encode,
 )
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "AlohaResult",

@@ -144,10 +144,14 @@ class AcousticMedium:
         self._foreign_carriers: Tuple[ForeignCarrier, ...] = ()
         self._interference_power: Dict[float, float] = {}
         # Penalty-free uplink_packet_success results, keyed by (tag, bit
-        # rate, packet bits), valid for the propagation generation they
-        # were computed at.
+        # rate, packet bits), and capture_verdict results, keyed by
+        # (transmitters, bit rate, packet bits); both valid for the
+        # propagation generation they were computed at.
         self._packet_success: Dict[Tuple[str, float, int], float] = {}
-        self._packet_success_links = self._propagation.generation
+        self._captures: Dict[
+            Tuple[Tuple[str, ...], float, int], Tuple[Optional[str], float]
+        ] = {}
+        self._memo_links = self._propagation.generation
         self._channel_generation = 0
 
     @property
@@ -175,8 +179,8 @@ class AcousticMedium:
             self._reference_tag, self._source
         )
         self._interference_power.clear()
-        # The packet-success memo follows the propagation model's
-        # generation, which invalidate_cache just bumped.
+        # The link memos follow the propagation model's generation,
+        # which invalidate_cache just bumped.
         self._channel_generation += 1
 
     # -- carrier plan (multi-reader frequency division) ----------------------
@@ -219,7 +223,7 @@ class AcousticMedium:
         self._carrier_frequency_hz = frequency_hz
         self._carrier_response = response
         self._interference_power.clear()
-        self._packet_success.clear()
+        self._forget_links()
         self._channel_generation += 1
         return True
 
@@ -246,9 +250,24 @@ class AcousticMedium:
             return False
         self._foreign_carriers = tup
         self._interference_power.clear()
-        self._packet_success.clear()
+        self._forget_links()
         self._channel_generation += 1
         return True
+
+    def _forget_links(self) -> None:
+        """Drop the memoised link results (packet successes, capture
+        verdicts)."""
+        self._packet_success.clear()
+        self._captures.clear()
+
+    def _current_links(self) -> None:
+        """Drop the memoised link results if the propagation model has
+        dropped its links since: another medium on the same model may
+        have invalidated them."""
+        links = self._propagation.generation
+        if links != self._memo_links:
+            self._forget_links()
+            self._memo_links = links
 
     def foreign_interference_power(self, bit_rate_bps: float) -> float:
         """In-band interference power (V²) from every foreign carrier.
@@ -435,12 +454,7 @@ class AcousticMedium:
             return self._packet_success_of(
                 tag, bit_rate_bps, packet_bits, penalty_db
             )
-        links = self._propagation.generation
-        if links != self._packet_success_links:
-            # Another medium on the same propagation model dropped its
-            # links; the budgets memoised here used them.
-            self._packet_success.clear()
-            self._packet_success_links = links
+        self._current_links()
         key = (tag, bit_rate_bps, packet_bits)
         success = self._packet_success.get(key)
         if success is None:
@@ -677,22 +691,67 @@ class AcousticMedium:
                 pen = penalty_db.get(t, 0.0)
                 if pen:
                     amplitudes[t] *= acoustics.db_to_amplitude_ratio(-pen)
-        strongest = max(tags, key=lambda t: amplitudes[t])
-        interference = math.sqrt(
-            sum(amplitudes[t] ** 2 for t in tags if t != strongest)
-        )
-        gap_db = acoustics.amplitude_ratio_to_db(
-            amplitudes[strongest] / interference
-        ) if interference > 0 else math.inf
+        strongest = _captured(tags, amplitudes)
 
         decoded = None
-        if gap_db >= CAPTURE_THRESHOLD_DB:
+        if strongest is not None:
             pen = penalty_db.get(strongest, 0.0) if penalty_db else 0.0
             success = tag_success(strongest, pen)
             if rng.random() < success:
                 decoded = strongest
         collision_detected = rng.random() < CLUSTER_DETECTION_PROBABILITY
         return SlotObservation(tuple(tags), decoded, collision_detected)
+
+    def capture_verdict(
+        self,
+        transmitters: Sequence[str],
+        bit_rate_bps: float = 375.0,
+        packet_bits: int = 64,
+    ) -> Tuple[Optional[str], float]:
+        """What the capture effect makes of a collision: the tag the
+        reader may still decode among two or more ``transmitters``, and
+        its packet success, or ``(None, 0.0)`` when none dominates.
+
+        This is :meth:`observe_slot`'s verdict on such a slot without
+        penalties or link configs: that call decodes the tag when its
+        first draw falls below the success, then draws its collision
+        flag (it skips the first draw when the tag is None).  Verdicts
+        are memoised per ``(transmitters, bit_rate_bps, packet_bits)``
+        until the channel changes, as :meth:`uplink_packet_success`
+        results are; ``transmitters`` order breaks amplitude ties, as
+        in :meth:`observe_slot`.
+        """
+        self._current_links()
+        key = (tuple(transmitters), bit_rate_bps, packet_bits)
+        verdict = self._captures.get(key)
+        if verdict is None:
+            tags = key[0]
+            if len(tags) < 2:
+                raise ValueError("a capture verdict needs two or more transmitters")
+            strongest = _captured(
+                tags, {t: self.backscatter_amplitude_v(t) for t in tags}
+            )
+            verdict = (None, 0.0)
+            if strongest is not None:
+                success = self.uplink_packet_success(
+                    strongest, bit_rate_bps, packet_bits
+                )
+                verdict = (strongest, success)
+            self._captures[key] = verdict
+        return verdict
+
+    def capture_verdicts(
+        self, bit_rate_bps: float = 375.0, packet_bits: int = 64
+    ) -> Dict[Tuple[str, ...], Tuple[Optional[str], float]]:
+        """Every memoised :meth:`capture_verdict` at ``bit_rate_bps``
+        and ``packet_bits``, keyed by its transmitters, in the order
+        they were resolved."""
+        self._current_links()
+        return {
+            tags: verdict
+            for (tags, rate, bits), verdict in self._captures.items()
+            if rate == bit_rate_bps and bits == packet_bits
+        }
 
     # -- downlink quality -----------------------------------------------------
 
@@ -723,6 +782,20 @@ class AcousticMedium:
         return pie_packet_loss_probability(
             bit_rate_bps, downlink_snr_db=self.downlink_snr_db(tag)
         )
+
+
+def _captured(tags: Sequence[str], amplitudes: Mapping[str, float]) -> Optional[str]:
+    """The capture effect of a collision among ``tags``: the strongest
+    (the first of equals), if its amplitude exceeds the others' combined
+    by :data:`CAPTURE_THRESHOLD_DB`, else None."""
+    strongest = max(tags, key=lambda t: amplitudes[t])
+    interference = math.sqrt(
+        sum(amplitudes[t] ** 2 for t in tags if t != strongest)
+    )
+    gap_db = acoustics.amplitude_ratio_to_db(
+        amplitudes[strongest] / interference
+    ) if interference > 0 else math.inf
+    return strongest if gap_db >= CAPTURE_THRESHOLD_DB else None
 
 
 def _tag_sort_key(name: str) -> tuple:

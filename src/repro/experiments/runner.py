@@ -714,19 +714,27 @@ def _run_fleet_shard(
     n_slots: int,
     config: Optional[Any],
     energy: bool,
+    medium: Optional[Any] = None,
 ) -> List[List[float]]:
-    """Run one shard of a sweep on a batch engine; returns one
+    """Run one shard of a sweep on a batch engine over ``medium`` (a
+    fresh ``AcousticMedium`` when None); returns one
     :data:`FLEET_ROW_COLUMNS` row per network."""
+    import numpy as np
+
     from repro.fleet import FleetEngine, FleetSpec
 
     specs = [FleetSpec(name=n, seed=s) for n, s in zip(names, seeds)]
-    engine = FleetEngine(dict(tag_periods), specs, config=config, energy=energy)
+    engine = FleetEngine(
+        dict(tag_periods), specs, config=config, energy=energy, medium=medium
+    )
+    engine.log.reserve(n_slots)
     for _ in range(n_slots):
         engine.step_all()
-    return [
-        [float(spec.seed)] + [float(summary[c]) for c in FLEET_ROW_COLUMNS[1:]]
-        for spec, summary in zip(specs, engine.summaries())
+    summaries = engine.summaries()
+    columns = [seeds] + [
+        [summary[c] for summary in summaries] for c in FLEET_ROW_COLUMNS[1:]
     ]
+    return np.array(columns, dtype=np.float64).T.tolist()
 
 
 class FleetRunner:
@@ -818,16 +826,26 @@ class FleetRunner:
         ``jobs`` > 1 fans shards over a process pool.  Serial, pooled
         and resumed runs, at any shard size, emit the same bytes.  The
         other knobs behave as in :func:`collect_results`, per shard.
+
+        Every shard runs over one channel built for this call, so a
+        capture verdict one shard resolves serves the shards after it
+        (a pool worker gets its own copy).  Nothing outlives the call.
         """
+        from repro.channel.medium import AcousticMedium
+
         shards = self.shards()
         periods = sorted(self.tag_periods.items())
         sizes = {str(index): len(names) for index, _, names, _ in shards}
+        medium = AcousticMedium()
         run = _drive(
             [
                 (
                     str(index),
                     _run_fleet_shard,
-                    (periods, names, seeds, self.n_slots, self.config, self.energy),
+                    (
+                        periods, names, seeds, self.n_slots, self.config,
+                        self.energy, medium,
+                    ),
                 )
                 for index, _, names, seeds in shards
             ],
@@ -862,20 +880,14 @@ class FleetRunner:
         matrix = np.array(rows, dtype=np.float64)
         if np.isnan(matrix).any():
             raise ResultsError("fleet sweep finished with missing rows")
-        networks = []
-        for name, seed, row in zip(self.names, self.seeds, matrix):
-            networks.append(
-                {
-                    "network": name,
-                    "seed": seed,
-                    "slots": int(row[1]),
-                    "decodes": int(row[2]),
-                    "acks": int(row[3]),
-                    "collisions": int(row[4]),
-                    "idle_slots": int(row[5]),
-                    "settled_fraction": float(row[6]),
-                }
-            )
+        # Whole columns, as Python ints (truncated, as int() truncates)
+        # and floats.
+        counts = matrix[:, 1:6].astype(np.int64).T.tolist()
+        keys = ("network", "seed") + FLEET_ROW_COLUMNS[1:]
+        networks = [
+            dict(zip(keys, values))
+            for values in zip(self.names, self.seeds, *counts, matrix[:, 6].tolist())
+        ]
         n_tags = len(self.tag_periods)
         return {
             "schema": "fleet-sweep/1",

@@ -17,6 +17,7 @@ the simulation byte-identical to running without one, and the same
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -115,7 +116,10 @@ class FaultController:
         recorder: Optional[TraceRecorder] = None,
     ) -> None:
         self.schedule = schedule
-        self.network = network
+        # The network owns its controller (``network._faults``); a weak
+        # reference back keeps the pair out of a reference cycle, so a
+        # dropped network is freed at once, slot trace included.
+        self.network = network if network is None else weakref.proxy(network)
         self.rng = rng
         self.trace = recorder if recorder is not None else TraceRecorder()
         self.state = FaultState()

@@ -17,6 +17,7 @@ zero-fault path.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -59,8 +60,11 @@ class FaultInjector:
         self.controller = None
 
     def bind(self, controller) -> None:
-        """Attach to a controller; called once before the first slot."""
-        self.controller = controller
+        """Attach to a controller; called once before the first slot.
+
+        The controller owns its injectors, so the injector holds it
+        weakly: the pair then forms no reference cycle."""
+        self.controller = weakref.proxy(controller)
 
     # The narrow interface: the controller calls apply() at the event's
     # start slot and clear() at its clear slot, passing the controller's

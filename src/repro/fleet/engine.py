@@ -19,14 +19,16 @@ here is **byte-identical** to a sequential run of the same scenario
 under the same seed — the same RandomStreams-derived generators are
 consumed in the same per-stream order (see :mod:`repro.fleet.rng`),
 and every floating-point comparison is either an elementwise float64
-op (bit-identical to scalar math) or delegated to the sequential code
-itself (multi-transmitter capture arbitration calls
-``AcousticMedium.observe_slot`` directly).
+op (bit-identical to scalar math) or delegated to the channel itself
+(multi-transmitter capture arbitration takes
+``AcousticMedium.capture_verdict``, the verdict ``observe_slot``
+reaches).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from itertools import repeat
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,7 +40,6 @@ from repro.fleet.reader import BatchReader
 from repro.fleet.rng import OffsetBank, UniformBank
 from repro.fleet.state import FleetSpec, SlotLog, TagArrays
 from repro.phy import kernels
-from repro.sim.random import RandomStreams
 
 
 class FleetEngine:
@@ -57,6 +58,9 @@ class FleetEngine:
         Shared staggered-activation map (plain mode only).
     medium:
         The shared channel.  Defaults to a fresh ``AcousticMedium``.
+        Engines built on one medium share its memoised capture
+        verdicts: a later engine starts with every verdict an earlier
+        one resolved.
     energy:
         Run every network as an
         :class:`~repro.core.energy_network.EnergyAwareNetwork`: live
@@ -138,17 +142,13 @@ class FleetEngine:
         self._clean_streak = np.zeros(nv, dtype=np.int64)
         self._converged_at = np.full(nv, -1, dtype=np.int64)
 
-        slot_seeds = []
-        offset_seeds = []
-        for spec in self.specs:
-            streams = RandomStreams(spec.seed)
-            slot_seeds.append(streams.seed_of("slots"))
-            offset_seeds.append(
-                [streams.fork(name).seed_of("offset") for name in self._names]
-            )
+        # Each network's "slots" stream and its tags' "offset" streams,
+        # seeded as its sequential RandomStreams seeds them.
+        slot_seeds, offset_seeds = kernels.stream_seeds(
+            [spec.seed for spec in self.specs], self._names
+        )
         self._uniforms = UniformBank(slot_seeds)
         self._offsets = OffsetBank(offset_seeds, self._periods_list)
-        self._capture_cache: Dict[tuple, tuple] = {}
         self._capture_generation = self._medium.channel_generation
         # The compiled step's copy of the capture verdicts, indexed by
         # transmitter bitmask: tid (-1 none, -2 unresolved), probability.
@@ -156,6 +156,8 @@ class FleetEngine:
         table_size = 1 << self.n_tags if fits else 0
         self._capture_tid = np.full(table_size, -2, dtype=np.int64)
         self._capture_p = np.zeros(table_size)
+        if table_size and not self.config.ideal_channel:
+            self._copy_known_captures()
         self._compiled_stepper = None
 
         self.tags = TagArrays.allocate(nv, self.n_tags)
@@ -416,74 +418,68 @@ class FleetEngine:
             u = self._uniforms.take_rows(rows)
             ok = u < self._p_success[tids]
             decoded_tid[rows[ok]] = tids[ok]
-        multi = n_tx >= 2
-        if multi.any():
-            # Capture arbitration compares a log-domain amplitude gap
-            # against a threshold — a last-ulp-sensitive comparison that
-            # must stay bit-identical to ``observe_slot``.  The gap and
-            # success probability are pure functions of the transmitter
-            # set, so each distinct set is resolved through observe_slot
-            # once (via the row-RNG shim) and memoised; repeats replay
-            # the cached verdict against fresh draws.
-            for n in np.nonzero(multi)[0]:
-                key = tuple(np.nonzero(transmit[n])[0].tolist())
-                capture_tid, success = self._capture_entry(key)
-                row = int(n)
-                if capture_tid >= 0:
-                    if self._uniforms.take_scalar(row) < success:
-                        decoded_tid[n] = capture_tid
-                collision[n] = (
-                    self._uniforms.take_scalar(row)
-                    < CLUSTER_DETECTION_PROBABILITY
-                )
+        # Capture arbitration compares a log-domain amplitude gap against
+        # a threshold — a last-ulp-sensitive comparison that must stay
+        # bit-identical to ``observe_slot``.  The gap and success
+        # probability are pure functions of the transmitter set, so the
+        # medium resolves each distinct set once, as observe_slot does,
+        # and memoises it; repeats replay the verdict against fresh
+        # draws.
+        for n in np.nonzero(n_tx >= 2)[0].tolist():
+            capture_tid, success = self._capture_of(transmit[n])
+            if capture_tid >= 0 and self._uniforms.take_scalar(n) < success:
+                decoded_tid[n] = capture_tid
+            collision[n] = (
+                self._uniforms.take_scalar(n) < CLUSTER_DETECTION_PROBABILITY
+            )
         return decoded_tid, collision
 
-    def _capture_entry(self, key: tuple) -> tuple:
-        """The memoised capture verdict of a transmitter set (sorted
-        tids)."""
-        entry = self._capture_cache.get(key)
-        if entry is None:
-            entry = self._resolve_capture(key)
-            self._capture_cache[key] = entry
-        return entry
+    def _capture_of(self, transmitting: np.ndarray) -> Tuple[int, float]:
+        """The verdict on one network's transmitter set (a row of the
+        transmit matrix), read from the table the compiled step reads,
+        so that both steps meet a changed channel at the same slots.
+        Rosters too wide for the table ask the medium each time."""
+        tids = np.nonzero(transmitting)[0].tolist()
+        if not self._capture_tid.size:
+            return self._capture_entry(tids)
+        mask = sum(1 << t for t in tids)
+        if self._capture_tid[mask] == -2:
+            self._resolve_mask(mask)
+        return int(self._capture_tid[mask]), float(self._capture_p[mask])
+
+    def _capture_entry(self, tids: List[int]) -> Tuple[int, float]:
+        """A transmitter set's (ascending tids) constant arbitration
+        parameters: (capturable tid | -1, its packet-success
+        probability), from the medium's memoised verdict.  A changed
+        channel first empties the compiled step's table."""
+        if self._medium.channel_generation != self._capture_generation:
+            self._capture_tid.fill(-2)
+            self._capture_generation = self._medium.channel_generation
+        strongest, success = self._medium.capture_verdict(
+            [self._names[t] for t in tids], self.config.ul_raw_rate_bps
+        )
+        return (-1 if strongest is None else self._tid_by_name[strongest], success)
 
     def _resolve_mask(self, mask: int) -> None:
         """Fill the compiled step's verdict for a transmitter bitmask."""
-        key = tuple(t for t in range(self.n_tags) if mask >> t & 1)
-        self._capture_tid[mask], self._capture_p[mask] = self._capture_entry(key)
+        tids = [t for t in range(self.n_tags) if mask >> t & 1]
+        self._capture_tid[mask], self._capture_p[mask] = self._capture_entry(tids)
 
-    def _resolve_capture(self, tids) -> tuple:
-        """One transmitter set's constant arbitration parameters:
-        (capturable tid | -1, its packet-success probability), taken
-        from a single sequential ``observe_slot`` call.  A probe RNG
-        that never decodes tells us whether the capture branch was
-        taken (two draws) or not (one draw)."""
-        if self._medium.channel_generation != self._capture_generation:
-            self._capture_cache.clear()
-            self._capture_tid.fill(-2)
-            self._capture_generation = self._medium.channel_generation
-        names = [self._names[t] for t in tids]
-        draws: List[float] = []
-
-        class _Probe:
-            def random(probe) -> float:  # noqa: N805 - shim
-                draws.append(0.0)
-                return 2.0  # never below any probability: no decode
-
-        obs = self._medium.observe_slot(
-            names, _Probe(), bit_rate_bps=self.config.ul_raw_rate_bps
-        )
-        assert obs.decoded_tag is None
-        if len(draws) < 2:
-            return (-1, 0.0)
-        # Capture branch taken: recover the strongest tag and its
-        # success probability exactly as observe_slot derived them.
-        amplitudes = {n: self._medium.backscatter_amplitude_v(n) for n in names}
-        strongest = max(names, key=lambda n: amplitudes[n])
-        success = self._medium.uplink_packet_success(
-            strongest, self.config.ul_raw_rate_bps
-        )
-        return (self._tid_by_name[strongest], success)
+    def _copy_known_captures(self) -> None:
+        """Fill the compiled step's table with every verdict the medium
+        already holds for a set of this roster's tags at this rate,
+        listed as this engine lists a set (tids ascending), so that the
+        step resolves only the sets new to the medium."""
+        tid_of = self._tid_by_name
+        for names, (strongest, success) in self._medium.capture_verdicts(
+            self.config.ul_raw_rate_bps
+        ).items():
+            tids = [tid_of.get(name, -1) for name in names]
+            if -1 in tids or tids != sorted(set(tids)):
+                continue
+            mask = sum(1 << t for t in tids)
+            self._capture_tid[mask] = -1 if strongest is None else tid_of[strongest]
+            self._capture_p[mask] = success
 
     def _close_compiled_slot(self, row: int, commits: int, evictions: int) -> None:
         """The compiled step's bookkeeping after it wrote log ``row``."""
@@ -596,19 +592,26 @@ class FleetEngine:
 
     def _vector_summaries(self, rows: slice) -> List[Dict[str, object]]:
         """Scorecards of the networks in ``rows``: each tally is one
-        reduction over their slot-log columns."""
+        count down their slot-log columns, read back as a list."""
         log = self.log
-        tallies = (
-            (log.decoded_tid[:, rows] >= 0).sum(axis=0),
-            log.acked[:, rows].sum(axis=0),
-            log.collision[:, rows].sum(axis=0),
-            (log.n_transmitters[:, rows] == 0).sum(axis=0),
-        )
+        # Counting into 32 bits is several times faster than into
+        # numpy's default 64, and exact below 2**31 slots.
+        dtype = np.int32 if len(log) < 1 << 31 else np.int64
+        tallies = [
+            column.sum(axis=0, dtype=dtype).tolist()
+            for column in (
+                log.decoded_tid[:, rows] >= 0,
+                log.acked[:, rows],
+                log.collision[:, rows],
+                log.n_transmitters[:, rows] == 0,
+            )
+        ]
         return [
-            dict(zip(self.SUMMARY_KEYS, (spec.name, len(log), *values)))
-            for spec, *values in zip(
-                self.specs[rows],
-                *(t.tolist() for t in tallies),
+            dict(zip(self.SUMMARY_KEYS, values))
+            for values in zip(
+                [spec.name for spec in self.specs[rows]],
+                repeat(len(log)),
+                *tallies,
                 self._settled_fractions(rows),
             )
         ]

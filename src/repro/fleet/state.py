@@ -98,7 +98,9 @@ class SlotLog:
     compares those lists byte-for-byte against N sequential runs).
 
     Storage is one ``(capacity, N)`` array per field, doubled when full,
-    so appending a slot copies its rows in amortised O(N).
+    so appending a slot copies its rows in amortised O(N); a caller that
+    knows how many slots it will log sizes the columns once with
+    :meth:`reserve`.
     """
 
     FIELDS = (
@@ -135,6 +137,18 @@ class SlotLog:
     def close_rows(self, count: int) -> None:
         """Log the next ``count`` rows, written in place."""
         self._len += count
+
+    def reserve(self, rows: int) -> None:
+        """Make room for ``rows`` more rows at once, so that logging
+        them never grows the columns (a copy of each at every
+        doubling).  Growing here bumps :attr:`generation` too."""
+        needed = self._len + rows
+        if needed > len(self._columns["n_transmitters"]):
+            for name, column in self._columns.items():
+                grown = np.zeros((needed, column.shape[1]), dtype=column.dtype)
+                grown[: self._len] = column[: self._len]
+                self._columns[name] = grown
+            self.generation += 1
 
     def claim_row(self) -> int:
         """Open the next row for writing in place and return its index."""

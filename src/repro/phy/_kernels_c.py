@@ -1780,6 +1780,226 @@ i64 rk_fleet_run(FleetCtx *c, i64 slot, i64 row, i64 n_slots, i64 streak)
     c->out[3] = done;
     return code;
 }
+
+/* ---- stream seeds (RandomStreams.seed_of and fork) ---------------- */
+
+/* Every helper here is inlined: an out-of-line static function would be
+ * emitted ahead of the exported entries and move them. */
+
+static const unsigned int SHA256_K[64] = {
+    0x428a2f98u, 0x71374491u, 0xb5c0fbcfu, 0xe9b5dba5u, 0x3956c25bu,
+    0x59f111f1u, 0x923f82a4u, 0xab1c5ed5u, 0xd807aa98u, 0x12835b01u,
+    0x243185beu, 0x550c7dc3u, 0x72be5d74u, 0x80deb1feu, 0x9bdc06a7u,
+    0xc19bf174u, 0xe49b69c1u, 0xefbe4786u, 0x0fc19dc6u, 0x240ca1ccu,
+    0x2de92c6fu, 0x4a7484aau, 0x5cb0a9dcu, 0x76f988dau, 0x983e5152u,
+    0xa831c66du, 0xb00327c8u, 0xbf597fc7u, 0xc6e00bf3u, 0xd5a79147u,
+    0x06ca6351u, 0x14292967u, 0x27b70a85u, 0x2e1b2138u, 0x4d2c6dfcu,
+    0x53380d13u, 0x650a7354u, 0x766a0abbu, 0x81c2c92eu, 0x92722c85u,
+    0xa2bfe8a1u, 0xa81a664bu, 0xc24b8b70u, 0xc76c51a3u, 0xd192e819u,
+    0xd6990624u, 0xf40e3585u, 0x106aa070u, 0x19a4c116u, 0x1e376c08u,
+    0x2748774cu, 0x34b0bcb5u, 0x391c0cb3u, 0x4ed8aa4au, 0x5b9cca4fu,
+    0x682e6ff3u, 0x748f82eeu, 0x78a5636fu, 0x84c87814u, 0x8cc70208u,
+    0x90befffau, 0xa4506cebu, 0xbef9a3f7u, 0xc67178f2u,
+};
+
+/* Messages hashed side by side: each step of SEED_LANES independent
+ * SHA-256 compressions is one loop over the lanes, which the compiler
+ * turns into vector code (~3x the throughput of one message at a
+ * time). */
+#define SEED_LANES 16
+
+/* A message RandomStreams hashes: head (the decimal seed and the
+ * separator, at most 21 bytes), then name (UTF-8, any length). */
+typedef struct {
+    unsigned char head[24];
+    i64 n_head;
+    const unsigned char *name;
+    i64 n_name;
+} SeedMessage;
+
+static inline __attribute__((always_inline)) unsigned int
+rotr32(unsigned int x, int n)
+{
+    return (x >> n) | (x << (32 - n));
+}
+
+/* SHA-256 (FIPS 180-4): one compression of each lane's block, the
+ * big-endian words w[0..15][lane], into its state h[0..7][lane]. */
+static inline __attribute__((always_inline)) void
+sha256_lanes(unsigned int h[8][SEED_LANES], unsigned int w[64][SEED_LANES])
+{
+    for (int i = 16; i < 64; i++)
+        for (int l = 0; l < SEED_LANES; l++) {
+            unsigned int x = w[i - 15][l], y = w[i - 2][l];
+            unsigned int s0 = rotr32(x, 7) ^ rotr32(x, 18) ^ (x >> 3);
+            unsigned int s1 = rotr32(y, 17) ^ rotr32(y, 19) ^ (y >> 10);
+            w[i][l] = w[i - 16][l] + s0 + w[i - 7][l] + s1;
+        }
+    unsigned int a[SEED_LANES], b[SEED_LANES], c[SEED_LANES], d[SEED_LANES];
+    unsigned int e[SEED_LANES], f[SEED_LANES], g[SEED_LANES], k[SEED_LANES];
+    for (int l = 0; l < SEED_LANES; l++) {
+        a[l] = h[0][l];
+        b[l] = h[1][l];
+        c[l] = h[2][l];
+        d[l] = h[3][l];
+        e[l] = h[4][l];
+        f[l] = h[5][l];
+        g[l] = h[6][l];
+        k[l] = h[7][l];
+    }
+    for (int i = 0; i < 64; i++)
+        for (int l = 0; l < SEED_LANES; l++) {
+            unsigned int t1 = k[l]
+                              + (rotr32(e[l], 6) ^ rotr32(e[l], 11) ^ rotr32(e[l], 25))
+                              + ((e[l] & f[l]) ^ (~e[l] & g[l])) + SHA256_K[i] + w[i][l];
+            unsigned int t2 = (rotr32(a[l], 2) ^ rotr32(a[l], 13) ^ rotr32(a[l], 22))
+                              + ((a[l] & b[l]) ^ (a[l] & c[l]) ^ (b[l] & c[l]));
+            k[l] = g[l];
+            g[l] = f[l];
+            f[l] = e[l];
+            e[l] = d[l] + t1;
+            d[l] = c[l];
+            c[l] = b[l];
+            b[l] = a[l];
+            a[l] = t1 + t2;
+        }
+    for (int l = 0; l < SEED_LANES; l++) {
+        h[0][l] += a[l];
+        h[1][l] += b[l];
+        h[2][l] += c[l];
+        h[3][l] += d[l];
+        h[4][l] += e[l];
+        h[5][l] += f[l];
+        h[6][l] += g[l];
+        h[7][l] += k[l];
+    }
+}
+
+/* The padded message's block count: its bytes, the 0x80 marker and
+ * the 8-byte bit length. */
+static inline __attribute__((always_inline)) i64
+seed_blocks(const SeedMessage *m)
+{
+    return (m->n_head + m->n_name + 8) / 64 + 1;
+}
+
+/* Block blk of the padded message m, into lane of w: the message
+ * bytes it covers, the 0x80 marker after the last, zeros, and in the
+ * last block the big-endian bit length. */
+static inline __attribute__((always_inline)) void
+seed_block(const SeedMessage *m, i64 blk, unsigned int w[64][SEED_LANES], int lane)
+{
+    unsigned char block[64] = {0};
+    i64 lo = 64 * blk, hi = lo + 64, total = m->n_head + m->n_name;
+    for (i64 p = lo; p < m->n_head && p < hi; p++) block[p - lo] = m->head[p];
+    for (i64 p = lo > m->n_head ? lo : m->n_head; p < total && p < hi; p++)
+        block[p - lo] = m->name[p - m->n_head];
+    if (lo <= total && total < hi) block[total - lo] = 0x80;
+    if (blk == seed_blocks(m) - 1) {
+        unsigned long long bits = (unsigned long long)total * 8;
+        for (int i = 0; i < 8; i++) block[56 + i] = (unsigned char)(bits >> (56 - 8 * i));
+    }
+    for (int i = 0; i < 16; i++)
+        w[i][lane] = (unsigned int)block[4 * i] << 24 | (unsigned int)block[4 * i + 1] << 16
+                     | (unsigned int)block[4 * i + 2] << 8 | (unsigned int)block[4 * i + 3];
+}
+
+/* *out[lane] <- the seed of message m[lane], for each of the first
+ * count lanes: the SHA-256 digest's first 8 bytes read little end
+ * first.  The digest is h[0], h[1], ... big end first, so those are
+ * h[0] and h[1] byte-swapped.  A lane is read after its own last
+ * block; the lanes idle after theirs compress zeros. */
+static inline __attribute__((always_inline)) void
+seed_hash(const SeedMessage *m, int count, unsigned long long **out)
+{
+    static const unsigned int iv[8] = {
+        0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u, 0xa54ff53au,
+        0x510e527fu, 0x9b05688cu, 0x1f83d9abu, 0x5be0cd19u,
+    };
+    unsigned int h[8][SEED_LANES], w[64][SEED_LANES];
+    i64 blocks[SEED_LANES], most = 0;
+    for (int i = 0; i < 8; i++)
+        for (int l = 0; l < SEED_LANES; l++) h[i][l] = iv[i];
+    for (int l = 0; l < count; l++) {
+        blocks[l] = seed_blocks(&m[l]);
+        if (blocks[l] > most) most = blocks[l];
+    }
+    for (i64 blk = 0; blk < most; blk++) {
+        for (int l = 0; l < SEED_LANES; l++) {
+            if (l < count && blk < blocks[l]) {
+                seed_block(&m[l], blk, w, l);
+            } else {
+                for (int i = 0; i < 16; i++) w[i][l] = 0;
+            }
+        }
+        sha256_lanes(h, w);
+        for (int l = 0; l < count; l++)
+            if (blk == blocks[l] - 1)
+                *out[l] = (unsigned long long)__builtin_bswap32(h[0][l])
+                          | (unsigned long long)__builtin_bswap32(h[1][l]) << 32;
+    }
+}
+
+/* m's head: str(v) (at most 20 digits), then sep. */
+static inline __attribute__((always_inline)) void
+seed_head(SeedMessage *m, unsigned long long v, unsigned char sep)
+{
+    unsigned char rev[20];
+    i64 n = 0;
+    do {
+        rev[n++] = (unsigned char)('0' + v % 10);
+        v /= 10;
+    } while (v);
+    for (i64 i = 0; i < n; i++) m->head[i] = rev[n - 1 - i];
+    m->head[n] = sep;
+    m->n_head = n + 1;
+}
+
+/* For each master seed seeds[s] in [0, 2**64): slots[s] <-
+ * RandomStreams(seeds[s]).seed_of("slots"), and offsets[s * t + k] <-
+ * RandomStreams(seeds[s]).fork(name k).seed_of("offset"), name k being
+ * the UTF-8 bytes names[starts[k] .. starts[k + 1]).  Two passes of
+ * messages, SEED_LANES at a time: "{seed}:slots" and "{seed}/{name}"
+ * (the fork seeds, parked in offsets), then "{fork}:offset". */
+void rk_stream_seeds(const unsigned long long *seeds, i64 n,
+                     const unsigned char *names, const i64 *starts, i64 t,
+                     unsigned long long *slots, unsigned long long *offsets)
+{
+    static const unsigned char slots_name[5] = {'s', 'l', 'o', 't', 's'};
+    static const unsigned char offset_name[6] = {'o', 'f', 'f', 's', 'e', 't'};
+    SeedMessage m[SEED_LANES];
+    unsigned long long *out[SEED_LANES];
+    i64 forks = n * (t + 1), jobs = forks + n * t;
+    int count = 0;
+    for (i64 j = 0; j < jobs; j++) {
+        SeedMessage *msg = &m[count];
+        if (j < forks) {
+            i64 s = j / (t + 1), k = j % (t + 1) - 1;
+            if (k < 0) {
+                seed_head(msg, seeds[s], ':');
+                msg->name = slots_name;
+                msg->n_name = 5;
+                out[count] = &slots[s];
+            } else {
+                seed_head(msg, seeds[s], '/');
+                msg->name = names + starts[k];
+                msg->n_name = starts[k + 1] - starts[k];
+                out[count] = &offsets[s * t + k];
+            }
+        } else {
+            seed_head(msg, offsets[j - forks], ':');
+            msg->name = offset_name;
+            msg->n_name = 6;
+            out[count] = &offsets[j - forks];
+        }
+        /* The second pass reads the forks: the first is hashed whole
+         * before it starts. */
+        if (++count == SEED_LANES || j == forks - 1 || j == jobs - 1) {
+            seed_hash(m, count, out);
+            count = 0;
+        }
+    }
+}
 """
 
 
@@ -2014,6 +2234,23 @@ def _pcg64_matches_numpy(seed: Callable, refill: Callable) -> bool:
         if runs[0] != runs[1]:
             return False
     return True
+
+
+def _stream_seeds_match_hashlib(stream_seeds: Callable) -> bool:
+    """Whether the compiled stream-seed entry derives what its
+    ``hashlib`` twin derives: seeds around the word and decimal-length
+    boundaries and the ends of the range, and names that are empty,
+    non-ASCII, or long enough for one or two further SHA-256 blocks."""
+    from repro.phy.kernels import _np_stream_seeds
+
+    seeds = [0, 1, 9, 10, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 12345678901234567]
+    names = [
+        "tag1", "tag12", "", "ü", "标签", "x" * 40, "y" * 54, "z" * 55,
+        "w" * 119, "v" * 200,
+    ]
+    got = stream_seeds(seeds, names)
+    want = _np_stream_seeds(seeds, names)
+    return all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 _tls = threading.local()
@@ -2360,6 +2597,8 @@ def load() -> Dict[str, Callable]:
     lib.rk_fleet_finish.argtypes = [ptr, i64, i64]
     lib.rk_fleet_run.restype = i64
     lib.rk_fleet_run.argtypes = [ptr, i64, i64, i64, i64]
+    lib.rk_stream_seeds.restype = None
+    lib.rk_stream_seeds.argtypes = [ptr, i64, ptr, ptr, i64, ptr, ptr]
     if lib.rk_fleet_ctx_size() != ctypes.sizeof(_FleetCtx):
         raise KernelBuildError("FleetCtx layout differs from its ctypes mirror")
     # The PCG64 entries are built only where the compiler has __int128.
@@ -2723,6 +2962,23 @@ def load() -> Dict[str, Callable]:
             None if bounds is None else _address(bounds, np.int64),
         )
 
+    def stream_seeds(
+        seeds: List[int], names: List[str]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        # Every seed lies in [0, 2**64) (see kernels.stream_seeds).
+        encoded = [name.encode() for name in names]
+        starts = np.zeros(len(encoded) + 1, dtype=np.int64)
+        starts[1:] = np.cumsum([len(e) for e in encoded])
+        master = np.array(seeds, dtype=np.uint64)
+        slots = np.empty(master.size, dtype=np.uint64)
+        offsets = np.empty((master.size, len(encoded)), dtype=np.uint64)
+        lib.rk_stream_seeds(
+            master.ctypes.data, master.size, b"".join(encoded),
+            starts.ctypes.data, len(encoded), slots.ctypes.data,
+            offsets.ctypes.data,
+        )
+        return slots, offsets
+
     table = {
         "median": median,
         "mad_spread": mad_spread,
@@ -2778,4 +3034,13 @@ def load() -> Dict[str, Callable]:
     if reason is not None:
         for name in ("pcg64_seed", "pcg64_refill"):
             PROBE_FAILURES[name] = f"{reason}; the fleet banks draw through numpy"
+    # The stream seeds replay hashlib's SHA-256 in integer arithmetic;
+    # the probe guards the replica against a miscompiled host.
+    if _stream_seeds_match_hashlib(stream_seeds):
+        table["stream_seeds"] = stream_seeds
+    else:
+        PROBE_FAILURES["stream_seeds"] = (
+            "the C SHA-256 replica differs from hashlib; the fleet's "
+            "stream seeds are derived through RandomStreams"
+        )
     return table

@@ -9,7 +9,8 @@ combine.  The fleet tier's batched slot step (:func:`fleet_run`, for
 one slot or many) is the other one: dozens of small array operations
 per slot over a few hundred networks; its RNG banks seed and refill
 thousands of PCG64 streams per engine (:func:`pcg64_seed`,
-:func:`pcg64_refill`).  This module routes each of those through one
+:func:`pcg64_refill`), whose seeds are thousands of SHA-256 digests
+(:func:`stream_seeds`).  This module routes each of those through one
 of two interchangeable backends:
 
 * ``cext`` — a small C translation unit compiled once per process
@@ -63,7 +64,8 @@ for byte; elsewhere that entry runs its numpy reference (see
 :func:`kernel_info`'s ``composed``).  So are the PCG64 entries, which
 replay numpy's ``SeedSequence``, ``PCG64`` and ``Generator`` draws:
 numpy does not promise the same streams across versions.  They are
-also left out where the compiler has no ``__int128``.
+also left out where the compiler has no ``__int128``.  So is the
+stream-seed entry, whose C replica of SHA-256 must match ``hashlib``.
 
 The GEMM-shaped slot combine (:func:`combine_templates`),
 :func:`bit_window_sums` and :func:`raw_bit_sums` are
@@ -255,6 +257,8 @@ def kernel_info() -> Dict[str, object]:
             "engine's numpy step",
             "pcg64_refill": "integer bounds outside [1, 2**32) run the numpy "
             "twin",
+            "stream_seeds": "master seeds outside [0, 2**64) run the "
+            "RandomStreams twin",
         },
         "cache_repairs": list(_kernels_c.CACHE_REPAIRS),
         "kernels": sorted(_NUMPY_IMPL),
@@ -796,6 +800,22 @@ def _np_pcg64_refill(
         cursor[s] = 0
 
 
+def _np_stream_seeds(
+    seeds: List[int], names: List[str]
+) -> Tuple[np.ndarray, np.ndarray]:
+    from repro.sim.random import RandomStreams
+
+    slots, offsets = [], []
+    for seed in seeds:
+        streams = RandomStreams(seed)
+        slots.append(streams.seed_of("slots"))
+        offsets.append([streams.fork(name).seed_of("offset") for name in names])
+    return (
+        np.array(slots, dtype=np.uint64),
+        np.array(offsets, dtype=np.uint64).reshape(len(seeds), len(names)),
+    )
+
+
 _NUMPY_IMPL: Dict[str, Callable] = {
     "median": _np_median,
     "mad_spread": _np_mad_spread,
@@ -819,6 +839,7 @@ _NUMPY_IMPL: Dict[str, Callable] = {
     "fleet_run": _np_fleet_run,
     "pcg64_seed": _np_pcg64_seed,
     "pcg64_refill": _np_pcg64_refill,
+    "stream_seeds": _np_stream_seeds,
 }
 
 
@@ -1040,6 +1061,40 @@ def pcg64_refill(
     table["pcg64_refill"](states, buf, cursor, needed, bounds)
 
 
+def stream_seeds(seeds, names) -> Tuple[np.ndarray, np.ndarray]:
+    """The seeds of a fleet's streams, one row per master seed.
+
+    Returns ``(slots, offsets)``, uint64 arrays of shape ``(N,)`` and
+    ``(N, T)`` for N ``seeds`` and T ``names``:
+    ``slots[s] = RandomStreams(seeds[s]).seed_of("slots")`` and
+    ``offsets[s, k] = RandomStreams(seeds[s]).fork(names[k])
+    .seed_of("offset")``, the seeds of a network's slot stream and of
+    its tags' offset streams.  Each is the SHA-256 digest of the
+    decimal seed, a separator and the UTF-8 name, its first 8 bytes
+    read little-endian (see :class:`~repro.sim.random.RandomStreams`).
+
+    The twin derives them through ``RandomStreams``, the reference.
+    The compiled entry hashes every message in one call; it is
+    registered only where a load-time probe shows it matching
+    ``hashlib``, and elsewhere the twin runs and :func:`kernel_info`'s
+    ``composed`` names the entry.  A call with a master seed outside
+    [0, 2**64) runs the twin on every backend.
+    """
+    from repro.sim.random import as_index
+
+    seeds = [as_index(seed, "seed") for seed in seeds]
+    names = list(names)
+    for name in names:
+        if not isinstance(name, str):
+            raise TypeError(f"stream names must be str, got {name!r}")
+    table = _active()
+    if "stream_seeds" not in table or (
+        seeds and not (min(seeds) >= 0 and max(seeds) < 1 << 64)
+    ):
+        table = _NUMPY_IMPL
+    return table["stream_seeds"](seeds, names)
+
+
 # ---------------------------------------------------------------------------
 # structural kernels
 # ---------------------------------------------------------------------------
@@ -1136,6 +1191,7 @@ __all__ = [
     "fleet_run",
     "pcg64_seed",
     "pcg64_refill",
+    "stream_seeds",
     "bit_window_sums",
     "raw_bit_sums",
     "combine_templates",

@@ -40,8 +40,9 @@ same seed and schedule.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core.reader_protocol import SlotRecord
 from repro.core.state_machine import TagState
@@ -72,6 +73,10 @@ class PolicyAction:
         }
 
 
+def _unattached() -> None:
+    return None
+
+
 class RecoveryPolicy:
     """Base policy: attached to a supervisor, stepped once per slot."""
 
@@ -79,14 +84,25 @@ class RecoveryPolicy:
     name = "base"
 
     def __init__(self) -> None:
-        self.supervisor: "Optional[NetworkSupervisor]" = None
+        self._supervisor: "Callable[[], Optional[NetworkSupervisor]]" = _unattached
+
+    @property
+    def supervisor(self) -> "Optional[NetworkSupervisor]":
+        """The supervisor this policy is attached to, or None.
+
+        Held weakly: the supervisor owns its policies, so a strong
+        reference back would keep both (and the network, its tags and
+        ledgers) in a reference cycle.  A policy whose supervisor was
+        dropped keeps acting through the tag hooks it installed, and
+        logs nothing."""
+        return self._supervisor()
 
     def attach(self, supervisor: "NetworkSupervisor") -> None:
         """Bind to a supervisor (called once, before the first slot)."""
-        self.supervisor = supervisor
+        self._supervisor = weakref.ref(supervisor)
 
     def detach(self) -> None:
-        self.supervisor = None
+        self._supervisor = _unattached
 
     def on_slot(self, record: SlotRecord) -> None:
         """Observe one elapsed slot; mutate MAC state as needed."""
@@ -99,8 +115,9 @@ class RecoveryPolicy:
     # -- ledger helper ----------------------------------------------------
 
     def act(self, slot: int, tag: Optional[str], action: str, detail: str = "") -> None:
-        if self.supervisor is not None:
-            self.supervisor.log_action(
+        supervisor = self.supervisor
+        if supervisor is not None:
+            supervisor.log_action(
                 PolicyAction(slot=slot, policy=self.name, tag=tag, action=action, detail=detail)
             )
 
@@ -230,9 +247,12 @@ class BackoffRejoinPolicy(RecoveryPolicy):
         )
 
     def on_slot(self, record: SlotRecord) -> None:
-        if not self._pending or self.supervisor is None:
+        if not self._pending:
             return
-        tags = self.supervisor.network.tags
+        supervisor = self.supervisor
+        if supervisor is None:
+            return
+        tags = supervisor.network.tags
         for name in list(self._pending):
             tag = tags[name]
             state = self._pending[name]
@@ -287,10 +307,11 @@ class SlotLeasePolicy(RecoveryPolicy):
         self.lease_misses = lease_misses
 
     def on_slot(self, record: SlotRecord) -> None:
-        if self.supervisor is None:
+        supervisor = self.supervisor
+        if supervisor is None:
             return
-        reader = self.supervisor.network.reader
-        monitor = self.supervisor.monitor
+        reader = supervisor.network.reader
+        monitor = supervisor.monitor
         for tag in reader.committed_offsets():
             health = monitor.health(tag)
             if health.consecutive_missed >= self.lease_misses:

@@ -16,6 +16,7 @@ import pytest
 from repro.core.energy_network import EnergyAwareNetwork
 from repro.core.network import NetworkConfig, SlottedNetwork
 from repro.fleet import FleetEngine, specs_for_seeds
+from repro.phy import kernels
 
 SEEDS = [1, 7, 23]
 
@@ -118,6 +119,23 @@ class TestPlainScenarios:
                     net.reset()
                 net.step()
             assert engine.records(spec.name) == net.records
+
+
+class TestOutOfRangeSeeds:
+    """A master seed outside [0, 2**64) seeds its network's streams as
+    ``RandomStreams`` does: the compiled seed derivation takes only
+    seeds inside the range and leaves the rest to its twin."""
+
+    SEEDS = [-1, 2**64, 2**70, 5]
+
+    @pytest.mark.parametrize("backend", ["cext", "numpy"])
+    def test_matches_sequential(self, backend):
+        if backend == "cext" and kernels.kernel_info()["compiled_kernels"] == 0:
+            pytest.skip("no compiled kernel backend")
+        with kernels.use_backend(backend):
+            batch = fleet_records(DENSE_PERIODS, self.SEEDS, 300)
+        for seed, records in zip(self.SEEDS, batch):
+            assert records == sequential_records(DENSE_PERIODS, seed, 300)
 
 
 class TestEnergyFaultedTier:

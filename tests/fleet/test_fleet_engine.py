@@ -216,6 +216,31 @@ class TestSlotLog:
             assert column.dtype == dtype
             assert (column == np.stack([row[k] for row in rows])).all()
 
+    def test_reserve_grows_once_and_keeps_rows(self):
+        log = SlotLog(3)
+        rows = [
+            (np.full(3, k), np.full(3, k - 1), np.ones(3, bool), np.zeros(3, bool),
+             np.full(3, k % 2 == 0))
+            for k in range(5)
+        ]
+        for row in rows[:2]:
+            log.append_slot(*row)
+        log.reserve(SlotLog.INITIAL_CAPACITY - 2)  # fits: nothing moves
+        assert log.generation == 0
+        log.reserve(500)
+        assert log.generation == 1 and len(log.buffers()[0]) == 502
+        for row in rows[2:]:
+            log.append_slot(*row)
+        for _ in range(497):
+            log.claim_row()
+        assert log.generation == 1 and len(log) == 502
+        for k, (name, _) in enumerate(SlotLog.FIELDS):
+            column = getattr(log, name)
+            assert (column[:5] == np.stack([row[k] for row in rows])).all()
+            assert not column[5:].any()
+        log.claim_row()  # full: the next row doubles the columns
+        assert log.generation == 2 and len(log.buffers()[0]) == 1004
+
     def test_columns_are_read_only_and_copy_their_rows(self):
         log = SlotLog(2)
         acked = np.array([True, False])
@@ -431,3 +456,71 @@ class TestSummaryOracle:
             for _, net in twins:
                 net.run(n_slots - len(net.records))
             self._check(engine, twins)
+
+
+class TestSharedMedium:
+    """Engines built on one medium share its capture verdicts."""
+
+    #: tag8 captures against tag11 and tag12, so verdicts differ by set.
+    CAPTURING = {"tag1": 8, "tag8": 4, "tag11": 4, "tag12": 8}
+
+    @staticmethod
+    def run(medium, seeds, backend):
+        with kernels.use_backend(backend):
+            engine = FleetEngine(
+                TestSharedMedium.CAPTURING, specs_for_seeds(seeds), medium=medium
+            )
+            engine.run(300)
+        return engine
+
+    @pytest.mark.parametrize("backend", ["cext", "numpy"])
+    def test_later_engine_starts_with_earlier_verdicts(self, backend, monkeypatch):
+        if backend == "cext" and kernels.kernel_info()["compiled_kernels"] == 0:
+            pytest.skip("no compiled kernel backend")
+        medium = AcousticMedium()
+        first = self.run(medium, range(0, 16), backend)
+        known = medium.capture_verdicts()
+        assert any(tag is not None for tag, _ in known.values())
+        resolved = []
+        real = FleetEngine._resolve_mask
+        monkeypatch.setattr(
+            FleetEngine,
+            "_resolve_mask",
+            lambda engine, mask: resolved.append(mask) or real(engine, mask),
+        )
+        monkeypatch.setattr(
+            AcousticMedium, "observe_slot", lambda *args, **kwargs: pytest.fail()
+        )
+        second = self.run(medium, range(16, 32), backend)
+        tids = {name: tid for tid, name in enumerate(sorted(self.CAPTURING))}
+        masks = {sum(1 << tids[name] for name in tags) for tags in known}
+        assert not masks & set(resolved)
+        # Every verdict the first engine resolved is in the second's
+        # table, as the first engine has it.
+        for mask in masks:
+            assert second._capture_tid[mask] == first._capture_tid[mask]
+            assert second._capture_p[mask] == first._capture_p[mask]
+        alone = self.run(AcousticMedium(), range(16, 32), backend)
+        assert second.summaries() == alone.summaries()
+        for spec in second.specs:
+            assert second.records(spec.name) == alone.records(spec.name)
+
+    def test_verdicts_of_another_roster_fill_the_sets_they_name(self):
+        medium = AcousticMedium()
+        self.run(medium, range(8), "numpy")
+        wider = FleetEngine(
+            {**self.CAPTURING, "tag2": 8}, specs_for_seeds([0]), medium=medium
+        )
+        tids = {name: tid for tid, name in enumerate(sorted(wider._tid_by_name))}
+        for tags, (strongest, success) in medium.capture_verdicts().items():
+            mask = sum(1 << tids[name] for name in tags)
+            assert wider._capture_tid[mask] == (
+                -1 if strongest is None else tids[strongest]
+            )
+            assert wider._capture_p[mask] == success
+        # Tids follow the sorted names: tag11 is 0 and tag8, which
+        # captures against it, is 1.
+        narrow = FleetEngine(
+            {"tag8": 4, "tag11": 4}, specs_for_seeds([0]), medium=medium
+        )
+        assert narrow._capture_tid.tolist() == [-2, -2, -2, 1]

@@ -6,8 +6,9 @@ refill through the compiled PCG64 entries.  The contract is stronger
 than equal slot logs: after any build or run, every array of engine
 state — tag firmware, reader ledger and rings, both RNG banks
 (generator states, buffers and cursors), the slot log, the capture
-memo and the summaries — must equal the numpy backend's byte for
-byte, so that the two can be swapped mid-run.  The banks are shrunk
+verdicts (the medium's memo and the engine's table) and the summaries
+— must equal the numpy backend's byte for byte, so that the two can be
+swapped mid-run.  The banks are shrunk
 here so that refills happen every few slots, and the overloaded roster
 lists a long-period tag before short ones, so that its eviction victim
 is not simply the lowest tid.
@@ -100,7 +101,12 @@ def engine_state(engine):
         state[f"{bank}.states"] = getattr(engine, bank)._states
     for name, _ in engine.log.FIELDS:
         state[f"log.{name}"] = getattr(engine.log, name)
-    state["capture_cache"] = dict(engine._capture_cache)
+    # Capture verdicts: the medium's memo and the table both steps read.
+    state["capture_verdicts"] = engine._medium.capture_verdicts(
+        engine.config.ul_raw_rate_bps
+    )
+    state["capture_tid"] = engine._capture_tid
+    state["capture_p"] = engine._capture_p
     state["summaries"] = engine.summaries()
     return {
         key: (value.dtype.str, value.shape, value.tobytes())

@@ -85,6 +85,28 @@ class TestShardingInvariance:
         )
 
 
+class TestOneChannelPerRun:
+    def test_every_shard_of_a_run_shares_one_fresh_medium(self, monkeypatch):
+        import repro.fleet as fleet_mod
+
+        media = []
+        real = fleet_mod.FleetEngine
+
+        def engine(tag_periods, specs, **kwargs):
+            media.append(kwargs["medium"])
+            return real(tag_periods, specs, **kwargs)
+
+        monkeypatch.setattr(fleet_mod, "FleetEngine", engine)
+        runner = FleetRunner(PERIODS, SEEDS, SLOTS, shard_size=4)
+        first, second = runner.run(), runner.run()
+        assert doc_bytes(first) == doc_bytes(second)
+        assert len(media) == 2 * len(runner.shards())
+        per_run = len(runner.shards())
+        assert len({id(m) for m in media[:per_run]}) == 1
+        assert len({id(m) for m in media[per_run:]}) == 1
+        assert media[0] is not media[per_run]
+
+
 class TestPoolRobustness:
     def test_pool_timeout_bounds_a_hung_shard(self, patch_shard):
         patch_shard(SEEDS[5], lambda: time.sleep(6))
